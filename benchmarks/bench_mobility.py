@@ -54,7 +54,7 @@ COSTS = CostParams(update_cost=50.0, poll_cost=10.0)
 DEFAULT_MAX_OVERHEAD = 25.0
 
 
-def _vectorized_rate(spec, terminals: int, slots: int, backend: str) -> float:
+def _vectorized_rate(spec, terminals: int, slots: int) -> float:
     topology = HexTopology()
     engine = VectorizedDistanceEngine(
         topology,
@@ -64,7 +64,6 @@ def _vectorized_rate(spec, terminals: int, slots: int, backend: str) -> float:
         terminals=terminals,
         max_delay=M,
         seed=7,
-        backend=backend,
         walk=spec,
     )
     engine.run(64)  # touch lazily-built tables before timing
@@ -84,7 +83,6 @@ def _vectorized_cost(spec, terminals: int, slots: int):
         terminals=terminals,
         max_delay=M,
         seed=11,
-        backend="auto" if spec is None else "numpy",
         walk=spec,
     )
     engine.run(max(200, slots // 8))
@@ -125,12 +123,12 @@ def main(argv=None) -> int:
         terminals, slots, per_cell_slots, check_slots = 1024, 8000, 120_000, 20_000
 
     rates = {}
-    rates["uniform"] = _vectorized_rate(None, terminals, slots, backend="auto")
+    rates["uniform"] = _vectorized_rate(None, terminals, slots)
     for name in MOBILITY_PRESETS:
         if name == "uniform":
             continue
         spec = mobility_preset(name, Q)
-        rates[name] = _vectorized_rate(spec, terminals, slots, backend="numpy")
+        rates[name] = _vectorized_rate(spec, terminals, slots)
     slowest = min(rate for name, rate in rates.items() if name != "uniform")
     overhead = rates["uniform"] / slowest
 

@@ -36,18 +36,12 @@ from pathlib import Path
 from typing import Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-import kernels_baseline  # noqa: E402
-from repro.core.backend import BACKENDS, numba_available  # noqa: E402
 from repro.core.parameters import CostParams, MobilityParams  # noqa: E402
 from repro.geometry import HexTopology, LineTopology  # noqa: E402
 from repro.observability import noop_session  # noqa: E402
 from repro.observability.export import build_provenance  # noqa: E402
-from repro.simulation.vectorized import (  # noqa: E402
-    compare_backends_report,
-    throughput_report,
-)
+from repro.simulation.vectorized import throughput_report  # noqa: E402
 
 OUT_DIR = Path(__file__).parent / "out"
 
@@ -142,110 +136,12 @@ def measure_observability_overhead(
     }
 
 
-def run_kernels_gate(
-    terminals: int,
-    slots: int,
-    seed: int,
-    reps: int,
-    write_baseline: bool,
-    min_numba_ratio: float = 0.0,
-) -> list:
-    """Measure backend-vs-backend throughput ratios; gate against baseline.
-
-    Returns a list of failure strings (empty = pass).  Ratios, not
-    absolute rates, are compared -- see :mod:`kernels_baseline`.  The
-    baseline stores one entry per batch width K because the counter
-    kernel's advantage over the legacy RNG grows with K.
-    """
-    best = {}
-    for _ in range(reps):
-        report = compare_backends_report(
-            HexTopology(), THRESHOLD, MOBILITY, COSTS,
-            max_delay=MAX_DELAY, slots=slots, terminals=terminals, seed=seed,
-        )
-        for row in report["backends"]:
-            prev = best.get(row["name"])
-            if prev is None or row["slots_per_sec"] > prev:
-                best[row["name"]] = row["slots_per_sec"]
-    legacy = best["numpy"]
-    counter = best["numpy-counter"]
-    compiled = best.get("numba")
-    entry = {
-        "slots": slots,
-        "seed": seed,
-        "reps": reps,
-        "numba_available": numba_available(),
-        "legacy_slots_per_sec": legacy,
-        "counter_slots_per_sec": counter,
-        "numba_slots_per_sec": compiled,
-        "counter_vs_legacy_ratio": counter / legacy,
-        "numba_vs_legacy_ratio": compiled / legacy if compiled else None,
-    }
-    if not numba_available():
-        entry["numba_note"] = (
-            "numba is not installed on the baseline host, so the compiled "
-            "ratio could not be committed here; the >=3x compiled-kernel "
-            "target is asserted by the CI job that installs the [numba] "
-            "extra (and the nightly 1M-terminal compiled fleet run)."
-        )
-    print(f"kernels: K={terminals}, {slots} slots, best of {reps}:")
-    print(f"  legacy RNG      {legacy:>14,.0f} terminal-slots/s")
-    print(f"  counter kernel  {counter:>14,.0f} terminal-slots/s "
-          f"({entry['counter_vs_legacy_ratio']:.2f}x legacy)")
-    if compiled:
-        print(f"  numba kernel    {compiled:>14,.0f} terminal-slots/s "
-              f"({entry['numba_vs_legacy_ratio']:.2f}x legacy)")
-    else:
-        print("  numba kernel    unavailable (falls back to counter kernel)")
-
-    errors = []
-    if compiled and min_numba_ratio:
-        if entry["numba_vs_legacy_ratio"] < min_numba_ratio:
-            errors.append(
-                f"numba kernel ratio {entry['numba_vs_legacy_ratio']:.2f}x "
-                f"below the required {min_numba_ratio:.1f}x"
-            )
-    key = f"K{terminals}"
-    if write_baseline:
-        baseline = kernels_baseline.load_baseline()
-        section = baseline.get("throughput", {})
-        section[key] = entry
-        path = kernels_baseline.update_baseline(
-            "throughput", section,
-            build_provenance(
-                "bench:kernels",
-                {"terminals": terminals, "slots": slots, "seed": seed},
-                seed=seed,
-            ),
-        )
-        print(f"wrote baseline entry {key} to {path}")
-        return errors
-    committed = kernels_baseline.load_baseline().get("throughput", {}).get(key)
-    if committed is None:
-        print(f"  no committed baseline for {key}; gate skipped")
-        return errors
-    for ratio_name in ("counter_vs_legacy_ratio", "numba_vs_legacy_ratio"):
-        measured = entry[ratio_name]
-        if measured is None:
-            continue
-        failure = kernels_baseline.check_ratio(
-            f"throughput.{key}.{ratio_name}", measured, committed.get(ratio_name)
-        )
-        if failure:
-            errors.append(failure)
-    if not errors:
-        print(f"  gate: OK against committed {key} baseline "
-              f"(margin {kernels_baseline.REGRESSION_MARGIN:.0%})")
-    return errors
-
-
 def run_fleet_gate(
     terminals: int,
     shards: int,
     slots: int,
     workers: int,
     seed: int = 0,
-    backend: str = "numpy",
 ) -> dict:
     """Run the fleet bench and write ``benchmarks/out/fleet.json``.
 
@@ -260,12 +156,11 @@ def run_fleet_gate(
         slots=slots,
         workers=workers if workers > 1 else None,
         seed=seed,
-        backend=backend,
     )
     report["provenance"] = build_provenance(
         "bench:fleet",
         {"terminals": terminals, "shards": shards, "slots": slots,
-         "workers": workers, "backend": backend},
+         "workers": workers},
         seed=seed,
     )
     OUT_DIR.mkdir(exist_ok=True)
@@ -316,54 +211,7 @@ def main(argv=None) -> int:
     parser.add_argument("--fleet-slots", type=int, default=None,
                         help="default: 20 in smoke mode, 50 otherwise")
     parser.add_argument("--fleet-workers", type=int, default=2)
-    parser.add_argument(
-        "--fleet-backend", choices=BACKENDS, default="numpy",
-        help="fleet execution backend (the nightly compiled run passes "
-        "'numba'; totals are backend-invariant either way)",
-    )
-    parser.add_argument(
-        "--kernels", action="store_true",
-        help="also measure backend-vs-backend kernel ratios and gate them "
-        "against the committed benchmarks/out/kernels.json baseline",
-    )
-    parser.add_argument(
-        "--kernels-only", action="store_true",
-        help="run only the kernel ratio gate",
-    )
-    parser.add_argument("--kernels-terminals", type=int, default=None,
-                        help="default: 1024 in smoke mode, 4096 otherwise")
-    parser.add_argument("--kernels-slots", type=int, default=None,
-                        help="default: 800 in smoke mode, 2000 otherwise")
-    parser.add_argument("--kernels-reps", type=int, default=None,
-                        help="best-of repetitions (default: 2 smoke, 3 full)")
-    parser.add_argument(
-        "--write-kernels-baseline", action="store_true",
-        help="refresh this host's entry in benchmarks/out/kernels.json "
-        "instead of gating against it",
-    )
-    parser.add_argument(
-        "--min-numba-ratio", type=float, default=0.0,
-        help="with numba installed, fail if the compiled kernel is not at "
-        "least this many times faster than the legacy path (the numba CI "
-        "job passes 3.0)",
-    )
     args = parser.parse_args(argv)
-
-    if args.kernels or args.kernels_only:
-        kernel_errors = run_kernels_gate(
-            terminals=args.kernels_terminals or (1024 if args.smoke else 4096),
-            slots=args.kernels_slots or (800 if args.smoke else 2000),
-            seed=args.seed,
-            reps=args.kernels_reps or (3 if args.smoke else 3),
-            write_baseline=args.write_kernels_baseline,
-            min_numba_ratio=args.min_numba_ratio,
-        )
-        for failure in kernel_errors:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        if args.kernels_only:
-            return 1 if kernel_errors else 0
-    else:
-        kernel_errors = []
 
     if args.fleet_only:
         report = run_fleet_gate(
@@ -372,7 +220,6 @@ def main(argv=None) -> int:
             slots=args.fleet_slots or (20 if args.smoke else 50),
             workers=args.fleet_workers,
             seed=args.seed,
-            backend=args.fleet_backend,
         )
         if not report["rss_within_budget"]:
             print(
@@ -481,7 +328,6 @@ def main(argv=None) -> int:
             slots=args.fleet_slots or (20 if args.smoke else 50),
             workers=args.fleet_workers,
             seed=args.seed,
-            backend=args.fleet_backend,
         )
         if not report["rss_within_budget"]:
             print(
@@ -490,7 +336,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-    return 1 if kernel_errors else 0
+    return 0
 
 
 def test_throughput_smoke():
@@ -501,11 +347,6 @@ def test_throughput_smoke():
 def test_fleet_smoke():
     """CI fleet gate: 100k terminals, RSS bound asserted."""
     assert main(["--smoke", "--fleet-only"]) == 0
-
-
-def test_kernels_smoke():
-    """CI kernel gate: backend ratios vs the committed baseline."""
-    assert main(["--smoke", "--kernels-only"]) == 0
 
 
 try:  # pytest is absent when this file runs as a plain script
@@ -529,24 +370,6 @@ def test_fleet_million():
         "--fleet-shards", "16",
         "--fleet-workers", "4",
         "--fleet-slots", "25",
-    ]) == 0
-
-
-@_slow
-def test_fleet_million_compiled():
-    """Nightly compiled gate: 1M terminals through the numba kernel.
-
-    With the [numba] extra installed (the nightly job does) this runs
-    the jit-compiled shard kernel; elsewhere it degrades to the
-    bit-identical NumPy fallback, so the totals contract still holds.
-    """
-    assert main([
-        "--fleet-only",
-        "--fleet-terminals", "1000000",
-        "--fleet-shards", "16",
-        "--fleet-workers", "4",
-        "--fleet-slots", "25",
-        "--fleet-backend", "auto",
     ]) == 0
 
 

@@ -1,12 +1,11 @@
 """Committed kernel-performance baselines and the regression gate.
 
 ``benchmarks/out/kernels.json`` is the one *committed* performance
-artifact: it records backend-vs-backend **ratios** (counter kernel vs
-legacy RNG, compiled vs legacy, banded vs dense solver) rather than
-absolute slots/sec, so the baseline transfers across CI hosts of
-different speeds -- two code paths measured back to back on the same
-box divide out the hardware.  ``bench_throughput.py --kernels`` and
-``bench_analytic.py --kernels`` re-measure those ratios and exit
+artifact: it records path-vs-path **ratios** (the banded vs the dense
+steady-state solver) rather than absolute times, so the baseline
+transfers across CI hosts of different speeds -- two code paths
+measured back to back on the same box divide out the hardware.
+``bench_analytic.py --kernels`` re-measures those ratios and exits
 non-zero when one falls more than :data:`REGRESSION_MARGIN` below its
 committed value; ``--write-kernels-baseline`` refreshes the file.
 """
@@ -53,7 +52,7 @@ def check_ratio(
     """An error string when ``measured`` regressed past the margin.
 
     ``None`` baseline means the quantity was not measurable on the
-    baseline host (e.g. the compiled ratio without numba) -- no gate.
+    baseline host -- no gate.
     """
     if baseline_value is None:
         return None

@@ -74,18 +74,6 @@ def _add_observability_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    """``--backend`` for subcommands with a compiled execution path."""
-    from .core.backend import BACKENDS
-
-    p.add_argument(
-        "--backend", choices=BACKENDS, default="numpy",
-        help="execution backend: 'numpy' (default, legacy RNG), 'numba' "
-        "(compiled kernels, falls back to NumPy with a warning when numba "
-        "is missing), or 'auto' (compiled when available, silent fallback)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -150,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="recompute without reading or writing the result cache",
     )
     p.add_argument("--csv", help="also write the grid points to this CSV path")
-    _add_backend_flag(p)
     _add_observability_flags(p)
 
     p = sub.add_parser("simulate", help="simulate the distance-based scheme")
@@ -185,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--drift", type=float, default=0.4,
         help="drift weight for --mobility ctrw-drift (default 0.4)",
     )
-    _add_backend_flag(p)
     _add_observability_flags(p)
 
     p = sub.add_parser(
@@ -244,12 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", dest="json_path",
                    help="also write the machine-readable report here")
-    p.add_argument(
-        "--compare-backends", action="store_true",
-        help="time every available backend on the vectorized engine in one "
-        "invocation and print a per-backend slots/sec table",
-    )
-    _add_backend_flag(p)
     _add_observability_flags(p)
 
     p = sub.add_parser(
@@ -281,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "rerun with identical parameters to resume")
     p.add_argument("--json", dest="json_path",
                    help="also write the machine-readable report here")
-    _add_backend_flag(p)
     _add_observability_flags(p)
 
     p = sub.add_parser(
@@ -622,13 +601,6 @@ def _parse_axis_spec(param: str, spec: str):
 
 def _cmd_sweep(args) -> int:
     from .analysis.sweep import grid_sweep
-    from .core.batch import use_solver
-
-    # The sweep is analytic, so ``--backend`` selects the steady-state
-    # solver rather than a simulation kernel: the default NumPy backend
-    # keeps the dense recursion, while numba/auto enable the banded
-    # cutover for very deep chains.
-    solver = "dense" if args.backend == "numpy" else "auto"
 
     axes = {}
     for entry in args.vary:
@@ -641,19 +613,18 @@ def _cmd_sweep(args) -> int:
         if param in axes:
             raise ReproError(f"axis {param!r} given more than once")
         axes[param] = _parse_axis_spec(param, spec.strip())
-    with use_solver(solver):
-        result = grid_sweep(
-            args.model,
-            axes,
-            q=args.q,
-            c=args.c,
-            update_cost=args.update_cost,
-            poll_cost=args.poll_cost,
-            max_delay=args.max_delay,
-            d_max=args.d_max,
-            workers=args.workers,
-            cache_dir=None if args.no_cache else args.cache_dir,
-        )
+    result = grid_sweep(
+        args.model,
+        axes,
+        q=args.q,
+        c=args.c,
+        update_cost=args.update_cost,
+        poll_cost=args.poll_cost,
+        max_delay=args.max_delay,
+        d_max=args.d_max,
+        workers=args.workers,
+        cache_dir=None if args.no_cache else args.cache_dir,
+    )
     varied = [name for name, _ in result.axes]
     headers = varied + ["d*", "C_T", "C_u", "C_v", "E[delay]"]
     attr = {"q": "q", "c": "c", "U": "update_cost", "V": "poll_cost",
@@ -691,42 +662,20 @@ def _cmd_simulate(args) -> int:
     if spec is not None and args.dimensions == 1:
         print("CTRW mobility presets require --dimensions 2", file=sys.stderr)
         return 2
-    if args.backend != "numpy":
-        from .simulation.vectorized import VectorizedDistanceEngine
-
-        engine = VectorizedDistanceEngine(
-            topology,
-            args.threshold,
-            mobility,
-            costs,
-            max_delay=args.max_delay,
-            terminals=args.replications,
-            seed=args.seed,
-            backend=args.backend,
-            walk=spec,
-        )
-        if args.warmup:
-            engine.run(args.warmup)
-            engine.reset_meters()
-        result = engine.run(args.slots)
-        print(f"backend:          {engine.backend_resolved} "
-              f"(requested {args.backend}; one vectorized terminal "
-              "per replication)")
-    else:
-        result = run_replicated(
-            topology=topology,
-            strategy_factory=partial(
-                DistanceStrategy, args.threshold, max_delay=args.max_delay
-            ),
-            mobility=mobility,
-            costs=costs,
-            slots=args.slots,
-            replications=args.replications,
-            seed=args.seed,
-            warmup_slots=args.warmup,
-            workers=args.workers,
-            walker_factory=None if spec is None else spec.walker_factory(),
-        )
+    result = run_replicated(
+        topology=topology,
+        strategy_factory=partial(
+            DistanceStrategy, args.threshold, max_delay=args.max_delay
+        ),
+        mobility=mobility,
+        costs=costs,
+        slots=args.slots,
+        replications=args.replications,
+        seed=args.seed,
+        warmup_slots=args.warmup,
+        workers=args.workers,
+        walker_factory=None if spec is None else spec.walker_factory(),
+    )
     if spec is not None:
         print(f"mobility:         {args.mobility} "
               f"(q_eff={spec.effective_move_probability():.4f}, "
@@ -920,52 +869,9 @@ def _cmd_faults(args) -> int:
 
 def _cmd_speed(args) -> int:
     from .geometry import HexTopology, LineTopology
-    from .simulation.vectorized import compare_backends_report, throughput_report
+    from .simulation.vectorized import throughput_report
 
     topology = LineTopology() if args.dimensions == 1 else HexTopology()
-    if args.compare_backends:
-        report = compare_backends_report(
-            topology=topology,
-            threshold=args.threshold,
-            mobility=MobilityParams(
-                move_probability=args.q, call_probability=args.c
-            ),
-            costs=CostParams(
-                update_cost=args.update_cost, poll_cost=args.poll_cost
-            ),
-            max_delay=args.max_delay,
-            slots=args.vector_slots,
-            terminals=args.terminals,
-            seed=args.seed,
-        )
-        rows = [
-            [
-                row["name"],
-                row["resolved"],
-                f"{row['slots_per_sec']:,.0f}",
-                f"{row['seconds']:.3f}",
-                f"{row['mean_total_cost']:.6f}",
-            ]
-            for row in report["backends"]
-        ]
-        print(render_table(
-            ["backend", "resolved", "terminal-slots/sec", "seconds",
-             "mean C_T"],
-            rows,
-            title=(
-                f"Backend comparison (K={args.terminals}, "
-                f"{args.vector_slots} slots, d={args.threshold}, "
-                f"m={args.max_delay}, numba "
-                f"{'available' if report['numba_available'] else 'absent'})"
-            ),
-        ))
-        if args.json_path:
-            import json
-            from pathlib import Path
-
-            Path(args.json_path).write_text(json.dumps(report, indent=2) + "\n")
-            print(f"wrote JSON report to {args.json_path}")
-        return 0
     report = throughput_report(
         topology=topology,
         threshold=args.threshold,
@@ -976,7 +882,6 @@ def _cmd_speed(args) -> int:
         vector_slots=args.vector_slots,
         terminals=args.terminals,
         seed=args.seed,
-        backend=args.backend,
     )
     eng, vec = report["engine"], report["vectorized"]
     print(
@@ -988,8 +893,6 @@ def _cmd_speed(args) -> int:
     print(f"  vectorized (K={vec['terminals']}): {vec['slots_per_sec']:>10,.0f} "
           f"terminal-slots/sec ({vec['terminal_slots']:,} in {vec['seconds']:.3f}s)")
     print(f"  speedup:          {report['speedup']:.1f}x")
-    if args.backend != "numpy":
-        print(f"  backend:          {vec['backend']} (requested {args.backend})")
     if args.json_path:
         import json
         from pathlib import Path
@@ -1013,16 +916,12 @@ def _cmd_fleet(args) -> int:
         d_max=args.d_max,
         population_seed=args.population_seed,
         checkpoint=args.checkpoint,
-        backend=args.backend,
     )
     config = report["config"]
     print(
         f"Fleet: {config['terminals']:,} terminals, {config['shards']} shards, "
         f"{config['slots']} slots, m={config['max_delay']}"
     )
-    if config.get("backend", "numpy") != "numpy":
-        print(f"backend:           {config['backend_resolved']} "
-              f"(requested {config['backend']})")
     print(f"population:        " + ", ".join(
         f"{name}={count:,}" for name, count in config["population"].items()
     ))

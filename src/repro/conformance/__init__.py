@@ -2,7 +2,7 @@
 
 The library computes the paper's quantities through many independent
 routes -- closed forms, recursions, matrix solves, a batched triangular
-solver, and three simulation backends.  This package makes their mutual
+solver, and three simulation engines.  This package makes their mutual
 agreement, and the paper's structural laws, continuously checkable:
 
 * :mod:`repro.conformance.checks` -- registry core: configs,

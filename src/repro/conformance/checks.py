@@ -1,7 +1,7 @@
 """Check registry and result types for the conformance subsystem.
 
 A *check* is a named, registered piece of executable knowledge about
-how the library's five analytic models and three simulation backends
+how the library's five analytic models and three simulation engines
 must behave.  Two kinds exist:
 
 * **oracles** pair two independent implementations of the same

@@ -166,7 +166,7 @@ def _ctrw_exp_degenerates(config: ConformanceConfig) -> Deviation:
     uniform = _vectorized(
         config, None, q=config.q, c=config.c, d=config.d, m=config.m,
         slots=slots, terminals=terminals, seed=config.seed,
-        event_mode="independent", backend="auto",
+        event_mode="independent",
     ).run(slots)
     return replicated_agreement(ctrw, uniform)
 

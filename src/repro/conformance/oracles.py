@@ -20,23 +20,20 @@ engine-vs-resilient-nofault     base engine vs fault-free ResilientEngine
 serial-vs-pooled                ``run_replicated`` serial vs process pool
 fleet-sharded-vs-single         ``run_fleet`` sharded vs one shard
 fleet-pooled-vs-inprocess       ``run_fleet`` process pool vs in-process
-fleet-vs-vectorized             homogeneous fleet vs vectorized engine
 steady-banded-vs-recursive      banded tridiagonal LU vs Section-4.1 recursion
 surface-banded-vs-dense         cost surface solved banded vs dense recursion
-vectorized-backend-vs-fallback  compiled counter kernel vs its NumPy port
-fleet-backend-vs-fallback       compiled fleet kernel vs its NumPy port
-vectorized-counter-vs-fleet     counter-mode vectorized vs homogeneous fleet
-vectorized-counter-vs-pcg64     counter-RNG backend vs legacy PCG64 backend
+vectorized-counter-vs-fleet     vectorized engine vs homogeneous fleet
 ==============================  =============================================
 
 Analytic oracles are exact up to float accumulation (tolerances around
-``1e-9``); the three simulation oracles are *statistical* -- different
-backends consume randomness differently, so they assert agreement
-within the joint confidence interval or a 5% relative band, expressed
-as a normalized deviation with tolerance 1.0.  ``serial-vs-pooled`` is
-the exception: worker count must never change results, so it demands
-bit identity (tolerance 0.0) and only runs when the sampler grants a
-process pool (``pool_workers >= 2``, the full suite).
+``1e-9``); the per-cell-vs-array simulation oracles are *statistical*
+-- the two engines consume randomness differently, so they assert
+agreement within the joint confidence interval or a 5% relative band,
+expressed as a normalized deviation with tolerance 1.0.
+``serial-vs-pooled`` is the exception: worker count must never change
+results, so it demands bit identity (tolerance 0.0) and only runs when
+the sampler grants a process pool (``pool_workers >= 2``, the full
+suite).
 
 The fleet oracles exercise the sharded engine's layout contracts:
 ``fleet-sharded-vs-single`` holds the seed fixed and re-runs the same
@@ -45,9 +42,10 @@ randomness makes event totals *exactly* invariant, so the tolerance is
 float-accumulation-sized rather than statistical;
 ``fleet-pooled-vs-inprocess`` demands bit-identical shard snapshots
 between the process-pool and in-process executors (the fleet analogue
-of ``serial-vs-pooled``); ``fleet-vs-vectorized`` checks a homogeneous
-fleet against the independently-implemented vectorized engine
-statistically (the two consume randomness differently by design).
+of ``serial-vs-pooled``); ``vectorized-counter-vs-fleet`` demands that
+a homogeneous one-shard fleet and the separately implemented
+vectorized engine, hashing the same counter-RNG keys, produce the same
+trajectory exactly.
 
 The comparison helpers (:func:`replicated_agreement`,
 :func:`bitwise_agreement`) are module-level so the conformance tests
@@ -365,12 +363,10 @@ def _serial_vs_pooled(config: ConformanceConfig) -> Deviation:
     return bitwise_agreement(serial, pooled)
 
 
-#: Fleet-oracle budgets: shard contracts are exact, so a short run is
-#: as conclusive as a long one; the statistical cross-check gets a
-#: larger (but still CI-sized) slice of the config's slot budget.
+#: Fleet-oracle budgets: shard and replay contracts are exact, so a
+#: short run is as conclusive as a long one.
 _FLEET_TERMINALS = 256
 _FLEET_EXACT_SLOTS = 400
-_FLEET_STAT_SLOTS = 4_000
 
 
 def _fleet_spec(config: ConformanceConfig):
@@ -447,43 +443,7 @@ def _fleet_pooled_vs_inprocess(config: ConformanceConfig) -> Deviation:
     return Deviation(float(gap), f"total cost gap {float(gap):.3g}")
 
 
-@REGISTRY.oracle(
-    "fleet-vs-vectorized",
-    tolerance=1.0,
-    paper_ref="Section 6",
-    description="homogeneous fleet agrees statistically with the vectorized engine",
-    applies=lambda config: config.sim_slots > 0,
-)
-def _fleet_vs_vectorized(config: ConformanceConfig) -> Deviation:
-    from ..simulation.fleet import run_fleet  # deferred: heavy
-    from ..simulation.vectorized import VectorizedDistanceEngine  # deferred
-
-    spec = _fleet_spec(config)
-    slots = min(config.sim_slots, _FLEET_STAT_SLOTS)
-    fleet = run_fleet(spec, slots=slots, shards=1, seed=config.seed)
-    vectorized = VectorizedDistanceEngine(
-        topology=spec.topology,
-        threshold=config.d,
-        mobility=config.mobility(),
-        costs=config.costs(),
-        max_delay=config.m,
-        terminals=_FLEET_TERMINALS,
-        seed=config.seed,
-    ).run(slots)
-
-    class _FleetAsReplicated:
-        """Adapter: a one-shard fleet run quacks like a replicated result."""
-
-        mean_total_cost = fleet.mean_total_cost
-
-        @staticmethod
-        def total_cost_ci() -> float:
-            return fleet.shards[0].total_cost_half_width_95
-
-    return replicated_agreement(_FleetAsReplicated(), vectorized)
-
-
-# -- backend oracles (PR 8: compiled kernels + banded solver) -----------
+# -- banded solver and cross-engine replay ------------------------------
 
 
 @REGISTRY.oracle(
@@ -528,121 +488,39 @@ def _surface_banded_vs_dense(config: ConformanceConfig) -> Deviation:
     )
 
 
-def _counter_engine(config: ConformanceConfig, slots: int):
-    """A counter-mode vectorized engine, run for ``slots``."""
-    from ..simulation.vectorized import VectorizedDistanceEngine  # deferred
-
-    model = config.build_model()
-    engine = VectorizedDistanceEngine(
-        topology=model.topology,
-        threshold=config.d,
-        mobility=config.mobility(),
-        costs=config.costs(),
-        max_delay=config.m,
-        terminals=_FLEET_TERMINALS,
-        seed=config.seed,
-        backend="auto",
-    )
-    engine.run(slots)
-    return engine
-
-
-@REGISTRY.oracle(
-    "vectorized-backend-vs-fallback",
-    tolerance=0.0,
-    paper_ref="Section 6",
-    description="compiled vectorized kernel is bit-identical to its NumPy port",
-    applies=lambda config: config.sim_slots > 0,
-)
-def _vectorized_backend_vs_fallback(config: ConformanceConfig) -> Deviation:
-    """Bit-identity of the counter kernel across executions.
-
-    With numba installed this compares the jit-compiled step against the
-    interpreted NumPy port; without numba both runs resolve to the
-    fallback and the check degenerates to a (documented) identity --
-    which is exactly the contract: results never depend on whether
-    numba is present.
-    """
-    from ..core.backend import use_numpy_fallback  # deferred
-
-    slots = min(config.sim_slots, _FLEET_EXACT_SLOTS)
-    compiled = _counter_engine(config, slots)
-    with use_numpy_fallback():
-        fallback = _counter_engine(config, slots)
-    gap = 0.0
-    for name in ("_moves", "_updates", "_calls", "_polled_cells",
-                 "_delay_counts", "_cost_sum", "_cost_sq_sum"):
-        a, b = getattr(compiled, name), getattr(fallback, name)
-        gap = max(gap, float(np.max(np.abs(a - b))) if a.size else 0.0)
-    return Deviation(
-        gap,
-        f"{compiled.backend_resolved} vs {fallback.backend_resolved}: "
-        f"max per-terminal meter gap {gap:.3g}",
-    )
-
-
-@REGISTRY.oracle(
-    "fleet-backend-vs-fallback",
-    tolerance=1e-9,
-    paper_ref="Section 6",
-    description="compiled fleet kernel matches its NumPy port exactly on counters",
-    applies=lambda config: config.sim_slots > 0,
-)
-def _fleet_backend_vs_fallback(config: ConformanceConfig) -> Deviation:
-    """Integer event totals exact; cost totals to float accumulation.
-
-    The fleet kernel's shard-level per-slot scalars are the one place
-    the compiled and NumPy executions may differ (summation order,
-    ~1e-12 relative); every integer counter and the cost totals derived
-    from them are bit-identical.
-    """
-    from ..core.backend import use_numpy_fallback  # deferred
-    from ..simulation.fleet import run_fleet  # deferred: heavy
-
-    spec = _fleet_spec(config)
-    slots = min(config.sim_slots, _FLEET_EXACT_SLOTS)
-    compiled = run_fleet(spec, slots=slots, shards=2, seed=config.seed,
-                         backend="auto")
-    with use_numpy_fallback():
-        fallback = run_fleet(spec, slots=slots, shards=2, seed=config.seed,
-                             backend="auto")
-    event_gap = max(
-        abs(compiled.moves - fallback.moves),
-        abs(compiled.updates - fallback.updates),
-        abs(compiled.calls - fallback.calls),
-        abs(compiled.polled_cells - fallback.polled_cells),
-    )
-    scale = max(abs(fallback.total_cost), 1.0)
-    cost_gap = abs(compiled.total_cost - fallback.total_cost) / scale
-    return Deviation(
-        float(event_gap + cost_gap),
-        f"event gap {event_gap}, rel cost gap {cost_gap:.3g}",
-    )
-
-
 @REGISTRY.oracle(
     "vectorized-counter-vs-fleet",
     tolerance=0.0,
     paper_ref="Section 6",
-    description="counter-mode vectorized engine replays the fleet trajectory exactly",
+    description="vectorized engine replays the fleet trajectory exactly",
     applies=lambda config: config.sim_slots > 0,
 )
 def _vectorized_counter_vs_fleet(config: ConformanceConfig) -> Deviation:
     """The strongest cross-engine check in the suite.
 
     A homogeneous single-shard fleet (global offset 0) and the
-    counter-mode vectorized engine hash the *same* ``(seed, stream,
-    slot, terminal)`` keys with the same within-slot semantics, so two
+    vectorized engine hash the *same* ``(seed, stream, slot,
+    terminal)`` keys with the same within-slot semantics, so two
     independently implemented step kernels must produce identical
     trajectories -- event totals equal as integers, cost totals equal
     as the same integer-weighted dot products.
     """
     from ..simulation.fleet import run_fleet  # deferred: heavy
+    from ..simulation.vectorized import VectorizedDistanceEngine  # deferred
 
     spec = _fleet_spec(config)
     slots = min(config.sim_slots, _FLEET_EXACT_SLOTS)
     fleet = run_fleet(spec, slots=slots, shards=1, seed=config.seed)
-    engine = _counter_engine(config, slots)
+    engine = VectorizedDistanceEngine(
+        topology=spec.topology,
+        threshold=config.d,
+        mobility=config.mobility(),
+        costs=config.costs(),
+        max_delay=config.m,
+        terminals=_FLEET_TERMINALS,
+        seed=config.seed,
+    )
+    engine.run(slots)
     costs = config.costs()
     gaps = {
         "moves": abs(int(engine._moves.sum()) - fleet.moves),
@@ -662,29 +540,3 @@ def _vectorized_counter_vs_fleet(config: ConformanceConfig) -> Deviation:
         float(gaps[worst_field]),
         f"worst field {worst_field!r}: gap {float(gaps[worst_field]):.3g}",
     )
-
-
-@REGISTRY.oracle(
-    "vectorized-counter-vs-pcg64",
-    tolerance=1.0,
-    paper_ref="Section 6",
-    description="counter-RNG backend agrees statistically with the PCG64 backend",
-    applies=lambda config: config.sim_slots > 0,
-)
-def _vectorized_counter_vs_pcg64(config: ConformanceConfig) -> Deviation:
-    from ..simulation.vectorized import VectorizedDistanceEngine  # deferred
-
-    model = config.build_model()
-    slots = min(config.sim_slots, _FLEET_STAT_SLOTS)
-    common = dict(
-        topology=model.topology,
-        threshold=config.d,
-        mobility=config.mobility(),
-        costs=config.costs(),
-        max_delay=config.m,
-        terminals=_FLEET_TERMINALS,
-        seed=config.seed,
-    )
-    legacy = VectorizedDistanceEngine(backend="numpy", **common).run(slots)
-    counter = VectorizedDistanceEngine(backend="auto", **common).run(slots)
-    return replicated_agreement(legacy, counter)

@@ -37,9 +37,8 @@ agree to 1e-10 and measures the speedup (>= 20x at ``d_max = 100``).
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -58,8 +57,6 @@ __all__ = [
     "batched_update_rates",
     "batched_update_costs",
     "compute_cost_surface",
-    "default_solver",
-    "use_solver",
 ]
 
 #: Tolerance for the vectorized state-0 balance check (same bound the
@@ -82,9 +79,6 @@ _SOLVERS = ("auto", "dense", "banded")
 #: is faster for small surfaces -- on every historical workload.
 BANDED_CUTOVER = 512
 
-#: Process-wide default for ``method=None`` (see :func:`use_solver`).
-_DEFAULT_SOLVER = "auto"
-
 
 def _validate_solver(method: str) -> str:
     if method not in _SOLVERS:
@@ -92,28 +86,6 @@ def _validate_solver(method: str) -> str:
             f"steady-state solver must be one of {_SOLVERS}, got {method!r}"
         )
     return method
-
-
-def default_solver() -> str:
-    """The solver used when ``method``/``solver`` is not given."""
-    return _DEFAULT_SOLVER
-
-
-@contextmanager
-def use_solver(method: str) -> Iterator[None]:
-    """Override the default steady-state solver inside the block.
-
-    This is how coarse-grained entry points (``repro-lm sweep
-    --backend``) select the analytic solver without threading a
-    parameter through every optimizer call in between.
-    """
-    global _DEFAULT_SOLVER
-    previous = _DEFAULT_SOLVER
-    _DEFAULT_SOLVER = _validate_solver(method)
-    try:
-        yield
-    finally:
-        _DEFAULT_SOLVER = previous
 
 
 def _require_invariant_rates(model: MobilityModel) -> None:
@@ -193,7 +165,7 @@ def banded_steady_state(model: MobilityModel, d: int) -> np.ndarray:
 
 @traced("analytic.batched_steady_states")
 def batched_steady_states(
-    model: MobilityModel, d_max: int, method: Optional[str] = None
+    model: MobilityModel, d_max: int, method: str = "auto"
 ) -> np.ndarray:
     """Steady-state vectors of *every* threshold ``0 .. d_max`` at once.
 
@@ -205,7 +177,7 @@ def batched_steady_states(
     ``method`` picks the solver: ``"dense"`` is the vectorized backward
     recursion below, ``"banded"`` solves each row with the O(d)
     tridiagonal LU of :func:`_banded_solve`, and ``"auto"`` (the
-    default, via :func:`default_solver`) uses the dense sweep up to
+    default) uses the dense sweep up to
     :data:`BANDED_CUTOVER` and the banded path beyond it -- the dense
     recursion's unnormalized values overflow float64 near ``d ~ 760``,
     so very large surfaces are *only* reachable banded.  Both methods
@@ -224,8 +196,6 @@ def batched_steady_states(
     """
     d_max = validate_threshold(d_max)
     _require_invariant_rates(model)
-    if method is None:
-        method = _DEFAULT_SOLVER
     _validate_solver(method)
     if method == "auto":
         method = "dense" if d_max <= BANDED_CUTOVER else "banded"
@@ -406,7 +376,7 @@ def compute_cost_surface(
     delays: Sequence[float] = (1, 2, 3, math.inf),
     convention: str = "paper",
     steady: np.ndarray = None,
-    solver: Optional[str] = None,
+    solver: str = "auto",
 ) -> CostSurfaceGrid:
     """Evaluate ``C_u``, ``C_v``, and ``C_T`` on the full ``(d, m)`` grid.
 
@@ -416,7 +386,7 @@ def compute_cost_surface(
     plan factories need the scalar :class:`CostEvaluator` path.
 
     ``solver`` picks the steady-state method (``"auto"`` | ``"dense"``
-    | ``"banded"``, default :func:`default_solver`); it is ignored when
+    | ``"banded"``, default ``"auto"``); it is ignored when
     a precomputed ``steady`` matrix is passed.
 
     ``steady`` may pass a precomputed :func:`batched_steady_states`

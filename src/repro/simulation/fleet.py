@@ -42,8 +42,9 @@ executor, exactly invariant across layouts whenever the costs are
 integer-valued, and equal to ~1e-12 relative otherwise (float
 summation order is the only difference).  The conformance suite pins
 both contracts (``fleet-pooled-vs-inprocess`` bit identity,
-``fleet-sharded-vs-single`` near-exact, ``fleet-vs-vectorized``
-statistical).
+``fleet-sharded-vs-single`` near-exact) and the cross-engine replay
+(``vectorized-counter-vs-fleet``: a homogeneous one-shard fleet and the
+vectorized engine produce the same trajectory exactly).
 
 Bounded memory
 --------------
@@ -71,7 +72,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.backend import resolve_backend, validate_backend
 from ..core.parameters import CostParams, MobilityParams, validate_delay
 from ..exceptions import ParameterError
 from ..geometry.hex import HexTopology
@@ -88,12 +88,10 @@ from .kernels import (
     STREAM_CALL as _STREAM_CALL,
     STREAM_DIRECTION as _STREAM_DIRECTION,
     STREAM_EVENT as _STREAM_EVENT,
-    compiled_kernels,
     counter_uniforms as _counter_uniforms,
     mix64 as _mix64,
     slot_key as _slot_key,
     terminal_keys as _terminal_keys,
-    topology_code,
 )
 from .runner import _resolve_workers
 from .vectorized import _EVENT_MODES, _Z95, _lattice_kernel
@@ -116,9 +114,8 @@ _FLEET_CHECKPOINT_VERSION = 1
 
 # The stateless counter-based randomness primitives (SplitMix64
 # finalizer, slot keys, terminal keys) live in
-# :mod:`repro.simulation.kernels` -- shared with the vectorized engine's
-# counter backend and ported inside the jit kernels -- and are imported
-# above under their historical private names.
+# :mod:`repro.simulation.kernels`, shared with the vectorized engine,
+# and are imported above under their historical private names.
 
 
 # -- the fleet specification -------------------------------------------
@@ -304,7 +301,7 @@ class FleetSpec:
         count: int,
     ) -> "FleetSpec":
         """Every terminal identical -- the cross-check configuration the
-        ``fleet-vs-vectorized`` conformance oracle compares against
+        ``vectorized-counter-vs-fleet`` conformance oracle replays on
         :class:`~repro.simulation.vectorized.VectorizedDistanceEngine`.
         """
         if count < 1:
@@ -565,7 +562,6 @@ class FleetShardEngine:
         global_offset: int = 0,
         seed: int = 0,
         event_mode: str = "exclusive",
-        backend: str = "numpy",
     ) -> None:
         if event_mode not in _EVENT_MODES:
             raise ParameterError(
@@ -575,14 +571,6 @@ class FleetShardEngine:
         self.max_delay = validate_delay(max_delay)
         self.event_mode = event_mode
         self.seed = int(seed)
-        # The fleet kernel always draws from the counter RNG, so the
-        # backend only selects the *execution* of the same step --
-        # integer event counters are bit-identical either way (see
-        # kernels.py for the one float caveat on the per-slot scalars).
-        self.backend = validate_backend(backend)
-        self.backend_resolved = (
-            resolve_backend(backend) if backend != "numpy" else "numpy"
-        )
         self.global_offset = int(global_offset)
         self._q = np.ascontiguousarray(q, dtype=np.float64)
         self._c = np.ascontiguousarray(c, dtype=np.float64)
@@ -649,42 +637,8 @@ class FleetShardEngine:
         """Advance every terminal in the shard ``slots`` slots."""
         if slots < 0:
             raise ParameterError(f"slots must be >= 0, got {slots}")
-        if slots and self.backend_resolved == "numba":
-            self._run_compiled(slots)
-        else:
-            for _ in range(slots):
-                self._step()
-
-    def _run_compiled(self, slots: int) -> None:  # pragma: no cover - numba
-        _, fleet_step = compiled_kernels()
-        cost_sum, cost_sq_sum = fleet_step(
-            self._pos,
-            self._dirs,
-            np.int64(topology_code(self.topology)),
-            np.int64(0 if self.event_mode == "exclusive" else 1),
-            np.uint64(self.seed),
-            self._idx_keys,
-            np.int64(self.slot),
-            np.int64(slots),
-            self._q,
-            self._c,
-            self._qc,
-            self._threshold,
-            self._update_cost,
-            self._poll_cost,
-            self._class_idx,
-            self._ring_to_cycle,
-            self._cum_polled,
-            self._moves,
-            self._updates,
-            self._calls,
-            self._polled,
-            self._delay_counts,
-        )
-        self._cost_sum += cost_sum
-        self._cost_sq_sum += cost_sq_sum
-        self._metered_slots += slots
-        self.slot += slots
+        for _ in range(slots):
+            self._step()
 
     def _step(self) -> None:
         t = self.slot
@@ -872,7 +826,6 @@ def _execute_shard(
     seed: int,
     event_mode: str,
     observe: bool,
-    backend: str = "numpy",
 ) -> Tuple[int, Dict[str, object], Optional[dict]]:
     """Run one shard to completion.
 
@@ -891,7 +844,6 @@ def _execute_shard(
             global_offset=lo,
             seed=seed,
             event_mode=event_mode,
-            backend=backend,
             **columns,
         )
         engine.run(slots)
@@ -994,7 +946,6 @@ def run_fleet(
     event_mode: str = "exclusive",
     checkpoint: Optional[Union[str, Path]] = None,
     spill_dir: Optional[Union[str, Path]] = None,
-    backend: str = "numpy",
 ) -> FleetResult:
     """Simulate a heterogeneous fleet, sharded across processes.
 
@@ -1015,13 +966,6 @@ def run_fleet(
     ``seed`` drives event noise only -- the population is pinned by
     ``spec`` (its own ``population_seed`` is recorded in the
     fingerprint).
-
-    ``backend`` selects the shard kernel's *execution* only
-    (``"numpy"`` | ``"numba"`` | ``"auto"``, see
-    :mod:`repro.core.backend`) and is deliberately **not** part of the
-    checkpoint fingerprint: integer event totals are bit-identical
-    across backends, so a checkpoint written by either execution is
-    resumable by the other.
     """
     if slots < 1:
         raise ParameterError(f"slots must be >= 1, got {slots}")
@@ -1029,7 +973,6 @@ def run_fleet(
         raise ParameterError(
             f"event_mode must be one of {_EVENT_MODES}, got {event_mode!r}"
         )
-    validate_backend(backend)
     bounds = shard_bounds(spec.count, shards)
     pool_size = _resolve_workers(workers)
     parent_obs = _obs_context.current()
@@ -1066,7 +1009,6 @@ def run_fleet(
                 record(*_execute_shard(
                     index, lo, hi, source, spec.topology, n_profiles,
                     spec.max_delay, slots, seed, event_mode, observe,
-                    backend,
                 ))
         elif pending:
             spill_root = tempfile.mkdtemp(
@@ -1083,7 +1025,7 @@ def run_fleet(
                             _execute_shard,
                             index, *bounds[index], source, spec.topology,
                             n_profiles, spec.max_delay, slots, seed,
-                            event_mode, observe, backend,
+                            event_mode, observe,
                         )
                         for index in pending
                     ]
@@ -1103,10 +1045,6 @@ def run_fleet(
             # columns regardless of the executor.
             registry = parent_obs.registry
             labels = {"engine": "fleet"}
-            if backend != "numpy":
-                # Non-default backends are labelled; the default keeps
-                # the metric identities of existing golden exports.
-                labels["backend"] = resolve_backend(backend)
             instruments = {
                 "slots": registry.counter("slots_total", **labels),
                 "moves": registry.counter("moves_total", **labels),
@@ -1169,7 +1107,6 @@ def fleet_report(
     checkpoint: Optional[Union[str, Path]] = None,
     rss_base_budget_bytes: int = 600 * 1024 * 1024,
     rss_budget_bytes_per_terminal: float = 256.0,
-    backend: str = "numpy",
 ) -> dict:
     """Run a fleet once and report throughput plus the RSS bound.
 
@@ -1198,7 +1135,7 @@ def fleet_report(
     tic = time.perf_counter()
     result = run_fleet(
         spec, slots=slots, shards=shards, seed=seed, workers=workers,
-        checkpoint=checkpoint, backend=backend,
+        checkpoint=checkpoint,
     )
     run_seconds = time.perf_counter() - tic
     rss = _peak_rss_bytes()
@@ -1211,10 +1148,6 @@ def fleet_report(
             "slots": slots,
             "workers": workers if isinstance(workers, int) else 1,
             "seed": seed,
-            "backend": backend,
-            "backend_resolved": (
-                resolve_backend(backend) if backend != "numpy" else "numpy"
-            ),
             "max_delay": _json_delay(validate_delay(max_delay)),
             "topology": repr(spec.topology),
             "population": spec.profile_counts(),

@@ -1,55 +1,18 @@
-"""Shared counter-RNG primitives and the optional numba step kernels.
+"""Shared counter-RNG primitives of the batched engines.
 
 This module is the single home of the stateless SplitMix64 counter
-randomness both batched engines draw from (it moved here from
-:mod:`repro.simulation.fleet`, which re-exports the old names), plus
-the jit-compiled ports of the two hot step loops:
-
-* the **homogeneous** kernel -- one ``(d, m, q, c, U, V)`` point,
-  per-terminal meters -- behind
-  :class:`~repro.simulation.vectorized.VectorizedDistanceEngine` with
-  ``backend != "numpy"``;
-* the **fleet** kernel -- per-terminal parameter arrays, shard-level
-  scalar cost accumulators -- behind
-  :class:`~repro.simulation.fleet.FleetShardEngine`.
-
-Bit-identity contract
----------------------
-
-Each compiled kernel is a line-by-line port of the NumPy counter-mode
-step in its engine: the same hash per ``(seed, stream, slot, global
-terminal index)``, the same within-slot order (calls before moves), and
-the same per-terminal float arithmetic (``V * polled`` then ``+ U``).
-Integer meters (moves, updates, calls, polled cells, delay histograms)
-and the per-terminal cost accumulators of the homogeneous kernel are
-therefore **bit-identical** between the compiled and NumPy executions.
-The one documented exception: the fleet kernel accumulates its
-*shard-level* per-slot cost scalars terminal-by-terminal, while the
-NumPy path uses dot products -- summation order differs, so those two
-floats (and nothing else -- snapshot cost totals are recomputed from
-the integer counters) agree to ~1e-12 relative rather than exactly.
-
-numba is optional.  Importing this module never imports numba; the
-compiled kernels are built lazily on first request (one ``kernel
-.compile`` tracer span when observability is on) and memoized for the
-process.  When numba is absent the engines simply keep their NumPy
-counter paths -- same results, see :mod:`repro.core.backend`.
+randomness that both batched engines draw from -- the homogeneous
+:class:`~repro.simulation.vectorized.VectorizedDistanceEngine` and the
+heterogeneous :class:`~repro.simulation.fleet.FleetShardEngine` (which
+re-exports the old names).  Every uniform is a hash of ``(seed,
+stream, slot, global terminal index)``, so a terminal's trajectory
+does not depend on the batch or shard it is stepped in, and the two
+engines replay the same trajectory for the same keys.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Optional, Tuple
-
 import numpy as np
-
-from ..core.backend import numba_available
-from ..exceptions import ParameterError
-from ..geometry.hex import HexTopology
-from ..geometry.line import LineTopology
-from ..geometry.square import SquareTopology
-from ..geometry.topology import CellTopology
-from ..observability.context import current as _observability
 
 __all__ = [
     "STREAM_CALL",
@@ -57,14 +20,11 @@ __all__ = [
     "STREAM_EVENT",
     "STREAM_RESIDENCE",
     "STREAM_RESIDENCE_BRANCH",
-    "compiled_kernels",
     "counter_uniforms",
     "drifted_directions",
-    "kernel_compile_info",
     "mix64",
     "slot_key",
     "terminal_keys",
-    "topology_code",
 ]
 
 # -- stateless counter-based randomness --------------------------------
@@ -169,210 +129,3 @@ def drifted_directions(
     if drift > 0.0:
         out[u < drift] = drift_direction
     return out
-
-
-def topology_code(topology: CellTopology) -> int:
-    """Integer lattice code the kernels branch on (0/1/2 = line/hex/square)."""
-    if isinstance(topology, LineTopology):
-        return 0
-    if isinstance(topology, HexTopology):
-        return 1
-    if isinstance(topology, SquareTopology):
-        return 2
-    raise ParameterError(
-        f"compiled kernels support LineTopology, HexTopology, and "
-        f"SquareTopology; got {topology!r}"
-    )
-
-
-# -- lazily compiled numba kernels --------------------------------------
-
-_COMPILED: Optional[Tuple] = None
-_COMPILE_SECONDS: Optional[float] = None
-
-
-def kernel_compile_info() -> dict:
-    """Whether the jit kernels compiled this process, and how long it took."""
-    return {
-        "numba_available": numba_available(),
-        "compiled": _COMPILED is not None,
-        "compile_seconds": _COMPILE_SECONDS,
-    }
-
-
-def _build_compiled():  # pragma: no cover - requires numba
-    """Compile the two step kernels (called once, behind the memo)."""
-    import numba
-
-    u64 = np.uint64
-    i64 = np.int64
-    f64 = np.float64
-    MIX_A, MIX_B = _MIX_A, _MIX_B
-    S30, S27, S31, S11 = _S30, _S27, _S31, _S11
-    GOLDEN = u64(_GOLDEN)
-    SLOT_SALT = u64(_SLOT_SALT)
-    STREAM_SALT = u64(_STREAM_SALT)
-    KEY_OFFSET = u64(_KEY_OFFSET)
-    INV53 = _INV53
-
-    @numba.njit(cache=False, inline="always")
-    def _mix(x):
-        x = (x ^ (x >> S30)) * MIX_A
-        x = (x ^ (x >> S27)) * MIX_B
-        return x ^ (x >> S31)
-
-    @numba.njit(cache=False, inline="always")
-    def _key(seed, stream, slot):
-        x = seed * GOLDEN + stream * STREAM_SALT + u64(slot) * SLOT_SALT
-        return _mix(x + KEY_OFFSET)
-
-    @numba.njit(cache=False, inline="always")
-    def _unit(h):
-        return f64(h >> S11) * INV53
-
-    @numba.njit(cache=False, inline="always")
-    def _ring(pos, k, topo):
-        if topo == 0:
-            return abs(pos[k, 0])
-        if topo == 1:
-            a = pos[k, 0]
-            b = pos[k, 1]
-            return (abs(a) + abs(b) + abs(a + b)) // 2
-        return abs(pos[k, 0]) + abs(pos[k, 1])
-
-    @numba.njit(cache=False, nogil=True)
-    def homogeneous_step(
-        pos, dirs, topo, event_mode, seed, idx_keys, slot0, slots,
-        q, c, threshold, update_cost, poll_cost,
-        ring_to_cycle, cum_polled,
-        moves, updates, calls, polled, delay_counts,
-        cost_sum, cost_sq_sum,
-    ):
-        K = idx_keys.shape[0]
-        dims = pos.shape[1]
-        degree = f64(dirs.shape[0])
-        cqc = c + q
-        stream_event = u64(0)
-        stream_direction = u64(1)
-        stream_call = u64(2)
-        for t in range(slot0, slot0 + slots):
-            ek = _key(seed, stream_event, t)
-            dk = _key(seed, stream_direction, t)
-            ck = _key(seed, stream_call, t)
-            for k in range(K):
-                u = _unit(_mix(idx_keys[k] ^ ek))
-                if event_mode == 0:
-                    call_k = u < c
-                    move_k = (not call_k) and (u < cqc)
-                else:
-                    move_k = u < q
-                    call_k = _unit(_mix(idx_keys[k] ^ ck)) < c
-                slot_cost = 0.0
-                if call_k:
-                    cycle = ring_to_cycle[_ring(pos, k, topo)]
-                    w = cum_polled[cycle]
-                    calls[k] += 1
-                    polled[k] += w
-                    delay_counts[k, cycle] += 1
-                    slot_cost = poll_cost * w
-                    for j in range(dims):
-                        pos[k, j] = 0
-                if move_k:
-                    h = _mix(idx_keys[k] ^ dk)
-                    direction = i64(_unit(h) * degree)
-                    for j in range(dims):
-                        pos[k, j] += dirs[direction, j]
-                    moves[k] += 1
-                    if _ring(pos, k, topo) > threshold:
-                        updates[k] += 1
-                        slot_cost += update_cost
-                        for j in range(dims):
-                            pos[k, j] = 0
-                cost_sum[k] += slot_cost
-                cost_sq_sum[k] += slot_cost * slot_cost
-
-    @numba.njit(cache=False, nogil=True)
-    def fleet_step(
-        pos, dirs, topo, event_mode, seed, idx_keys, slot0, slots,
-        q, c, qc, threshold, update_cost, poll_cost, class_idx,
-        ring_to_cycle, cum_polled,
-        moves, updates, calls, polled, delay_counts,
-    ):
-        K = idx_keys.shape[0]
-        dims = pos.shape[1]
-        degree = f64(dirs.shape[0])
-        stream_event = u64(0)
-        stream_direction = u64(1)
-        stream_call = u64(2)
-        cost_sum = 0.0
-        cost_sq_sum = 0.0
-        for t in range(slot0, slot0 + slots):
-            ek = _key(seed, stream_event, t)
-            dk = _key(seed, stream_direction, t)
-            ck = _key(seed, stream_call, t)
-            slot_cost = 0.0
-            # Calls for the whole shard first, then moves -- the same
-            # within-slot order as the NumPy path.
-            for k in range(K):
-                u = _unit(_mix(idx_keys[k] ^ ek))
-                if event_mode == 0:
-                    call_k = u < c[k]
-                else:
-                    call_k = _unit(_mix(idx_keys[k] ^ ck)) < c[k]
-                if call_k:
-                    row = class_idx[k]
-                    cycle = ring_to_cycle[row, _ring(pos, k, topo)]
-                    w = cum_polled[row, cycle]
-                    calls[k] += 1
-                    polled[k] += w
-                    delay_counts[cycle] += 1
-                    slot_cost += poll_cost[k] * w
-                    for j in range(dims):
-                        pos[k, j] = 0
-            for k in range(K):
-                u = _unit(_mix(idx_keys[k] ^ ek))
-                if event_mode == 0:
-                    move_k = (not (u < c[k])) and (u < qc[k])
-                else:
-                    move_k = u < q[k]
-                if move_k:
-                    h = _mix(idx_keys[k] ^ dk)
-                    direction = i64(_unit(h) * degree)
-                    for j in range(dims):
-                        pos[k, j] += dirs[direction, j]
-                    moves[k] += 1
-                    if _ring(pos, k, topo) > threshold[k]:
-                        updates[k] += 1
-                        slot_cost += update_cost[k]
-                        for j in range(dims):
-                            pos[k, j] = 0
-            cost_sum += slot_cost
-            cost_sq_sum += slot_cost * slot_cost
-        return cost_sum, cost_sq_sum
-
-    return homogeneous_step, fleet_step
-
-
-def compiled_kernels():
-    """The ``(homogeneous_step, fleet_step)`` jit pair, compiled lazily.
-
-    Raises :class:`ParameterError` when numba is unavailable -- callers
-    are expected to have resolved the backend first and only land here
-    when :func:`repro.core.backend.resolve_backend` said ``"numba"``.
-    """
-    global _COMPILED, _COMPILE_SECONDS
-    if _COMPILED is None:
-        if not numba_available():
-            raise ParameterError(
-                "the compiled kernels need numba, which is not importable; "
-                "resolve the backend through repro.core.backend first"
-            )
-        obs = _observability()
-        tic = time.perf_counter()
-        if obs.enabled:
-            with obs.tracer.span("kernel.compile", backend="numba"):
-                _COMPILED = _build_compiled()
-        else:
-            _COMPILED = _build_compiled()
-        _COMPILE_SECONDS = time.perf_counter() - tic
-    return _COMPILED

@@ -1,12 +1,13 @@
 """Batched NumPy simulation of the distance strategy.
 
 :class:`VectorizedDistanceEngine` simulates ``K`` independent terminals
-of the distance-based scheme as one batched ring-distance chain: a
-single ``rng.random(K)`` event draw per slot classifies every terminal
-as call / movement / idle, and threshold tests, resets, and cost
-accumulation are plain NumPy array operations.  On this container it
-delivers two to three orders of magnitude more terminal-slots per
-second than stepping :class:`~repro.simulation.engine.SimulationEngine`
+of the distance-based scheme as one batched ring-distance chain: one
+uniform per terminal and slot, hashed from the stateless SplitMix64
+counter RNG of :mod:`repro.simulation.kernels`, classifies every
+terminal as call / movement / idle, and threshold tests, resets, and
+cost accumulation are plain NumPy array operations.  That delivers two
+to three orders of magnitude more terminal-slots per second than
+stepping :class:`~repro.simulation.engine.SimulationEngine`
 instances one cell at a time.
 
 Exactness
@@ -53,12 +54,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.backend import (
-    numba_available,
-    resolve_backend,
-    use_numpy_fallback,
-    validate_backend,
-)
 from ..core.parameters import CostParams, MobilityParams
 from ..exceptions import ParameterError
 from ..geometry.hex import AXIAL_DIRECTIONS, HexTopology
@@ -75,20 +70,15 @@ from .kernels import (
     STREAM_EVENT,
     STREAM_RESIDENCE,
     STREAM_RESIDENCE_BRANCH,
-    compiled_kernels,
     counter_uniforms,
     drifted_directions,
-    mix64,
-    slot_key,
     terminal_keys,
-    topology_code,
 )
 from .metrics import MeterSnapshot
 from .runner import ReplicatedResult
 
 __all__ = [
     "VectorizedDistanceEngine",
-    "compare_backends_report",
     "replay_trace_meters",
     "throughput_report",
 ]
@@ -149,20 +139,12 @@ class VectorizedDistanceEngine:
         Batch width ``K`` -- how many independent terminals to step per
         slot.
     seed:
-        Seeds the engine's private RNG (any
-        :class:`numpy.random.SeedSequence`-compatible seed).
+        Integer seed of the stateless counter RNG (``None`` means 0).
+        Terminal ``k`` draws the same keys as terminal ``k`` of a
+        one-shard fleet with the same seed.
     event_mode:
         ``"exclusive"`` (chain-faithful, default) or ``"independent"``
         -- same slot semantics as :class:`SimulationEngine`.
-    backend:
-        ``"numpy"`` (default) keeps the historical sequential-PCG64
-        step, preserving every committed golden value.  ``"numba"`` or
-        ``"auto"`` switch the engine to the stateless SplitMix64
-        *counter* RNG (the fleet engine's randomness) and -- when numba
-        is importable -- run the jit-compiled step kernel; without
-        numba the bit-identical NumPy port of the same kernel runs
-        instead, so results never depend on whether numba is installed.
-        Counter mode requires an integer ``seed`` (``None`` means 0).
     """
 
     def __init__(
@@ -176,7 +158,6 @@ class VectorizedDistanceEngine:
         terminals: int = 1024,
         seed=None,
         event_mode: str = "exclusive",
-        backend: str = "numpy",
         walk: Optional[CTRWSpec] = None,
         record_ring_hits: bool = False,
     ) -> None:
@@ -199,31 +180,14 @@ class VectorizedDistanceEngine:
         self.event_mode = event_mode
         self.terminals = int(terminals)
         self.walk_spec = walk
-        self.backend = validate_backend(backend)
-        # Timed (CTRW) mobility always runs the stateless counter RNG:
-        # per-terminal residence clocks need layout-free per-slot
-        # streams.  The compiled homogeneous kernel does not implement
-        # residence clocks yet, so the NumPy port of the counter step
-        # is the resolved backend whatever was requested.
-        self._counter_mode = walk is not None or self.backend != "numpy"
-        if walk is not None:
-            self.backend_resolved = "numpy"
-        else:
-            self.backend_resolved = (
-                resolve_backend(self.backend) if self._counter_mode else "numpy"
+        if seed is None:
+            seed = 0
+        if not isinstance(seed, (int, np.integer)):
+            raise ParameterError(
+                f"the counter RNG needs an integer seed; got {seed!r}"
             )
-        if self._counter_mode:
-            if seed is None:
-                seed = 0
-            if not isinstance(seed, (int, np.integer)):
-                raise ParameterError(
-                    f"the counter RNG (backend={self.backend!r}, "
-                    f"walk={'set' if walk is not None else 'None'}) needs an "
-                    f"integer seed; got {seed!r}"
-                )
-            self._seed = int(seed)
-            self._idx_keys = terminal_keys(0, self.terminals)
-        self.rng = np.random.default_rng(seed)
+        self._seed = int(seed)
+        self._idx_keys = terminal_keys(0, self.terminals)
         if plan is not None and plan.threshold != self.threshold:
             raise ParameterError(
                 f"plan is for threshold {plan.threshold}, engine uses "
@@ -273,10 +237,6 @@ class VectorizedDistanceEngine:
                 "d": self.threshold,
                 "engine": "vectorized",
             }
-            if self._counter_mode:
-                # Only non-default backends are labelled, so the metric
-                # identities of existing golden exports are untouched.
-                labels["backend"] = self.backend_resolved
             registry = obs.registry
             self._tracer = obs.tracer
             self._instruments = {
@@ -299,7 +259,7 @@ class VectorizedDistanceEngine:
     # ------------------------------------------------------------------
 
     def reset_meters(self) -> None:
-        """Zero every terminal's meter (positions and RNG are kept).
+        """Zero every terminal's meter (positions and slot clock are kept).
 
         The vectorized analogue of swapping a fresh
         :class:`~repro.simulation.metrics.CostMeter` into an engine
@@ -368,49 +328,10 @@ class VectorizedDistanceEngine:
         return self.result()
 
     def _advance(self, slots: int) -> None:
-        """Run ``slots`` steps on whichever backend resolution picked."""
-        if slots == 0:
-            return
-        if self.walk_spec is not None:
-            for _ in range(slots):
-                self._step_ctrw()
-        elif self._counter_mode and self.backend_resolved == "numba":
-            self._run_compiled(slots)
-        elif self._counter_mode:
-            for _ in range(slots):
-                self._step_counter()
-        else:
-            for _ in range(slots):
-                self._step()
-
-    def _run_compiled(self, slots: int) -> None:  # pragma: no cover - numba
-        homogeneous_step, _ = compiled_kernels()
-        homogeneous_step(
-            self._pos,
-            self._dirs,
-            np.int64(topology_code(self.topology)),
-            np.int64(0 if self.event_mode == "exclusive" else 1),
-            np.uint64(self._seed),
-            self._idx_keys,
-            np.int64(self.slot),
-            np.int64(slots),
-            float(self.mobility.move_probability),
-            float(self.mobility.call_probability),
-            np.int64(self.threshold),
-            float(self.costs.update_cost),
-            float(self.costs.poll_cost),
-            self._ring_to_cycle,
-            self._cumulative_polled,
-            self._moves,
-            self._updates,
-            self._calls,
-            self._polled_cells,
-            self._delay_counts,
-            self._cost_sum,
-            self._cost_sq_sum,
-        )
-        self._metered_slots += slots
-        self.slot += slots
+        """Run ``slots`` steps of the uniform walk or the CTRW."""
+        step = self._step_counter if self.walk_spec is None else self._step_ctrw
+        for _ in range(slots):
+            step()
 
     def _record_run(self, before: tuple, slots: int) -> None:
         """Fold one observed run() into the metrics registry.
@@ -491,29 +412,6 @@ class VectorizedDistanceEngine:
 
     # -- internals --------------------------------------------------------
 
-    def _step(self) -> None:
-        c = self.mobility.call_probability
-        q = self.mobility.move_probability
-        if self.event_mode == "exclusive":
-            u = self.rng.random(self.terminals)
-            called = u < c
-            moved = (u >= c) & (u < c + q)
-        else:
-            moved = self.rng.random(self.terminals) < q
-            called = self.rng.random(self.terminals) < c
-        slot_cost = np.zeros(self.terminals, dtype=np.float64)
-        # Calls first -- same within-slot order as SimulationEngine's
-        # independent mode; in exclusive mode the events are disjoint
-        # and the order is immaterial.
-        if called.any():
-            self._handle_calls(called, slot_cost)
-        if moved.any():
-            self._handle_moves(moved, slot_cost)
-        self._cost_sum += slot_cost
-        self._cost_sq_sum += slot_cost * slot_cost
-        self._metered_slots += 1
-        self.slot += 1
-
     def _handle_calls(self, called: np.ndarray, slot_cost: np.ndarray) -> None:
         rings = self._distance(self._pos[called])
         if self._ring_hits is not None:
@@ -528,31 +426,15 @@ class VectorizedDistanceEngine:
         # new centers, i.e. the relative position resets to the origin.
         self._pos[called] = 0
 
-    def _handle_moves(self, moved: np.ndarray, slot_cost: np.ndarray) -> None:
-        steps = self._dirs[
-            self.rng.integers(self._dirs.shape[0], size=int(moved.sum()))
-        ]
-        self._pos[moved] += steps
-        self._moves[moved] += 1
-        # Threshold test on the movers only; crossing the residing-area
-        # boundary triggers an update and re-centers the terminal.
-        updating = moved.copy()
-        updating[moved] = self._distance(self._pos[moved]) > self.threshold
-        if updating.any():
-            self._updates[updating] += 1
-            slot_cost[updating] += self.costs.update_cost
-            self._pos[updating] = 0
-
-    # -- counter-RNG backend (NumPy port of the jit kernel) ---------------
-
     def _step_counter(self) -> None:
-        """One slot on the counter RNG -- bit-identical to the jit kernel.
+        """One slot of the uniform walk on the counter RNG.
 
-        Same hashes, same within-slot order (calls then moves), and the
-        same per-terminal float arithmetic as
-        ``kernels.homogeneous_step``, so every meter -- including the
-        float cost accumulators -- matches the compiled execution bit
-        for bit.
+        Same hashes and within-slot order (calls, then moves) as
+        :class:`~repro.simulation.fleet.FleetShardEngine`, so a
+        homogeneous one-shard fleet with the same seed replays this
+        trajectory exactly.  Calls first is also SimulationEngine's
+        independent-mode order; in exclusive mode the events are
+        disjoint and the order is immaterial.
         """
         c = self.mobility.call_probability
         q = self.mobility.move_probability
@@ -570,24 +452,22 @@ class VectorizedDistanceEngine:
         if called.any():
             self._handle_calls(called, slot_cost)
         if moved.any():
-            self._handle_moves_counter(moved, slot_cost)
+            self._handle_moves(moved, slot_cost)
         self._cost_sum += slot_cost
         self._cost_sq_sum += slot_cost * slot_cost
         self._metered_slots += 1
         self.slot += 1
 
-    def _handle_moves_counter(
-        self, moved: np.ndarray, slot_cost: np.ndarray
-    ) -> None:
+    def _handle_moves(self, moved: np.ndarray, slot_cost: np.ndarray) -> None:
         movers = np.nonzero(moved)[0]
-        h = mix64(
-            self._idx_keys[movers]
-            ^ slot_key(self._seed, STREAM_DIRECTION, self.slot)
+        unit = counter_uniforms(
+            self._idx_keys[movers], self._seed, STREAM_DIRECTION, self.slot
         )
-        unit = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
         directions = (unit * float(self._dirs.shape[0])).astype(np.int64)
         self._pos[movers] += self._dirs[directions]
         self._moves[movers] += 1
+        # Threshold test on the movers only; crossing the residing-area
+        # boundary triggers an update and re-centers the terminal.
         updating = movers[self._distance(self._pos[movers]) > self.threshold]
         if updating.size:
             self._updates[updating] += 1
@@ -763,7 +643,6 @@ def throughput_report(
     vector_slots: int = 20_000,
     terminals: int = 1024,
     seed: int = 0,
-    backend: str = "numpy",
 ) -> dict:
     """Measure slots/sec of the per-cell engine vs the vectorized one.
 
@@ -795,7 +674,6 @@ def throughput_report(
         max_delay=max_delay,
         terminals=terminals,
         seed=seed,
-        backend=backend,
     )
     tic = time.perf_counter()
     vectorized.run(vector_slots)
@@ -815,7 +693,6 @@ def throughput_report(
             "update_cost": costs.update_cost,
             "poll_cost": costs.poll_cost,
             "seed": seed,
-            "backend": backend,
         },
         "engine": {
             "terminal_slots": engine_slots,
@@ -828,88 +705,6 @@ def throughput_report(
             "terminal_slots": vector_slots * terminals,
             "seconds": vector_seconds,
             "slots_per_sec": vector_rate,
-            "backend": vectorized.backend_resolved,
         },
         "speedup": vector_rate / engine_rate if engine_rate else math.inf,
-    }
-
-
-def compare_backends_report(
-    topology: CellTopology,
-    threshold: int,
-    mobility: MobilityParams,
-    costs: CostParams,
-    max_delay=1,
-    slots: int = 5_000,
-    terminals: int = 2_048,
-    seed: int = 0,
-) -> dict:
-    """Time every execution backend on one configuration.
-
-    Rows: ``numpy`` (legacy sequential-PCG64 step), ``numpy-counter``
-    (the counter-RNG kernel forced onto its NumPy port), and -- when
-    numba is importable -- ``numba`` (the jit-compiled kernel).  The
-    ``numpy-counter`` and ``numba`` rows report the same mean cost bit
-    for bit; that agreement is part of the output so speedup claims and
-    the identity contract are reproducible with one command
-    (``repro-lm speed --compare-backends``).
-    """
-    rows = [("numpy", "numpy", False), ("numpy-counter", "auto", True)]
-    if numba_available():
-        rows.append(("numba", "numba", False))
-    out_rows = []
-    for name, requested, force in rows:
-        def _build():
-            return VectorizedDistanceEngine(
-                topology=topology,
-                threshold=threshold,
-                mobility=mobility,
-                costs=costs,
-                max_delay=max_delay,
-                terminals=terminals,
-                seed=seed,
-                backend=requested,
-            )
-
-        if force:
-            with use_numpy_fallback():
-                engine = _build()
-        else:
-            engine = _build()
-        if engine.backend_resolved == "numba":  # pragma: no cover - numba
-            # Trigger compilation outside the timed window, on a
-            # throwaway engine so the timed one still starts at slot 0
-            # (keeping its meters bit-comparable to the numpy-counter
-            # row).
-            _build().run(1)
-        tic = time.perf_counter()
-        result = engine.run(slots)
-        seconds = time.perf_counter() - tic
-        terminal_slots = slots * terminals
-        out_rows.append(
-            {
-                "name": name,
-                "requested": requested,
-                "resolved": engine.backend_resolved,
-                "terminal_slots": terminal_slots,
-                "seconds": seconds,
-                "slots_per_sec": terminal_slots / seconds if seconds else math.inf,
-                "mean_total_cost": result.mean_total_cost,
-            }
-        )
-    return {
-        "config": {
-            "topology": repr(topology),
-            "threshold": threshold,
-            "max_delay": None if max_delay == math.inf else max_delay,
-            "q": mobility.move_probability,
-            "c": mobility.call_probability,
-            "update_cost": costs.update_cost,
-            "poll_cost": costs.poll_cost,
-            "seed": seed,
-            "slots": slots,
-            "terminals": terminals,
-        },
-        "numba_available": numba_available(),
-        "backends": out_rows,
     }

@@ -107,7 +107,7 @@ class TestFleetOracles:
         [
             "fleet-sharded-vs-single",
             "fleet-pooled-vs-inprocess",
-            "fleet-vs-vectorized",
+            "vectorized-counter-vs-fleet",
         ],
     )
     def test_skip_without_simulation_budget(self, check_id):
@@ -130,9 +130,21 @@ class TestFleetOracles:
         assert result.status == "pass", result.detail
         assert result.deviation == 0.0
 
-    def test_fleet_agrees_with_vectorized_engine(self):
-        result = run("fleet-vs-vectorized", make_config(sim_slots=2_000))
+    def test_vectorized_engine_replays_fleet_exactly(self):
+        result = run("vectorized-counter-vs-fleet", make_config(sim_slots=2_000))
         assert result.status == "pass", result.detail
+        assert result.deviation == 0.0
+
+    def test_replay_oracle_catches_a_diverging_fleet_stream(self, monkeypatch):
+        # Point the fleet's direction draws at the call stream: every
+        # fleet mover then steps differently from its vectorized twin.
+        import repro.simulation.fleet as fleet_module
+        from repro.simulation.kernels import STREAM_CALL
+
+        monkeypatch.setattr(fleet_module, "_STREAM_DIRECTION", STREAM_CALL)
+        result = run("vectorized-counter-vs-fleet", make_config(sim_slots=2_000))
+        assert result.status == "fail", result.detail
+        assert result.deviation > 0.0
 
 
 def _replicated(d, seed, slots=6_000, replications=3):

@@ -16,8 +16,6 @@ from repro.core.batch import (
     banded_steady_state,
     batched_steady_states,
     compute_cost_surface,
-    default_solver,
-    use_solver,
 )
 from repro.core.models import (
     OneDimensionalModel,
@@ -93,18 +91,6 @@ def test_batched_auto_cutover_reaches_deep_chains():
 def test_batched_rejects_unknown_method():
     with pytest.raises(ParameterError, match="solver"):
         batched_steady_states(MODELS[0], 5, method="cholesky")
-
-
-def test_use_solver_context_sets_and_restores_default():
-    assert default_solver() == "auto"
-    with use_solver("banded"):
-        assert default_solver() == "banded"
-        with use_solver("dense"):
-            assert default_solver() == "dense"
-        assert default_solver() == "banded"
-    assert default_solver() == "auto"
-    with pytest.raises(ParameterError):
-        use_solver("qr").__enter__()
 
 
 def test_surface_solver_equivalence():

@@ -15,6 +15,7 @@ from functools import partial
 from repro.core.parameters import CostParams, MobilityParams
 from repro.faults import PageLoss, ResilientEngine, UpdateLoss
 from repro.geometry import HexTopology
+from repro.mobility import mobility_preset
 from repro.observability import current, noop_session, session
 from repro.simulation import (
     SimulationEngine,
@@ -183,6 +184,26 @@ class TestExactAccounting:
         assert registry.total("calls_total") == sum(
             s.calls for s in result.snapshots
         )
+
+    def test_uniform_and_ctrw_runs_share_metric_identities(self):
+        def identities(walk):
+            with session() as obs:
+                VectorizedDistanceEngine(
+                    topology=HexTopology(),
+                    threshold=2,
+                    mobility=MOBILITY,
+                    costs=COSTS,
+                    max_delay=2,
+                    terminals=16,
+                    seed=0,
+                    walk=walk,
+                ).run(100)
+            return [(r["name"], r["labels"]) for r in obs.registry.collect()]
+
+        uniform = identities(None)
+        assert uniform
+        ctrw = identities(mobility_preset("ctrw-hyper", MOBILITY.move_probability))
+        assert ctrw == uniform
 
     def test_fault_counters_match_fault_report(self):
         with session() as obs:

@@ -106,7 +106,7 @@ class TestGeometricDegeneracy:
             HexTopology(), walk=CTRWSpec(residence=GeometricResidence(q)), **kwargs
         ).run(slots)
         uniform = VectorizedDistanceEngine(
-            HexTopology(), event_mode="independent", backend="auto", **kwargs
+            HexTopology(), event_mode="independent", **kwargs
         ).run(slots)
         band = (
             ctrw.total_cost_ci()

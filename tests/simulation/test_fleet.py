@@ -178,17 +178,28 @@ class TestFleetEngineBehavior:
         # Different event law, same population: both run, totals differ.
         assert independent.moves != exclusive.moves
 
-    def test_mean_cost_tracks_vectorized_engine(self):
+    @pytest.mark.parametrize("event_mode", ["exclusive", "independent"])
+    @pytest.mark.parametrize(
+        "topology",
+        [LineTopology(), HexTopology(), SquareTopology()],
+        ids=lambda t: type(t).__name__,
+    )
+    def test_event_counts_equal_vectorized_engine(self, topology, event_mode):
+        # Both engines hash the same (seed, stream, slot, terminal) keys,
+        # so a sharded homogeneous fleet replays the vectorized
+        # trajectory exactly on every lattice and event law.
         from repro.simulation.vectorized import VectorizedDistanceEngine
 
-        spec = FleetSpec.homogeneous(HexTopology(), 3, MOBILITY, COSTS, 2, 2000)
-        fleet = run_fleet(spec, slots=400, shards=4, seed=11)
+        spec = FleetSpec.homogeneous(topology, 3, MOBILITY, COSTS, 2, 2000)
+        fleet = run_fleet(spec, slots=400, shards=4, seed=11, event_mode=event_mode)
         vectorized = VectorizedDistanceEngine(
-            HexTopology(), 3, MOBILITY, COSTS, 2, terminals=2000, seed=11
+            topology, 3, MOBILITY, COSTS, 2, terminals=2000, seed=11,
+            event_mode=event_mode,
         ).run(400)
-        assert fleet.mean_total_cost == pytest.approx(
-            vectorized.mean_total_cost, rel=0.1
-        )
+        for key in ("moves", "updates", "calls", "polled_cells"):
+            assert getattr(fleet, key) == sum(
+                getattr(snapshot, key) for snapshot in vectorized.snapshots
+            ), key
 
     def test_rejects_bad_arguments(self, spec):
         with pytest.raises(ParameterError):

@@ -185,3 +185,19 @@ class TestValidation:
         snap = cell.run(100)
         vec_snap = vectorized_result(LineTopology(), 2, 1, slots=100, terminals=1).snapshots[0]
         assert type(snap) is type(vec_snap)
+
+
+def test_counter_engine_is_reproducible_and_seed_sensitive():
+    a = vectorized_result(HexTopology(), 3, 2, slots=400, terminals=96, seed=11)
+    b = vectorized_result(HexTopology(), 3, 2, slots=400, terminals=96, seed=11)
+    c = vectorized_result(HexTopology(), 3, 2, slots=400, terminals=96, seed=12)
+    assert a.mean_total_cost == b.mean_total_cost
+    assert a.mean_total_cost != c.mean_total_cost
+
+
+def test_counter_engine_requires_integer_seed():
+    with pytest.raises(ParameterError, match="integer seed"):
+        VectorizedDistanceEngine(HexTopology(), 3, MOBILITY, COSTS, seed=1.5)
+    # None degrades to seed 0 rather than erroring.
+    engine = VectorizedDistanceEngine(HexTopology(), 3, MOBILITY, COSTS, seed=None)
+    assert engine._seed == 0

@@ -32,10 +32,6 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             engine(walk=GeometricResidence(0.2))
 
-    def test_ctrw_resolves_to_numpy_backend(self):
-        e = engine(walk=mobility_preset("ctrw-hyper", 0.2))
-        assert e.backend_resolved == "numpy"
-
     def test_uniform_walk_unaffected(self):
         e = engine()
         result = e.run(500)

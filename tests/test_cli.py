@@ -86,6 +86,17 @@ class TestSweepCommand:
         assert code == 0
         assert "100.000" in out
 
+    def test_deep_sweep_solves_past_dense_overflow(self, capsys):
+        # The dense recursion overflows near d ~ 760; the default solver
+        # cuts over to the banded LU, so no flag is needed at d_max 1000.
+        code = main(
+            ["sweep", "--model", "2d-exact", "--vary", "U=20,100",
+             "--d-max", "1000", "--no-cache"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "2 = 2 points, d_max=1000" in out
+
     def test_bad_vary_spec_exit_code(self, capsys):
         code = main(["sweep", "--vary", "U", "--no-cache"])
         assert code == 2

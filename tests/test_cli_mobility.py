@@ -42,17 +42,6 @@ class TestSimulateMobilityFlags:
         assert "mobility:         ctrw-hyper" in out
         assert "mean C_T" in out
 
-    def test_ctrw_vectorized_backend(self, capsys):
-        code = main(
-            ["simulate", "--q", "0.2", "--c", "0.02", "--threshold", "2",
-             "--mobility", "ctrw-pareto", "--slots", "400",
-             "--replications", "16", "--warmup", "50", "--backend", "auto"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "mobility:         ctrw-pareto" in out
-        assert "backend:" in out
-
     def test_uniform_output_unchanged(self, capsys):
         code = main(
             ["simulate", "--q", "0.2", "--c", "0.02", "--threshold", "2",
