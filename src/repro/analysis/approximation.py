@@ -152,34 +152,27 @@ def approximation_report(
     mobility = MobilityParams(move_probability=q, call_probability=c)
     build_spec = spec_factory if spec_factory is not None else mobility_preset
     rows = []
-    for index, name in enumerate(models):
+    for name in models:
         spec: Optional[CTRWSpec] = build_spec(name, q, drift=drift)
         if spec is None:
             q_eff = q
             # A uniform walk's cell residence time is geometric(q).
             cv2 = 1.0 - q
-            engine = VectorizedDistanceEngine(
-                topology,
-                threshold=d,
-                mobility=mobility,
-                costs=costs,
-                terminals=terminals,
-                max_delay=m,
-                seed=seed + 101 * index,
-            )
         else:
             q_eff = spec.effective_move_probability()
             cv2 = spec.residence.cv2()
-            engine = VectorizedDistanceEngine(
-                topology,
-                threshold=d,
-                mobility=mobility,
-                costs=costs,
-                terminals=terminals,
-                max_delay=m,
-                seed=seed + 101 * index,
-                walk=spec,
-            )
+        # Seeded by the preset's place in MOBILITY_MODELS, so a row does
+        # not depend on which other presets the caller asked for.
+        engine = VectorizedDistanceEngine(
+            topology,
+            threshold=d,
+            mobility=mobility,
+            costs=costs,
+            terminals=terminals,
+            max_delay=m,
+            seed=seed + 101 * MOBILITY_MODELS.index(name),
+            walk=spec,
+        )
         if warmup_slots:
             engine.run(warmup_slots)
             engine.reset_meters()

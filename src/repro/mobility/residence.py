@@ -217,6 +217,11 @@ class HyperexponentialResidence(ResidenceDistribution):
         self._cum_weights = np.cumsum(np.asarray(weights, dtype=np.float64))
         # Guard the final bin against float round-off: u_branch < 1 always.
         self._cum_weights[-1] = 1.0
+        # Each component's geometric log(1 - rate); -inf for rate 1,
+        # whose inverse CDF is 1 for every uniform.
+        self._log_keep = np.array(
+            [math.log1p(-r) if r < 1.0 else -math.inf for r in rates]
+        )
 
     @classmethod
     def fit(cls, mean: float, cv2: float) -> "HyperexponentialResidence":
@@ -241,21 +246,11 @@ class HyperexponentialResidence(ResidenceDistribution):
         return cls(rates=rates, weights=(p, 1.0 - p))
 
     def from_uniforms(self, u_branch: np.ndarray, u_value: np.ndarray) -> np.ndarray:
-        u_branch = np.asarray(u_branch, dtype=np.float64)
-        u_value = np.asarray(u_value, dtype=np.float64)
         component = np.searchsorted(self._cum_weights, u_branch, side="right")
-        component = np.minimum(component, len(self.rates) - 1)
-        out = np.empty(u_value.shape, dtype=np.int64)
-        flat_component = np.atleast_1d(component)
-        flat_value = np.atleast_1d(u_value)
-        flat_out = np.atleast_1d(out)
-        for index, rate in enumerate(self.rates):
-            mask = flat_component == index
-            if mask.any():
-                flat_out[mask] = _geometric_slots(flat_value[mask], rate)
-        if out.shape == ():
-            return flat_out.reshape(())
-        return out
+        log_keep = self._log_keep[np.minimum(component, len(self.rates) - 1)]
+        # The geometric inverse CDF of _geometric_slots, per component.
+        raw = np.ceil(np.log1p(-np.asarray(u_value, dtype=np.float64)) / log_keep)
+        return np.clip(raw, 1, _MAX_RESIDENCE).astype(np.int64)
 
     def mean(self) -> float:
         return sum(w / r for w, r in zip(self.weights, self.rates))

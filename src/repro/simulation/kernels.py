@@ -22,8 +22,10 @@ __all__ = [
     "STREAM_RESIDENCE_BRANCH",
     "counter_uniforms",
     "drifted_directions",
+    "key_uniforms",
     "mix64",
     "slot_key",
+    "slot_keys",
     "terminal_keys",
 ]
 
@@ -74,6 +76,22 @@ def slot_key(seed: int, stream: int, slot: int) -> np.uint64:
     return np.uint64((x ^ (x >> 31)) & _M64)
 
 
+def slot_keys(seed: int, streams, first: int, count: int) -> np.ndarray:
+    """:func:`slot_key` of each stream and slot ``first .. first+count``.
+
+    Returns a ``(len(streams), count)`` array.  The pre-mix sum is affine
+    in the slot, so each row is the wrapping uint64 sequence ``base +
+    i * salt`` finalized by :func:`mix64`, all rows in one call.
+    """
+    base = [
+        (seed * _GOLDEN + stream * _STREAM_SALT + first * _SLOT_SALT + _KEY_OFFSET)
+        & _M64
+        for stream in streams
+    ]
+    steps = np.arange(count, dtype=np.uint64) * np.uint64(_SLOT_SALT)
+    return mix64(np.array(base, dtype=np.uint64)[:, None] + steps)
+
+
 def terminal_keys(offset: int, count: int) -> np.ndarray:
     """Hash keys of the global terminal indices ``offset .. offset+count``."""
     return mix64(
@@ -82,12 +100,21 @@ def terminal_keys(offset: int, count: int) -> np.ndarray:
     )
 
 
+def key_uniforms(keys: np.ndarray) -> np.ndarray:
+    """U(0,1) of combined ``terminal key ^ slot key`` arrays, any shape.
+
+    :func:`counter_uniforms` XORs one slot key into every terminal key;
+    broadcasting the XOR over a block of slot keys draws a whole
+    (terminal, slot) grid in one call.
+    """
+    return (mix64(keys) >> _S11).astype(np.float64) * _INV53
+
+
 def counter_uniforms(
     idx_keys: np.ndarray, seed: int, stream: int, slot: int
 ) -> np.ndarray:
     """One U(0,1) per terminal for ``(stream, slot)``, layout-free."""
-    h = mix64(idx_keys ^ slot_key(seed, stream, slot))
-    return (h >> _S11).astype(np.float64) * _INV53
+    return key_uniforms(idx_keys ^ slot_key(seed, stream, slot))
 
 
 def drifted_directions(

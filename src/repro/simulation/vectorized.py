@@ -1,49 +1,51 @@
 """Batched NumPy simulation of the distance strategy.
 
 :class:`VectorizedDistanceEngine` simulates ``K`` independent terminals
-of the distance-based scheme as one batched ring-distance chain: one
-uniform per terminal and slot, hashed from the stateless SplitMix64
-counter RNG of :mod:`repro.simulation.kernels`, classifies every
-terminal as call / movement / idle, and threshold tests, resets, and
-cost accumulation are plain NumPy array operations.  That delivers two
-to three orders of magnitude more terminal-slots per second than
-stepping :class:`~repro.simulation.engine.SimulationEngine`
-instances one cell at a time.
+of the distance-based scheme as one batched ring-distance chain.  Every
+draw is a hash of ``(seed, stream, slot, terminal index)`` from the
+stateless SplitMix64 counter RNG of :mod:`repro.simulation.kernels`;
+threshold tests, resets, and cost accumulation are NumPy array
+operations.  That is two to three orders of magnitude more
+terminal-slots per second than stepping
+:class:`~repro.simulation.engine.SimulationEngine` one cell at a time.
+
+Block stepping
+--------------
+
+The engine advances ``B = min(64, 2**16 // K)`` slots per block, a
+length computed from the batch width, and one slot when that is fewer
+than 8 (K > 8192): small batches amortize Python dispatch over up to 64
+slots, while a block of 2-7 slots does not pay back its fixed cost.
+A block's mobility is drawn before the
+strategy sees it: one ``mix64`` call over the ``(K, B)`` key grid draws
+every call (and uniform-walk event) uniform; the uniform walk's movers
+come from the event draw, and a CTRW's residence clocks advance in
+rounds, each hashing the direction and re-arm draws of every
+terminal's next expiry inside the block.  Only movers are hashed for
+direction and residence.  The strategy pass then replays each
+terminal's events in slot order: round ``r`` applies the ``r``-th event
+of every terminal, a call before the same slot's move.
+
+Drawing moves ahead of the strategy is exact because mobility never
+reads strategy state: calls and updates move the center, never a
+residence clock or a last direction.  Each draw is still keyed by its
+own slot, and the cost sums fold in per terminal in slot order, so a
+run is bit-identical to stepping one slot at a time.
 
 Exactness
 ---------
 
-The fast path is *exact*, not an approximation of the per-cell engine:
-terminals are tracked by their true lattice coordinates **relative to
+Terminals are tracked by their true lattice coordinates **relative to
 the current center cell** (the cell of the last update or page hit),
-so ring distances, update triggers, and paging costs are computed from
-the same geometry the cell-level engine walks.  In particular it does
-NOT use the paper's ring-aggregated transition probabilities
-``p+(i)/p-(i)`` -- corner/edge cell effects on the hex and square grids
-are reproduced faithfully.  Beyond the uniform walk, the engine runs
-CTRW mobility (``walk=CTRWSpec(...)``): per-terminal residence clocks
-on dedicated counter-RNG streams, with drift/persistence direction
-composition (see :mod:`repro.mobility.ctrw` for the timed slot
-semantics).  What the vectorized engine *cannot* do is everything that
-needs per-event hooks: event logs, fault models, arbitrary walker
-classes or arrival processes, and non-distance strategies all require
+not by the paper's ring-aggregated ``p+(i)/p-(i)`` chain, so hex and
+square corner effects are exact; a page hit or update resets a
+terminal to the origin.  CTRW mobility (``walk=CTRWSpec(...)``) follows
+the timed slot semantics of :mod:`repro.mobility.ctrw`.  Each terminal
+has its own meter with :class:`CostMeter` accounting, so the pooled
+statistics of :class:`~repro.simulation.runner.ReplicatedResult` apply.
+Event logs, fault models, arbitrary walkers or arrival processes, and
+non-distance strategies need
 :class:`~repro.simulation.engine.SimulationEngine`.
-
-Because only relative coordinates are tracked, the absolute start cell
-is irrelevant (both supported geometries are vertex-transitive), and a
-paging hit or update simply resets a terminal's relative position to
-the origin.
-
-Statistical contract
---------------------
-
-Each terminal gets its own meter; :meth:`VectorizedDistanceEngine.run`
-returns a :class:`~repro.simulation.runner.ReplicatedResult` whose
-per-terminal :class:`~repro.simulation.metrics.MeterSnapshot` entries
-follow exactly the accounting of :class:`CostMeter` -- so the usual
-pooled means and between-replication confidence intervals apply
-unchanged, and agreement with ``SimulationEngine`` campaigns can be
-asserted within CI.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ from .kernels import (
     STREAM_RESIDENCE_BRANCH,
     counter_uniforms,
     drifted_directions,
+    key_uniforms,
+    slot_keys,
     terminal_keys,
 )
 from .metrics import MeterSnapshot
@@ -84,6 +88,12 @@ __all__ = [
 ]
 
 _EVENT_MODES = ("exclusive", "independent")
+
+#: Slot-key streams of a block; a CTRW's last three draw each expiry.
+_UNIFORM_STREAMS = (STREAM_EVENT, STREAM_CALL, STREAM_DIRECTION)
+_CTRW_STREAMS = (
+    STREAM_CALL, STREAM_DIRECTION, STREAM_RESIDENCE_BRANCH, STREAM_RESIDENCE
+)
 
 #: z-score matching CostMeter's 95% half-width.
 _Z95 = 1.96
@@ -115,6 +125,40 @@ def _lattice_kernel(topology: CellTopology) -> Tuple[np.ndarray, callable]:
         f"SquareTopology; got {topology!r} -- use SimulationEngine for "
         "other geometries"
     )
+
+
+def _column_kernel(topology: CellTopology) -> Tuple[np.ndarray, np.ufunc]:
+    """``(dims, degree + 1)`` int32 step columns (the last is "no move";
+    coordinates stay in ``[-d-1, d+1]``) and the ring reduction over
+    ``(dims, K)`` coordinates, hex cells in cube form ``(q, r, -q-r)``:
+    the max of ``|coordinate|`` on the line and hex grids, else the sum.
+    """
+    dirs, _ = _lattice_kernel(topology)
+    if isinstance(topology, HexTopology):
+        dirs = np.column_stack([dirs, -dirs.sum(axis=1)])
+    steps = np.vstack([dirs, np.zeros_like(dirs[:1])]).T.astype(np.int32)
+    return steps, np.add if isinstance(topology, SquareTopology) else np.maximum
+
+
+def _paging_tables(plan, threshold: int, max_delay, topology: CellTopology):
+    """``(plan, ring -> 0-based polling cycle, cycle -> cumulative cells
+    polled)`` -- the w_j of eqn (64) -- for ``plan`` or the SDF default."""
+    if plan is None:
+        plan = sdf_partition(threshold, max_delay)
+    elif plan.threshold != threshold:
+        raise ParameterError(f"plan is for threshold {plan.threshold}, not {threshold}")
+    ring_to_cycle = np.empty(threshold + 1, dtype=np.int64)
+    for cycle, group in enumerate(plan.subareas):
+        ring_to_cycle[list(group)] = cycle
+    polled = np.asarray(plan.cumulative_polled(topology), dtype=np.int64)
+    return plan, ring_to_cycle, polled
+
+
+def _block_length(terminals: int) -> int:
+    """Slots per block: ~2**16 terminal-slots of draws, at most 64; one
+    when under 8, which does not pay back a block's fixed cost."""
+    width = 2**16 // terminals
+    return min(64, width) if width >= 8 else 1
 
 
 class VectorizedDistanceEngine:
@@ -188,32 +232,20 @@ class VectorizedDistanceEngine:
             )
         self._seed = int(seed)
         self._idx_keys = terminal_keys(0, self.terminals)
-        if plan is not None and plan.threshold != self.threshold:
-            raise ParameterError(
-                f"plan is for threshold {plan.threshold}, engine uses "
-                f"{self.threshold}"
-            )
-        self.plan = plan if plan is not None else sdf_partition(self.threshold, max_delay)
-        self._dirs, self._distance = _lattice_kernel(topology)
-        # Paging lookup tables: ring index -> 0-based polling cycle, and
-        # cycle -> cumulative cells polled (w_j of eqn (64)).
-        ring_to_cycle = np.empty(self.threshold + 1, dtype=np.int64)
-        for cycle, group in enumerate(self.plan.subareas):
-            for ring in group:
-                ring_to_cycle[ring] = cycle
-        self._ring_to_cycle = ring_to_cycle
-        self._cumulative_polled = np.asarray(
-            self.plan.cumulative_polled(topology), dtype=np.int64
+        self._steps, self._ring_reduce = _column_kernel(topology)
+        self._degree = self._steps.shape[1] - 1
+        self._block = _block_length(self.terminals)
+        self.plan, self._ring_to_cycle, self._cumulative_polled = _paging_tables(
+            plan, self.threshold, max_delay, topology
         )
         # Center-relative positions: the whole batch starts freshly
         # fixed at its (arbitrary) start cells.
-        self._pos = np.zeros((self.terminals, self._dirs.shape[1]), dtype=np.int64)
+        self._pos = np.zeros((len(self._steps), self.terminals), dtype=np.int32)
         if walk is not None:
-            degree = self._dirs.shape[0]
-            if walk.drift_direction >= degree:
+            if walk.drift_direction >= self._degree:
                 raise ParameterError(
                     f"drift_direction {walk.drift_direction} out of range for "
-                    f"{topology!r} (degree {degree})"
+                    f"{topology!r} (degree {self._degree})"
                 )
             # Initial residences hash slot -1: in-run resamples use the
             # current slot index, which is always >= 0.
@@ -328,10 +360,17 @@ class VectorizedDistanceEngine:
         return self.result()
 
     def _advance(self, slots: int) -> None:
-        """Run ``slots`` steps of the uniform walk or the CTRW."""
-        step = self._step_counter if self.walk_spec is None else self._step_ctrw
-        for _ in range(slots):
-            step()
+        """Run ``slots`` steps of the uniform walk or the CTRW, in blocks."""
+        while slots > 0:
+            width = min(self._block, slots)
+            if self.walk_spec is None:
+                called, direction = self._uniform_block(width)
+            else:
+                called, direction = self._ctrw_block(width)
+            self._strategy_pass(called, direction)
+            self._metered_slots += width
+            self.slot += width
+            slots -= width
 
     def _record_run(self, before: tuple, slots: int) -> None:
         """Fold one observed run() into the metrics registry.
@@ -358,9 +397,9 @@ class VectorizedDistanceEngine:
                 ins["delay"].observe(cycle + 1, int(count))
         U, V = self.costs.update_cost, self.costs.poll_cost
         update_cost, paging_cost = ins["update_cost"], ins["paging_cost"]
-        for k in range(self.terminals):
-            update_cost.inc(int(d_updates[k]) * U)
-            paging_cost.inc(int(d_polled[k]) * V)
+        for updates, polled in zip(d_updates.tolist(), d_polled.tolist()):
+            update_cost.inc(updates * U)
+            paging_cost.inc(polled * V)
 
     def result(self) -> ReplicatedResult:
         """Freeze the current per-terminal meters into a pooled result."""
@@ -368,167 +407,124 @@ class VectorizedDistanceEngine:
 
     def snapshots(self) -> List[MeterSnapshot]:
         """One :class:`MeterSnapshot` per terminal (CostMeter semantics)."""
-        out: List[MeterSnapshot] = []
-        slots = self._metered_slots
-        U, V = self.costs.update_cost, self.costs.poll_cost
-        for k in range(self.terminals):
-            if slots:
-                mean = self._cost_sum[k] / slots
-            else:
-                mean = 0.0
-            if slots >= 2:
-                var = max(self._cost_sq_sum[k] / slots - mean * mean, 0.0)
-                half = _Z95 * math.sqrt(var / slots)
-            else:
-                half = math.inf
-            calls = int(self._calls[k])
-            counts = self._delay_counts[k]
-            if calls:
-                delay = float(
-                    np.arange(1, counts.size + 1, dtype=np.float64) @ counts
-                ) / calls
-            else:
-                delay = 0.0
-            out.append(
-                MeterSnapshot(
-                    slots=slots,
-                    moves=int(self._moves[k]),
-                    updates=int(self._updates[k]),
-                    calls=calls,
-                    polled_cells=int(self._polled_cells[k]),
-                    update_cost=int(self._updates[k]) * U,
-                    paging_cost=int(self._polled_cells[k]) * V,
-                    mean_total_cost=float(mean),
-                    total_cost_half_width_95=float(half),
-                    mean_paging_delay=delay,
-                    delay_histogram={
-                        cycle + 1: int(count)
-                        for cycle, count in enumerate(counts)
-                        if count
-                    },
-                )
-            )
-        return out
+        counts = (self._moves, self._updates, self._calls, self._polled_cells)
+        return _meter_snapshots(
+            self._metered_slots, self.costs, *counts,
+            self._cost_sum, self._cost_sq_sum, self._delay_counts,
+        )
 
     # -- internals --------------------------------------------------------
 
-    def _handle_calls(self, called: np.ndarray, slot_cost: np.ndarray) -> None:
-        rings = self._distance(self._pos[called])
-        if self._ring_hits is not None:
-            np.add.at(self._ring_hits, rings, 1)
+    def _uniform_block(self, width: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The uniform walk's ``(K, width)`` call flags and directions,
+        with the hashes of :class:`~repro.simulation.fleet.FleetShardEngine`.
+        """
+        c, q = self.mobility.call_probability, self.mobility.move_probability
+        streams = slot_keys(self._seed, _UNIFORM_STREAMS, self.slot, width)
+        keys = self._idx_keys[:, None]
+        if self.event_mode == "exclusive":
+            u = key_uniforms(keys ^ streams[0])
+            called = u < c
+            moved = (u < c + q) & ~called
+        else:
+            u = key_uniforms(keys ^ streams[:2, None])
+            moved, called = u[0] < q, u[1] < c
+        movers = np.flatnonzero(moved)
+        terminal, offset = np.divmod(movers, width)
+        unit = key_uniforms(self._idx_keys[terminal] ^ streams[2, offset])
+        direction = np.full(moved.shape, self._degree, dtype=np.int8)
+        direction.flat[movers] = (unit * float(self._degree)).astype(np.int8)
+        return called, direction
+
+    def _ctrw_block(self, width: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The CTRW's ``(K, width)`` call flags and directions.
+
+        Timed slot semantics (as in SimulationEngine): a call draw per
+        slot, and a move in the slot the residence clock expires, so
+        ``event_mode`` plays no role.  Each round of the clock loop
+        handles the next expiry of every terminal still inside the block.
+        """
+        spec = self.walk_spec
+        streams = slot_keys(self._seed, _CTRW_STREAMS, self.slot, width)
+        u = key_uniforms(self._idx_keys[:, None] ^ streams[0])
+        called = u < self.mobility.call_probability
+        direction = np.full(called.shape, self._degree, dtype=np.int8)
+        # Block offset of each terminal's next move: a clock reading r
+        # at the block start expires r - 1 slots in.
+        due = self._residence - 1
+        moving = np.flatnonzero(due < width)
+        while moving.size:
+            offset = due[moving]
+            u_dir, u_branch, u_value = key_uniforms(
+                self._idx_keys[moving] ^ streams[1:].take(offset, axis=1)
+            )
+            turn = drifted_directions(
+                u_dir, self._degree, spec.drift, spec.drift_direction,
+                spec.persistence, self._last_dir[moving],
+            )
+            self._last_dir[moving] = turn
+            direction.flat[moving * width + offset] = turn
+            # Re-arm the movers' clocks for their new cells.
+            offset += spec.residence.from_uniforms(u_branch, u_value)
+            due[moving] = offset
+            moving = moving[offset < width]
+        self._residence = due - (width - 1)
+        return called, direction
+
+    def _ring(self, pos: np.ndarray) -> np.ndarray:
+        return self._ring_reduce.reduce(np.abs(pos), axis=0)
+
+    def _strategy_pass(self, called: np.ndarray, direction: np.ndarray) -> None:
+        """Apply a block's events -- terminal-slots with a call, a move or
+        both, call first -- to the strategy, round ``r`` replaying every
+        terminal's ``r``-th event; costs fold in per terminal in slot order.
+        """
+        width = called.shape[1]
+        moved = direction != self._degree
+        events = np.flatnonzero(called | moved)
+        terminal = events // width
+        first = np.flatnonzero(np.concatenate(([True], terminal[1:] != terminal[:-1])))
+        rank = np.arange(events.size)
+        rank -= np.repeat(first, np.diff(first, append=events.size))
+        order = np.argsort(rank.astype(np.int8), kind="stable")
+        events, who = events[order], terminal[order]
+        call = called.ravel()[events]
+        keep = ~call
+        steps = self._steps.take(direction.ravel()[events], axis=1)
+        ring = np.empty(events.size, dtype=np.int32)
+        crossed = np.empty(events.size, dtype=bool)
+        start = 0
+        for stop in np.cumsum(np.bincount(rank)).tolist():
+            t = who[start:stop]
+            pos = self._pos.take(t, axis=1)
+            ring[start:stop] = self._ring(pos)
+            # A page hit makes the terminal's cell the new center.
+            pos *= keep[start:stop]
+            pos += steps[:, start:stop]
+            # Crossing the residing-area boundary triggers an update
+            # and re-centers the terminal.
+            out = self._ring(pos) > self.threshold
+            pos[:, out] = 0
+            crossed[start:stop] = out
+            for row, values in zip(self._pos, pos):  # 1-D scatters beat one 2-D
+                row[t] = values
+            start = stop
+        rings, callers = ring[call], who[call]
         cycles = self._ring_to_cycle[rings]
         polled = self._cumulative_polled[cycles]
-        self._calls[called] += 1
-        self._polled_cells[called] += polled
-        np.add.at(self._delay_counts, (np.nonzero(called)[0], cycles), 1)
-        slot_cost[called] += self.costs.poll_cost * polled
-        # The network pinpointed these terminals: their cells become the
-        # new centers, i.e. the relative position resets to the origin.
-        self._pos[called] = 0
-
-    def _step_counter(self) -> None:
-        """One slot of the uniform walk on the counter RNG.
-
-        Same hashes and within-slot order (calls, then moves) as
-        :class:`~repro.simulation.fleet.FleetShardEngine`, so a
-        homogeneous one-shard fleet with the same seed replays this
-        trajectory exactly.  Calls first is also SimulationEngine's
-        independent-mode order; in exclusive mode the events are
-        disjoint and the order is immaterial.
-        """
-        c = self.mobility.call_probability
-        q = self.mobility.move_probability
-        u = counter_uniforms(self._idx_keys, self._seed, STREAM_EVENT, self.slot)
-        if self.event_mode == "exclusive":
-            called = u < c
-            moved = (~called) & (u < c + q)
-        else:
-            moved = u < q
-            called = (
-                counter_uniforms(self._idx_keys, self._seed, STREAM_CALL, self.slot)
-                < c
-            )
-        slot_cost = np.zeros(self.terminals, dtype=np.float64)
-        if called.any():
-            self._handle_calls(called, slot_cost)
-        if moved.any():
-            self._handle_moves(moved, slot_cost)
-        self._cost_sum += slot_cost
-        self._cost_sq_sum += slot_cost * slot_cost
-        self._metered_slots += 1
-        self.slot += 1
-
-    def _handle_moves(self, moved: np.ndarray, slot_cost: np.ndarray) -> None:
-        movers = np.nonzero(moved)[0]
-        unit = counter_uniforms(
-            self._idx_keys[movers], self._seed, STREAM_DIRECTION, self.slot
-        )
-        directions = (unit * float(self._dirs.shape[0])).astype(np.int64)
-        self._pos[movers] += self._dirs[directions]
-        self._moves[movers] += 1
-        # Threshold test on the movers only; crossing the residing-area
-        # boundary triggers an update and re-centers the terminal.
-        updating = movers[self._distance(self._pos[movers]) > self.threshold]
-        if updating.size:
-            self._updates[updating] += 1
-            slot_cost[updating] += self.costs.update_cost
-            self._pos[updating] = 0
-
-    # -- timed (CTRW) mobility on the counter RNG -------------------------
-
-    def _step_ctrw(self) -> None:
-        """One slot of residence-clock mobility.
-
-        Timed slot semantics (the same as SimulationEngine's timed
-        path): the call is the only probabilistic per-slot event,
-        processed before the move; every terminal's residence clock
-        then ticks, and expired clocks move.  ``event_mode`` plays no
-        role -- a CTRW has no per-slot move probability to compete
-        with the call draw.
-        """
-        c = self.mobility.call_probability
-        called = (
-            counter_uniforms(self._idx_keys, self._seed, STREAM_CALL, self.slot)
-            < c
-        )
-        slot_cost = np.zeros(self.terminals, dtype=np.float64)
-        if called.any():
-            self._handle_calls(called, slot_cost)
-        self._residence -= 1
-        moved = self._residence <= 0
-        if moved.any():
-            self._handle_moves_ctrw(moved, slot_cost)
-        self._cost_sum += slot_cost
-        self._cost_sq_sum += slot_cost * slot_cost
-        self._metered_slots += 1
-        self.slot += 1
-
-    def _handle_moves_ctrw(self, moved: np.ndarray, slot_cost: np.ndarray) -> None:
-        movers = np.nonzero(moved)[0]
-        spec = self.walk_spec
-        keys = self._idx_keys[movers]
-        u_dir = counter_uniforms(keys, self._seed, STREAM_DIRECTION, self.slot)
-        directions = drifted_directions(
-            u_dir,
-            self._dirs.shape[0],
-            spec.drift,
-            spec.drift_direction,
-            spec.persistence,
-            self._last_dir[movers],
-        )
-        self._last_dir[movers] = directions
-        self._pos[movers] += self._dirs[directions]
-        self._moves[movers] += 1
-        # Re-arm the movers' clocks for their new cells.
-        self._residence[movers] = spec.residence.from_uniforms(
-            counter_uniforms(keys, self._seed, STREAM_RESIDENCE_BRANCH, self.slot),
-            counter_uniforms(keys, self._seed, STREAM_RESIDENCE, self.slot),
-        )
-        updating = movers[self._distance(self._pos[movers]) > self.threshold]
-        if updating.size:
-            self._updates[updating] += 1
-            slot_cost[updating] += self.costs.update_cost
-            self._pos[updating] = 0
+        if self._ring_hits is not None:
+            self._ring_hits += np.bincount(rings, minlength=self.threshold + 1)
+        np.add.at(self._calls, callers, 1)
+        np.add.at(self._polled_cells, callers, polled)
+        cells = self._delay_counts.ravel()  # (terminal, cycle) flattened
+        np.add.at(cells, callers * self._delay_counts.shape[1] + cycles, 1)
+        np.add.at(self._moves, who[moved.ravel()[events]], 1)
+        np.add.at(self._updates, who[crossed], 1)
+        cost = np.zeros(events.size)
+        cost[call] = self.costs.poll_cost * polled
+        cost[crossed] += self.costs.update_cost
+        np.add.at(self._cost_sum, who, cost)
+        np.add.at(self._cost_sq_sum, who, cost * cost)
 
 
 def replay_trace_meters(
@@ -550,18 +546,9 @@ def replay_trace_meters(
     for meter (see :func:`repro.mobility.traces.replay_trace`).
     """
     threshold = validate_threshold(threshold)
-    if plan is not None and plan.threshold != threshold:
-        raise ParameterError(
-            f"plan is for threshold {plan.threshold}, replay uses {threshold}"
-        )
-    plan = plan if plan is not None else sdf_partition(threshold, max_delay)
     dirs, distance = _lattice_kernel(trace.topology)
-    ring_to_cycle = np.empty(threshold + 1, dtype=np.int64)
-    for cycle, group in enumerate(plan.subareas):
-        for ring in group:
-            ring_to_cycle[ring] = cycle
-    cumulative_polled = np.asarray(
-        plan.cumulative_polled(trace.topology), dtype=np.int64
+    plan, ring_to_cycle, cumulative_polled = _paging_tables(
+        plan, threshold, max_delay, trace.topology
     )
 
     def coords(cell) -> np.ndarray:
@@ -601,36 +588,47 @@ def replay_trace_meters(
         prev = here
         cost_sum += slot_cost
         cost_sq_sum += slot_cost * slot_cost
-    slots = len(trace.steps)
-    mean = cost_sum / slots if slots else 0.0
+    columns = (moves, updates, calls, polled_cells, cost_sum, cost_sq_sum)
+    meters = [np.array([value]) for value in columns] + [delay_counts[None, :]]
+    return _meter_snapshots(len(trace.steps), costs, *meters)[0]
+
+
+def _meter_snapshots(
+    slots, costs, moves, updates, calls, polled_cells, cost_sum, cost_sq_sum,
+    delay_counts,
+) -> List[MeterSnapshot]:
+    """CostMeter accounting of ``(K,)`` meter columns, one snapshot each;
+    element-wise IEEE arithmetic gives the floats a per-terminal loop
+    gives, and the delay sums are exact integers."""
+    K = len(moves)
+    mean = cost_sum / slots if slots else np.zeros(K)
     if slots >= 2:
-        var = max(cost_sq_sum / slots - mean * mean, 0.0)
-        half = _Z95 * math.sqrt(var / slots)
+        var = np.maximum(cost_sq_sum / slots - mean * mean, 0.0)
+        half = _Z95 * np.sqrt(var / slots)
     else:
-        half = math.inf
-    if calls:
-        delay = float(
-            np.arange(1, delay_counts.size + 1, dtype=np.float64) @ delay_counts
-        ) / calls
-    else:
-        delay = 0.0
-    return MeterSnapshot(
-        slots=slots,
-        moves=moves,
-        updates=updates,
-        calls=calls,
-        polled_cells=polled_cells,
-        update_cost=updates * U,
-        paging_cost=polled_cells * V,
-        mean_total_cost=float(mean),
-        total_cost_half_width_95=float(half),
-        mean_paging_delay=delay,
-        delay_histogram={
-            cycle + 1: int(count)
-            for cycle, count in enumerate(delay_counts)
-            if count
-        },
-    )
+        half = np.full(K, math.inf)
+    weighted = delay_counts @ np.arange(1.0, delay_counts.shape[1] + 1)
+    delay = np.divide(weighted, calls, out=np.zeros(K), where=calls > 0)
+    U, V = costs.update_cost, costs.poll_cost
+    return [
+        MeterSnapshot(
+            slots=slots,
+            moves=m,
+            updates=u,
+            calls=c,
+            polled_cells=p,
+            update_cost=u * U,
+            paging_cost=p * V,
+            mean_total_cost=mean_k,
+            total_cost_half_width_95=half_k,
+            mean_paging_delay=delay_k,
+            delay_histogram={cycle + 1: n for cycle, n in enumerate(row) if n},
+        )
+        for m, u, c, p, mean_k, half_k, delay_k, row in zip(
+            *(column.tolist() for column in (moves, updates, calls, polled_cells)),
+            mean.tolist(), half.tolist(), delay.tolist(), delay_counts.tolist(),
+        )
+    ]
 
 
 def throughput_report(

@@ -52,6 +52,22 @@ class TestResidenceDistributions:
             u = np.full(100, 0.999)
             assert r.from_uniforms(u, u).min() >= 1
 
+    def test_hyperexponential_draws_its_components_geometric(self):
+        # A rate-1 component and u = 0 are the edges of the inverse CDF.
+        r = HyperexponentialResidence(rates=(1.0, 0.3, 0.02), weights=(0.2, 0.5, 0.3))
+        rng = np.random.default_rng(1)
+        u_branch, u_value = rng.random(4000), rng.random(4000)
+        u_value[:3] = 0.0
+        draws = r.from_uniforms(u_branch, u_value)
+        component = np.searchsorted(np.cumsum(r.weights), u_branch, side="right")
+        for index, rate in enumerate(r.rates):
+            mask = np.minimum(component, 2) == index
+            geometric = GeometricResidence(rate)
+            assert np.array_equal(
+                draws[mask], geometric.from_uniforms(u_branch[mask], u_value[mask])
+            )
+        assert int(r.from_uniforms(np.asarray(0.1), np.asarray(0.5))) == 1
+
     def test_spec_roundtrip_all_kinds(self):
         for r in (
             GeometricResidence(0.3),

@@ -1,13 +1,18 @@
 """Vectorized-engine CTRW path: validation, meters, ring-hit recording."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro import ParameterError
+from repro.conformance import replicated_agreement
 from repro.core.parameters import CostParams, MobilityParams
 from repro.geometry import HexTopology
 from repro.mobility import CTRWSpec, GeometricResidence, mobility_preset
+from repro.simulation import run_replicated
 from repro.simulation.vectorized import VectorizedDistanceEngine
+from repro.strategies import DistanceStrategy
 
 MOBILITY = MobilityParams(move_probability=0.2, call_probability=0.05)
 COSTS = CostParams(update_cost=50.0, poll_cost=10.0)
@@ -65,6 +70,36 @@ class TestCTRWMeters:
         e.reset_meters()
         result = e.run(500)
         assert result.snapshots[0].slots == 500
+
+
+class TestPersistence:
+    SPEC = CTRWSpec(GeometricResidence(0.2), persistence=0.6)
+
+    def test_array_engine_agrees_with_per_cell_engine(self):
+        # The persistence branch of drifted_directions reads each
+        # mover's last direction; the per-cell PersistentWalk is the
+        # independent implementation of the same law.
+        per_cell = run_replicated(
+            topology=HexTopology(),
+            strategy_factory=partial(DistanceStrategy, 2, max_delay=2),
+            mobility=MOBILITY,
+            costs=COSTS,
+            slots=4000,
+            replications=6,
+            seed=3,
+            walker_factory=self.SPEC.walker_factory(),
+        )
+        vectorized = engine(walk=self.SPEC, terminals=192, seed=4).run(4000)
+        # The criterion of the ctrw-engine-vs-vectorized oracle.
+        assert replicated_agreement(per_cell, vectorized).value <= 1.0
+
+    def test_persistence_raises_update_rate(self):
+        # Repeating directions makes motion ballistic, so a persistent
+        # walk leaves the residing area more often than a memoryless one.
+        memoryless = CTRWSpec(GeometricResidence(0.2))
+        a = engine(walk=memoryless, terminals=128, seed=5).run(3000)
+        b = engine(walk=self.SPEC, terminals=128, seed=5).run(3000)
+        assert b.mean_update_cost > 1.1 * a.mean_update_cost
 
 
 class TestRingHitRecording:
