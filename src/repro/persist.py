@@ -17,6 +17,11 @@ This helper guarantees that on any failure the temporary file is
 unlinked and the file descriptor from :func:`tempfile.mkstemp` is
 closed, whether the failure happens in ``fdopen``, ``json.dump``,
 ``fsync``, or the final rename.
+
+Both checkpoint formats are read back through
+:func:`read_checkpoint`, which turns an unreadable file, or JSON that
+is not an object with a ``"fingerprint"`` object, into a
+:class:`~repro.exceptions.ParameterError` naming the problem.
 """
 
 from __future__ import annotations
@@ -25,9 +30,11 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Union
+from typing import Tuple, Union
 
-__all__ = ["atomic_write_json"]
+from .exceptions import ParameterError
+
+__all__ = ["atomic_write_json", "read_checkpoint"]
 
 
 def atomic_write_json(path: Union[str, Path], payload: object) -> Path:
@@ -63,3 +70,18 @@ def atomic_write_json(path: Union[str, Path], payload: object) -> Path:
             pass
         raise
     return path
+
+
+def read_checkpoint(path: Path, label: str) -> Tuple[dict, dict]:
+    """``(payload, stored fingerprint)`` of the ``label`` file ``path``."""
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParameterError(f"unreadable {label} {path}: {exc}") from exc
+    stored = payload.get("fingerprint") if isinstance(payload, dict) else None
+    if not isinstance(stored, dict):
+        raise ParameterError(
+            f"malformed {label} {path}: expected a JSON object with a "
+            '"fingerprint" object'
+        )
+    return payload, stored

@@ -9,10 +9,11 @@ across mobility profiles by Martin & Bajcsy, arXiv 1108.1361).  This
 module scales the population axis three orders of magnitude past the
 vectorized engine:
 
-* :class:`FleetSpec` -- the whole population as per-terminal NumPy
-  columns (sampled from :class:`repro.workload.Population`
-  distributions, with per-profile optimal thresholds), carrying a
-  SHA-256 fingerprint of the realized arrays;
+* :class:`FleetSpec` -- the whole population as read-only
+  per-terminal NumPy columns (sampled from
+  :class:`repro.workload.Population` distributions, with per-profile
+  optimal thresholds), carrying a SHA-256 fingerprint of the realized
+  arrays, hashed once per spec;
 * :class:`FleetShardEngine` -- the heterogeneous batched kernel: one
   contiguous shard of terminals stepped per slot with parameters held
   as arrays rather than scalars, and per-terminal paging plans grouped
@@ -50,23 +51,26 @@ Bounded memory
 --------------
 
 No per-terminal history is ever materialized: a shard holds its
-parameter columns, one position array, and four per-terminal event
-counters -- order 100 bytes per terminal -- and everything that leaves
-the shard is an O(1) :class:`ShardSnapshot` aggregate.  The fleet bench
-gate (``benchmarks/bench_throughput.py --fleet``) asserts the RSS
-bound at 100k terminals in CI and 1M+ nightly.
+parameter columns and their integer event cuts, one position array,
+two per-terminal event counters (updates and polled cells, the two
+that feed per-terminal costs), and two hash buffers reused every slot
+-- order 100 bytes per terminal.  Moves and calls are shard totals,
+and everything that leaves the shard is an O(1)
+:class:`ShardSnapshot` aggregate.  The fleet bench gate
+(``benchmarks/bench_throughput.py --fleet``) asserts the RSS bound at
+100k terminals in CI and 1M+ nightly.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import shutil
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -79,8 +83,7 @@ from ..geometry.line import LineTopology
 from ..geometry.square import SquareTopology
 from ..geometry.topology import CellTopology
 from ..observability import context as _obs_context
-from ..paging import sdf_partition
-from ..persist import atomic_write_json
+from ..persist import atomic_write_json, read_checkpoint
 from ..workload.profiles import Population
 from .kernels import (
     _INV53,
@@ -88,13 +91,13 @@ from .kernels import (
     STREAM_CALL as _STREAM_CALL,
     STREAM_DIRECTION as _STREAM_DIRECTION,
     STREAM_EVENT as _STREAM_EVENT,
-    counter_uniforms as _counter_uniforms,
-    mix64 as _mix64,
+    mix64_into as _mix64_into,
     slot_key as _slot_key,
     terminal_keys as _terminal_keys,
+    uniform_cuts as _uniform_cuts,
 )
 from .runner import _resolve_workers
-from .vectorized import _EVENT_MODES, _Z95, _lattice_kernel
+from .vectorized import _EVENT_MODES, _Z95, _column_kernel, _paging_tables
 
 __all__ = [
     "FleetSpec",
@@ -145,6 +148,13 @@ def _json_delay(m) -> object:
     return "inf" if m == math.inf else m
 
 
+#: The per-terminal columns of a :class:`FleetSpec`, in fingerprint and
+#: spill order.
+_SPEC_COLUMNS = (
+    "q", "c", "update_cost", "poll_cost", "threshold", "profile_index"
+)
+
+
 @dataclass(frozen=True)
 class FleetSpec:
     """A heterogeneous population as per-terminal parameter columns.
@@ -155,7 +165,8 @@ class FleetSpec:
     :meth:`Population.sample_arrays` -- explicit seeds are required
     precisely so this spec can be re-derived), and
     :meth:`fingerprint` digests the realized arrays for checkpoint
-    identity.
+    identity.  Construction marks the columns read-only, so the digest
+    is computed once per spec.
     """
 
     topology: CellTopology
@@ -182,6 +193,9 @@ class FleetSpec:
                     f"FleetSpec column {name!r} has shape {column.shape}, "
                     f"expected ({count},)"
                 )
+        for name in _SPEC_COLUMNS:
+            if not np.isfinite(getattr(self, name)).all():
+                raise ParameterError(f"FleetSpec column {name!r} is not finite")
         if np.any(self.q <= 0) or np.any(self.c < 0) or np.any(self.q + self.c > 1.0):
             raise ParameterError(
                 "per-terminal mobility out of range: need q > 0, c >= 0, "
@@ -195,6 +209,8 @@ class FleetSpec:
             self.profile_index >= len(self.profile_names)
         ):
             raise ParameterError("profile_index out of range for profile_names")
+        for name in _SPEC_COLUMNS:
+            getattr(self, name).flags.writeable = False
 
     @property
     def count(self) -> int:
@@ -202,6 +218,10 @@ class FleetSpec:
 
     def fingerprint(self) -> str:
         """SHA-256 identity of the realized population + geometry."""
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         digest = hashlib.sha256()
         digest.update(
             repr(
@@ -215,11 +235,8 @@ class FleetSpec:
                 )
             ).encode()
         )
-        for column in (
-            self.q, self.c, self.update_cost, self.poll_cost,
-            self.threshold, self.profile_index,
-        ):
-            digest.update(np.ascontiguousarray(column).tobytes())
+        for name in _SPEC_COLUMNS:
+            digest.update(np.ascontiguousarray(getattr(self, name)).tobytes())
         return digest.hexdigest()
 
     def profile_counts(self) -> Dict[str, int]:
@@ -538,14 +555,16 @@ class FleetShardEngine:
     The :class:`VectorizedDistanceEngine` chain generalized to
     per-terminal parameter *arrays*: thresholds, mobilities, and costs
     all vary terminal by terminal, with per-terminal SDF paging plans
-    grouped into ``(d, m)`` lookup classes.  Randomness is the
-    stateless counter hash keyed by each terminal's *global* fleet
+    grouped into one lookup row per distinct threshold.  Randomness is
+    the stateless counter hash keyed by each terminal's *global* fleet
     index (``global_offset + local index``), which is what makes fleet
     totals invariant under the shard layout -- see the module
-    docstring.
+    docstring.  A slot compares every terminal's hash with integer
+    cuts, then touches only the callers and movers the compare lists.
 
-    State is O(terminals): positions, per-terminal event counters, and
-    shard-level scalars.  Nothing per-slot is retained.
+    State is O(terminals): ``(dims, K)`` int32 positions (hex cells in
+    cube form), update and polled-cell counters, and shard-level
+    scalars.  Nothing per-slot is retained.
     """
 
     def __init__(
@@ -572,46 +591,48 @@ class FleetShardEngine:
         self.event_mode = event_mode
         self.seed = int(seed)
         self.global_offset = int(global_offset)
-        self._q = np.ascontiguousarray(q, dtype=np.float64)
-        self._c = np.ascontiguousarray(c, dtype=np.float64)
-        self._qc = self._q + self._c
+        q = np.asarray(q, dtype=np.float64)
+        # Integer cuts on the event and call draws.  Exclusive: one event
+        # draw calls below the call cut, else moves below the cut of the
+        # rounded q + c (raised to the call cut).  Independent: the event
+        # draw moves and a call-stream draw calls.
+        call_cut = _uniform_cuts(c)
+        if event_mode == "exclusive":
+            event_cut = np.maximum(_uniform_cuts(q + c), call_cut)
+        else:
+            event_cut = _uniform_cuts(q)
+        self._cuts = (event_cut, call_cut)
         self._update_cost = np.ascontiguousarray(update_cost, dtype=np.float64)
         self._poll_cost = np.ascontiguousarray(poll_cost, dtype=np.float64)
         self._threshold = np.ascontiguousarray(threshold, dtype=np.int64)
         self._profile = np.ascontiguousarray(profile_index, dtype=np.int64)
-        self.terminals = int(self._q.shape[0])
+        self.terminals = K = int(q.shape[0])
         self.n_profiles = int(n_profiles)
-        if self.terminals < 1:
+        if K < 1:
             raise ParameterError("shard needs at least one terminal")
-        self._dirs, self._distance = _lattice_kernel(topology)
-        self._degree = int(self._dirs.shape[0])
-        # Per-terminal paging plans, grouped into (d, m) classes: row i
-        # of the lookup tables serves every terminal whose threshold is
-        # unique_d[i].  ring -> 0-based polling cycle, and cycle ->
-        # cumulative cells polled (w_j of eqn (64)).
-        unique_d = np.unique(self._threshold)
-        self._class_idx = np.ascontiguousarray(
-            np.searchsorted(unique_d, self._threshold), dtype=np.int64
-        )
-        plans = [sdf_partition(int(d), self.max_delay) for d in unique_d]
-        max_d = int(unique_d[-1])
-        self.max_cycles = max(plan.delay_bound for plan in plans)
-        self._ring_to_cycle = np.zeros((len(plans), max_d + 1), dtype=np.int64)
-        self._cum_polled = np.zeros((len(plans), self.max_cycles), dtype=np.int64)
-        for row, plan in enumerate(plans):
-            for cycle, group in enumerate(plan.subareas):
-                for ring in group:
-                    self._ring_to_cycle[row, ring] = cycle
-            cumulative = np.asarray(
-                plan.cumulative_polled(topology), dtype=np.int64
-            )
-            self._cum_polled[row, : cumulative.shape[0]] = cumulative
-            # Pad defensively: a class never pages past its own plan's
-            # delay bound, but keep the tail monotone anyway.
-            self._cum_polled[row, cumulative.shape[0]:] = cumulative[-1]
-        # Hash keys of the *global* terminal indices, fixed once.
-        self._idx_keys = _terminal_keys(self.global_offset, self.terminals)
-        self._pos = np.zeros((self.terminals, self._dirs.shape[1]), dtype=np.int64)
+        self._steps, self._ring_reduce = _column_kernel(topology)
+        self._degree = self._steps.shape[1] - 1
+        # One SDF paging plan per distinct threshold d: row _plan_of[d]
+        # of the lookup tables maps ring -> 0-based polling cycle, and
+        # cycle -> cumulative cells polled (w_j of eqn (64)).
+        distinct = np.flatnonzero(np.bincount(self._threshold))
+        self._plan_of = np.zeros(distinct[-1] + 1, dtype=np.intp)
+        self._plan_of[distinct] = np.arange(distinct.size)
+        tables = [_paging_tables(None, d, self.max_delay, topology)
+                  for d in distinct.tolist()]
+        self.max_cycles = max(plan.delay_bound for plan, _, _ in tables)
+        self._ring_to_cycle = np.zeros((len(tables), distinct[-1] + 1), np.int64)
+        self._cum_polled = np.zeros((len(tables), self.max_cycles), np.int64)
+        for row, (_, ring_to_cycle, cumulative) in enumerate(tables):
+            self._ring_to_cycle[row, : ring_to_cycle.size] = ring_to_cycle
+            # Pad: no plan pages past its delay bound; keep tails monotone.
+            self._cum_polled[row] = cumulative[-1]
+            self._cum_polled[row, : cumulative.size] = cumulative
+        # Keys of the *global* terminal indices, and slot scratch space.
+        self._idx_keys = _terminal_keys(self.global_offset, K)
+        self._hash_buffers = (np.empty(K, np.uint64), np.empty(K, np.uint64))
+        self._hits = np.empty(K, dtype=bool)
+        self._pos = np.zeros((self._steps.shape[0], K), dtype=np.int32)
         self.slot = 0
         self.reset_meters()
 
@@ -621,17 +642,24 @@ class FleetShardEngine:
         """Zero the shard's accounting (positions and slot clock kept)."""
         K = self.terminals
         self._metered_slots = 0
-        self._moves = np.zeros(K, dtype=np.int64)
+        self._moves = self._calls = 0
         self._updates = np.zeros(K, dtype=np.int64)
-        self._calls = np.zeros(K, dtype=np.int64)
         self._polled = np.zeros(K, dtype=np.int64)
-        self._cost_sum = 0.0
-        self._cost_sq_sum = 0.0
+        self._cost_sum = self._cost_sq_sum = 0.0
         self._delay_counts = np.zeros(self.max_cycles, dtype=np.int64)
 
-    def _uniforms(self, stream: int, slot: int) -> np.ndarray:
-        """One U(0,1) per terminal for ``(stream, slot)``, layout-free."""
-        return _counter_uniforms(self._idx_keys, self.seed, stream, slot)
+    def _hash_bits(self, stream: int, slot: int, rows=None) -> np.ndarray:
+        """Top 53 bits of the counter hash of ``(stream, slot)`` for every
+        terminal, or for ``rows``, written into the shard's buffer."""
+        keys = self._idx_keys if rows is None else self._idx_keys[rows]
+        x, scratch = (buffer[: keys.size] for buffer in self._hash_buffers)
+        np.bitwise_xor(keys, _slot_key(self.seed, stream, slot), out=x)
+        _mix64_into(x, scratch)
+        x >>= _S11
+        return x
+
+    def _ring(self, pos: np.ndarray) -> np.ndarray:
+        return self._ring_reduce.reduce(np.abs(pos), axis=0)
 
     def run(self, slots: int) -> None:
         """Advance every terminal in the shard ``slots`` slots."""
@@ -642,54 +670,53 @@ class FleetShardEngine:
 
     def _step(self) -> None:
         t = self.slot
-        u = self._uniforms(_STREAM_EVENT, t)
-        called = u < self._c
+        event_cut, call_cut = self._cuts
+        bits = self._hash_bits(_STREAM_EVENT, t)
+        events = np.flatnonzero(np.less(bits, event_cut, out=self._hits))
         if self.event_mode == "exclusive":
-            moved = (~called) & (u < self._qc)
+            called = bits[events] < call_cut[events]
+            callers, movers = events[called], events[~called]
         else:
-            moved = u < self._q
-            called = self._uniforms(_STREAM_CALL, t) < self._c
+            movers = events
+            bits = self._hash_bits(_STREAM_CALL, t)
+            callers = np.flatnonzero(np.less(bits, call_cut, out=self._hits))
         slot_cost = 0.0
         # Calls first -- the same within-slot order as the per-cell and
         # vectorized engines.
-        if called.any():
-            slot_cost += self._handle_calls(called)
-        if moved.any():
-            slot_cost += self._handle_moves(moved, t)
+        if callers.size:
+            plan = self._plan_of[self._threshold[callers]]
+            rings = self._ring(self._pos.take(callers, axis=1))
+            cycles = self._ring_to_cycle[plan, rings]
+            polled = self._cum_polled[plan, cycles]
+            self._calls += callers.size
+            self._polled[callers] += polled
+            self._delay_counts += np.bincount(cycles, minlength=self.max_cycles)
+            slot_cost += float(self._poll_cost[callers] @ polled)
+            # Pinpointed terminals re-center: relative position resets.
+            for row in self._pos:
+                row[callers] = 0
+        if movers.size:
+            # Directions keep the float draw int(u * degree).
+            bits = self._hash_bits(_STREAM_DIRECTION, t, movers)
+            u = bits.astype(np.float64) * _INV53
+            direction = (u * self._degree).astype(np.intp)
+            pos = self._pos.take(movers, axis=1)
+            pos += self._steps.take(direction, axis=1)
+            # Crossing the residing-area boundary triggers an update and
+            # re-centers the terminal.
+            crossed = self._ring(pos) > self._threshold[movers]
+            pos[:, crossed] = 0
+            for row, values in zip(self._pos, pos):  # 1-D scatters beat one 2-D
+                row[movers] = values
+            self._moves += movers.size
+            updating = movers[crossed]
+            if updating.size:
+                self._updates[updating] += 1
+                slot_cost += float(self._update_cost[updating].sum())
         self._cost_sum += slot_cost
         self._cost_sq_sum += slot_cost * slot_cost
         self._metered_slots += 1
         self.slot += 1
-
-    def _handle_calls(self, called: np.ndarray) -> float:
-        rings = self._distance(self._pos[called])
-        classes = self._class_idx[called]
-        cycles = self._ring_to_cycle[classes, rings]
-        polled = self._cum_polled[classes, cycles]
-        self._calls[called] += 1
-        self._polled[called] += polled
-        np.add.at(self._delay_counts, cycles, 1)
-        cost = float(self._poll_cost[called] @ polled)
-        # Pinpointed terminals re-center: relative position resets.
-        self._pos[called] = 0
-        return cost
-
-    def _handle_moves(self, moved: np.ndarray, slot: int) -> float:
-        movers = np.nonzero(moved)[0]
-        h = _mix64(self._idx_keys[movers] ^ _slot_key(self.seed, _STREAM_DIRECTION, slot))
-        directions = (
-            (h >> _S11).astype(np.float64) * _INV53 * self._degree
-        ).astype(np.int64)
-        self._pos[movers] += self._dirs[directions]
-        self._moves[movers] += 1
-        distances = self._distance(self._pos[movers])
-        updating = movers[distances > self._threshold[movers]]
-        cost = 0.0
-        if updating.size:
-            self._updates[updating] += 1
-            cost = float(self._update_cost[updating].sum())
-            self._pos[updating] = 0
-        return cost
 
     # ------------------------------------------------------------------
 
@@ -697,30 +724,20 @@ class FleetShardEngine:
         """Freeze the shard's aggregates (no per-terminal data leaves)."""
         slots = self._metered_slots
         K = self.terminals
-        update_cost = float(
-            self._updates.astype(np.float64) @ self._update_cost
-        )
+        update_cost = float(self._updates.astype(np.float64) @ self._update_cost)
         paging_cost = float(self._polled.astype(np.float64) @ self._poll_cost)
-        if slots:
-            # Per-slot shard cost, normalized per terminal: mean and a
-            # CLT half-width over slots (the batch dimension).
-            mean_slot = self._cost_sum / slots / K
-        else:
-            mean_slot = 0.0
+        # Per-slot shard cost, normalized per terminal: mean and a CLT
+        # half-width over slots (the batch dimension).
+        mean_slot = self._cost_sum / slots / K if slots else 0.0
         if slots >= 2:
             per_terminal_sq = self._cost_sq_sum / (K * K)
             var = max(per_terminal_sq / slots - mean_slot * mean_slot, 0.0)
             half = _Z95 * math.sqrt(var / slots)
         else:
             half = math.inf
-        calls = int(self._calls.sum())
-        if calls:
-            delay = float(
-                np.arange(1, self.max_cycles + 1, dtype=np.float64)
-                @ self._delay_counts
-            ) / calls
-        else:
-            delay = 0.0
+        cycles = np.arange(1, self.max_cycles + 1, dtype=np.float64)
+        weighted = float(cycles @ self._delay_counts)
+        delay = weighted / self._calls if self._calls else 0.0
         profile_terminals = np.bincount(self._profile, minlength=self.n_profiles)
         profile_update = np.bincount(
             self._profile,
@@ -737,9 +754,9 @@ class FleetShardEngine:
             start=self.global_offset,
             stop=self.global_offset + K,
             slots=slots,
-            moves=int(self._moves.sum()),
+            moves=self._moves,
             updates=int(self._updates.sum()),
-            calls=calls,
+            calls=self._calls,
             polled_cells=int(self._polled.sum()),
             update_cost=update_cost,
             paging_cost=paging_cost,
@@ -778,12 +795,6 @@ def shard_bounds(count: int, shards: int) -> Tuple[Tuple[int, int], ...]:
         bounds.append((lo, hi))
         lo = hi
     return tuple(bounds)
-
-
-#: Column order of the spill files / array bundle shipped to shards.
-_SPEC_COLUMNS = (
-    "q", "c", "update_cost", "poll_cost", "threshold", "profile_index"
-)
 
 
 def _spill_spec(spec: FleetSpec, directory: Path) -> Dict[str, str]:
@@ -894,11 +905,7 @@ def _load_fleet_checkpoint(
     path: Path, fingerprint: dict
 ) -> Dict[int, ShardSnapshot]:
     """Read a fleet checkpoint, validating it belongs to this run."""
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParameterError(f"unreadable fleet checkpoint {path}: {exc}") from exc
-    stored = payload.get("fingerprint") or {}
+    payload, stored = read_checkpoint(path, "fleet checkpoint")
     version = stored.get("version")
     if version != _FLEET_CHECKPOINT_VERSION:
         raise ParameterError(
@@ -913,10 +920,13 @@ def _load_fleet_checkpoint(
             "(population/topology/shard layout/slots/seed differ); delete "
             "it or point the run at a fresh path"
         )
-    return {
-        int(entry["index"]): ShardSnapshot.from_dict(entry["snapshot"])
-        for entry in payload["shards"]
-    }
+    try:
+        return {
+            int(entry["index"]): ShardSnapshot.from_dict(entry["snapshot"])
+            for entry in payload["shards"]
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed fleet checkpoint {path}: {exc!r}") from exc
 
 
 def _write_fleet_checkpoint(

@@ -8,6 +8,13 @@ re-exports the old names).  Every uniform is a hash of ``(seed,
 stream, slot, global terminal index)``, so a terminal's trajectory
 does not depend on the batch or shard it is stepped in, and the two
 engines replay the same trajectory for the same keys.
+
+:func:`mix64` allocates its result, which suits the small key grids the
+vectorized engine hashes; :func:`mix64_into` runs the same finalizer in
+place over a caller's buffer, so the fleet step hashes a whole shard's
+slot into two preallocated columns.  :func:`uniform_cuts` turns
+probabilities into integer cuts on the top 53 hash bits, so a shard
+classifies events without converting hashes to floats.
 """
 
 from __future__ import annotations
@@ -24,9 +31,11 @@ __all__ = [
     "drifted_directions",
     "key_uniforms",
     "mix64",
+    "mix64_into",
     "slot_key",
     "slot_keys",
     "terminal_keys",
+    "uniform_cuts",
 ]
 
 # -- stateless counter-based randomness --------------------------------
@@ -42,6 +51,7 @@ _MIX_B = np.uint64(0x94D049BB133111EB)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _S11 = np.uint64(11)
 _INV53 = 2.0**-53
+_TWO53 = 2.0**53
 
 #: Independent hash streams: slot-event classification, movement
 #: direction, and the independent-mode call draw.
@@ -58,6 +68,34 @@ def mix64(x: np.ndarray) -> np.ndarray:
     x = (x ^ (x >> _S30)) * _MIX_A
     x = (x ^ (x >> _S27)) * _MIX_B
     return x ^ (x >> _S31)
+
+
+def mix64_into(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """:func:`mix64` of the uint64 array ``x`` in place; ``scratch``, of
+    the same shape, holds the shifted operands.  Returns ``x``."""
+    np.right_shift(x, _S30, out=scratch)
+    x ^= scratch
+    x *= _MIX_A
+    np.right_shift(x, _S27, out=scratch)
+    x ^= scratch
+    x *= _MIX_B
+    np.right_shift(x, _S31, out=scratch)
+    x ^= scratch
+    return x
+
+
+def uniform_cuts(p: np.ndarray) -> np.ndarray:
+    """uint64 cuts with ``(h >> 11) < uniform_cuts(p)`` exactly when the
+    uniform ``(h >> 11) * 2**-53`` of :func:`key_uniforms` is below ``p``.
+
+    Scaling by a power of two is exact, so ``k * 2**-53 < p`` is ``k <
+    p * 2**53``, which for an integer ``k`` is ``k < ceil(p * 2**53)``.
+    The cut is clamped to ``[0, 2**53]``, and NaN, which no uniform is
+    below, cuts at 0.
+    """
+    with np.errstate(over="ignore"):  # p >= 2**971 scales to inf: cut 2**53
+        scaled = np.ceil(np.asarray(p, dtype=np.float64) * _TWO53)
+    return np.fmin(np.fmax(scaled, 0.0), _TWO53).astype(np.uint64)
 
 
 def slot_key(seed: int, stream: int, slot: int) -> np.uint64:

@@ -46,7 +46,6 @@ of the pool forever.
 
 from __future__ import annotations
 
-import json
 import math
 import pickle
 import time
@@ -63,7 +62,7 @@ from ..core.parameters import CostParams, MobilityParams
 from ..exceptions import ParameterError
 from ..geometry.topology import Cell, CellTopology
 from ..observability import context as _obs_context
-from ..persist import atomic_write_json
+from ..persist import atomic_write_json, read_checkpoint
 from ..strategies.base import UpdateStrategy
 from .engine import SimulationEngine, strategy_labels
 from .metrics import CostMeter, MeterSnapshot
@@ -207,11 +206,7 @@ def _load_checkpoint(
     keyed by replication index (completion order is arbitrary under a
     worker pool).
     """
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParameterError(f"unreadable checkpoint {path}: {exc}") from exc
-    stored = payload.get("fingerprint") or {}
+    payload, stored = read_checkpoint(path, "checkpoint")
     version = stored.get("version")
     if version != _CHECKPOINT_VERSION:
         raise ParameterError(
@@ -227,19 +222,22 @@ def _load_checkpoint(
             "(topology/strategy/start/seed/slots/replications/parameters "
             "differ); delete it or point the run at a fresh path"
         )
-    completed = {
-        int(entry["index"]): MeterSnapshot.from_dict(entry["snapshot"])
-        for entry in payload["snapshots"]
-    }
-    partials = {
-        int(p["index"]): PartialReplication(
-            index=int(p["index"]),
-            completed_slots=int(p["completed_slots"]),
-            target_slots=int(p["target_slots"]),
-            snapshot=MeterSnapshot.from_dict(p["snapshot"]),
-        )
-        for p in payload.get("partials", [])
-    }
+    try:
+        completed = {
+            int(entry["index"]): MeterSnapshot.from_dict(entry["snapshot"])
+            for entry in payload["snapshots"]
+        }
+        partials = {
+            int(p["index"]): PartialReplication(
+                index=int(p["index"]),
+                completed_slots=int(p["completed_slots"]),
+                target_slots=int(p["target_slots"]),
+                snapshot=MeterSnapshot.from_dict(p["snapshot"]),
+            )
+            for p in payload.get("partials", [])
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed checkpoint {path}: {exc!r}") from exc
     return completed, partials
 
 

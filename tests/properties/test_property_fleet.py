@@ -7,8 +7,16 @@ any shard count, and with integer-valued costs the cost totals must be
 exactly equal too -- not statistically close, bit-for-bit equal as
 Python numbers.  This is the contract that makes fleet checkpoints
 safe to re-shard-oblivious resume and the conformance oracles sharp.
+
+The shard step classifies events with integer cuts on the top 53 hash
+bits instead of float uniforms; the second property pins that the two
+comparisons agree for every probability, grid points and their float
+neighbours included.
 """
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +24,7 @@ from hypothesis import strategies as st
 from repro import CostParams
 from repro.geometry import HexTopology, LineTopology, SquareTopology
 from repro.simulation.fleet import FleetSpec, run_fleet
+from repro.simulation.kernels import uniform_cuts
 from repro.workload import DEFAULT_MIX, Population
 
 pytestmark = pytest.mark.slow
@@ -81,3 +90,30 @@ def test_fleet_totals_invariant_under_shard_count(
         assert result.mean_paging_delay == pytest.approx(
             base.mean_paging_delay
         ), context
+
+
+#: Probabilities in [0, 1]: any float, the uniform grid j * 2**-53, and
+#: the grid points' nearest float neighbours.
+PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**53)
+    .map(lambda j: j * 2.0**-53)
+    .flatmap(
+        lambda p: st.sampled_from(
+            [math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf)]
+        )
+    )
+    .filter(lambda p: 0.0 <= p <= 1.0),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(k=st.integers(min_value=0, max_value=2**53 - 1), p=PROBABILITIES)
+def test_integer_cut_matches_the_float_uniform(k, p):
+    cut = int(uniform_cuts(np.array([p]))[0])
+    assert 0 <= cut <= 2**53
+    # k itself and the top-53-bit values on either side of the cut.
+    edges = {bits for bits in (cut - 1, cut, cut + 1) if 0 <= bits < 2**53}
+    for bits in edges | {k}:
+        assert (bits < cut) == (bits * 2.0**-53 < p), (bits, cut)

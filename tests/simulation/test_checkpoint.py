@@ -128,6 +128,23 @@ class TestCheckpointResume:
         with pytest.raises(ParameterError):
             campaign(checkpoint=path)
 
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda payload: [],
+            lambda payload: {"fingerprint": 3},
+            lambda payload: {"fingerprint": payload["fingerprint"]},
+            lambda payload: {**payload, "snapshots": [{"index": 0}]},
+        ],
+        ids=["array", "scalar-fingerprint", "no-snapshots", "entry-without-snapshot"],
+    )
+    def test_malformed_checkpoint_refused(self, tmp_path, mangle):
+        path = tmp_path / "campaign.json"
+        campaign(checkpoint=path, replications=2, slots=500)
+        path.write_text(json.dumps(mangle(json.loads(path.read_text()))))
+        with pytest.raises(ParameterError, match="malformed checkpoint"):
+            campaign(checkpoint=path, replications=2, slots=500)
+
 
 class TestCheckpointIdentity:
     """The fingerprint must pin down *what* was simulated, not just how much."""

@@ -1,5 +1,6 @@
 """Sharded fleet engine: layout invariance, checkpoints, accounting."""
 
+import hashlib
 import json
 import math
 
@@ -10,6 +11,7 @@ from repro import CostParams, MobilityParams
 from repro.exceptions import ParameterError
 from repro.geometry import HexTopology, LineTopology, SquareTopology
 from repro.observability import context as obs_context
+from repro.simulation import fleet as fleet_module
 from repro.simulation.fleet import (
     FleetShardEngine,
     FleetSpec,
@@ -91,6 +93,55 @@ class TestFleetSpec:
                 max_delay=2,
                 population_seed=0,
             )
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("q", math.nan),
+            ("c", math.nan),
+            ("update_cost", math.nan),
+            ("poll_cost", math.inf),
+            ("update_cost", -math.inf),
+        ],
+    )
+    def test_rejects_non_finite_columns(self, column, value):
+        # Every range check compares, and NaN fails every comparison.
+        columns = dict(
+            q=np.full(4, 0.2),
+            c=np.full(4, 0.01),
+            update_cost=np.full(4, 10.0),
+            poll_cost=np.full(4, 1.0),
+        )
+        columns[column][1] = value
+        with pytest.raises(ParameterError, match=f"{column!r} is not finite"):
+            FleetSpec(
+                topology=HexTopology(),
+                threshold=np.full(4, 2, dtype=np.int64),
+                profile_index=np.zeros(4, dtype=np.int32),
+                profile_names=("only",),
+                max_delay=2,
+                population_seed=0,
+                **columns,
+            )
+
+    def test_columns_are_read_only_and_hashed_once(self, monkeypatch):
+        spec = FleetSpec.homogeneous(HexTopology(), 3, MOBILITY, COSTS, 2, 64)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.q[0] = 0.5
+        header = (repr(spec.topology), 2, ("uniform",), 0, spec.description, 64)
+        digest = hashlib.sha256(repr(header).encode())
+        for name in ("q", "c", "update_cost", "poll_cost", "threshold", "profile_index"):
+            digest.update(getattr(spec, name).tobytes())
+        hashed = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(
+            fleet_module.hashlib, "sha256", lambda *a: hashed.append(a) or sha256(*a)
+        )
+        run_fleet(spec, slots=5, seed=1)
+        assert len(hashed) == 1
+        run_fleet(spec, slots=5, seed=2)
+        assert spec.fingerprint() == digest.hexdigest()
+        assert len(hashed) == 1
 
     def test_fingerprint_tracks_population_identity(self, spec):
         same = FleetSpec.from_population(
@@ -280,6 +331,23 @@ class TestFleetCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(ParameterError, match="schema version"):
             run_fleet(spec, slots=60, shards=2, seed=3, checkpoint=path)
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda payload: [],
+            lambda payload: {"fingerprint": 3},
+            lambda payload: {"fingerprint": payload["fingerprint"]},
+            lambda payload: {**payload, "shards": [{"index": 0}]},
+        ],
+        ids=["array", "scalar-fingerprint", "no-shards", "shard-without-snapshot"],
+    )
+    def test_refuses_malformed_checkpoint(self, spec, tmp_path, mangle):
+        path = tmp_path / "fleet.ckpt.json"
+        run_fleet(spec, slots=10, shards=2, seed=3, checkpoint=path)
+        path.write_text(json.dumps(mangle(json.loads(path.read_text()))))
+        with pytest.raises(ParameterError, match="malformed fleet checkpoint"):
+            run_fleet(spec, slots=10, shards=2, seed=3, checkpoint=path)
 
     def test_refuses_unreadable_checkpoint(self, spec, tmp_path):
         path = tmp_path / "fleet.ckpt.json"
