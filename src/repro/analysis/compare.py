@@ -260,17 +260,18 @@ def run_tournament(
     )
 
     model_cls = MODEL_CLASSES[model_name]
-    models: Dict[Tuple[float, float], object] = {}
+    model = None
     baseline_memo: Dict[tuple, List[SchemeOutcome]] = {}
 
     points: List[TournamentPoint] = []
     for sweep_point in sweep_result.points:
         mobility = MobilityParams(sweep_point.q, sweep_point.c)
         costs = CostParams(sweep_point.update_cost, sweep_point.poll_cost)
-        model_key = (sweep_point.q, sweep_point.c)
-        model = models.get(model_key)
-        if model is None:
-            model = models[model_key] = model_cls(mobility)
+        # Points of one (q, c) are consecutive in the row-major order:
+        # one model serves them all, so its steady-state solve is shared
+        # by every delay bound's joint policy.
+        if model is None or (model.q, model.c) != (sweep_point.q, sweep_point.c):
+            model = model_cls(mobility)
         topology = model.topology
 
         outcomes: List[SchemeOutcome] = [

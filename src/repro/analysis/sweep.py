@@ -194,12 +194,19 @@ def _solve_grid_point(
     d_max: int,
     convention: str,
     plan_factory: Optional[PlanFactory],
+    models: Optional[Dict[Tuple[float, float], MobilityModel]] = None,
 ) -> Tuple[int, SweepPoint]:
     """Solve one grid point for its optimal threshold.
 
     Module-level so worker processes can pickle and run it; both the
     serial and the pooled path go through this exact function, which is
     what makes ``workers=N`` output identical to a serial sweep.
+
+    A serial sweep passes one ``models`` dict for all its points; it
+    keeps the model of the last ``(q, c)`` solved, so the points of one
+    chain -- consecutive in the row-major order -- share its memoized
+    steady-state solve.  Sharing is bit-identical: the memo returns the
+    matrix a fresh solve would compute.
 
     Any failure is re-raised as a :class:`SweepPointError` carrying the
     point's parameters: under a process pool, ``future.result()`` would
@@ -212,10 +219,14 @@ def _solve_grid_point(
         "U": update_cost, "V": poll_cost, "m": max_delay,
     }
     try:
-        model_cls = MODEL_CLASSES[model_name]
-        model: MobilityModel = model_cls(
-            MobilityParams(move_probability=q, call_probability=c)
-        )
+        model = None if models is None else models.get((q, c))
+        if model is None:
+            model = MODEL_CLASSES[model_name](
+                MobilityParams(move_probability=q, call_probability=c)
+            )
+            if models is not None:
+                models.clear()
+                models[(q, c)] = model
         costs = CostParams(update_cost=update_cost, poll_cost=poll_cost)
         solution = find_optimal_threshold(
             model,
@@ -483,8 +494,9 @@ def grid_sweep(
         d_max=d_max,
     ):
         if pool_size is None:
+            models: Dict[Tuple[float, float], MobilityModel] = {}
             for index in range(len(combos)):
-                i, point = _solve_grid_point(*job_args(index))
+                i, point = _solve_grid_point(*job_args(index), models)
                 solved[i] = point
         else:
             try:

@@ -45,17 +45,31 @@ LA:
 
 (the hex LA exposes ``6 (2n + 1)`` of its ``6 g(n)`` edges), and
 ``C_v = c V g(n)`` since the whole LA is polled each call.
+
+Optimizing a baseline
+---------------------
+
+Each ``optimal_*`` function prices every candidate parameter in one
+array pass -- the movement and timer costs are running sums,
+``W_M = sum_{k<M} r^k`` and ``sum_{k<M} r^k g(k)`` for movement,
+``sum_{s<T} (1-c)^s`` and ``sum_{s<T-1} (1-c)^s g(s+1)`` for the
+timer -- and hands that curve to
+:func:`~repro.core.optimizers.screened_scan`, which replays the
+ascending strict-improvement scan and prices a candidate with the
+scalar cost function only where the curve's float error could change a
+comparison.  The winner is exactly the one a scan of the scalar costs
+picks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..exceptions import ParameterError
 from ..geometry.topology import CellTopology
+from .optimizers import screened_scan
 from .parameters import CostParams, MobilityParams
 
 __all__ = [
@@ -103,7 +117,7 @@ def movement_based_costs(
     r = q / (q + c) if (q + c) > 0 else 0.0
     weights = np.array([1.0] + [r**k for k in range(1, M)])
     p = weights / weights.sum()
-    g = np.array([topology.coverage(k) for k in range(M)], dtype=float)
+    g = _coverage(topology, M)
     update = costs.update_cost * q * p[M - 1]
     paging = c * costs.poll_cost * float(p @ g)
     return BaselineCosts(
@@ -156,31 +170,94 @@ def location_area_costs(
     _validate(topology, radius, "radius", 0)
     q, c = mobility.q, mobility.c
     cells = topology.coverage(radius)
-    if topology.dimensions == 1:
-        crossing_rate = q / cells
-    elif topology.degree in (4, 6):
-        crossing_rate = q * (2 * radius + 1) / cells
-    else:
-        raise ParameterError(
-            "location_area_costs supports line, hex, and square geometries, "
-            f"got {topology!r}"
-        )
-    update = costs.update_cost * crossing_rate
+    update = costs.update_cost * _la_crossing_rate(topology, q, radius, cells)
     paging = c * costs.poll_cost * cells
     return BaselineCosts(
         scheme="location-area", parameter=radius, update_cost=update, paging_cost=paging
     )
 
 
-def _argmin(evaluate, lo: int, hi: int) -> int:
-    best = lo
-    best_value = math.inf
-    for parameter in range(lo, hi + 1):
-        value = evaluate(parameter).total_cost
-        if value < best_value - 1e-15:
-            best_value = value
-            best = parameter
-    return best
+def _la_crossing_rate(topology: CellTopology, q: float, radius, cells):
+    """LA-boundary crossing rate; ``radius`` and ``cells`` may be arrays."""
+    if topology.dimensions == 1:
+        return q / cells
+    if topology.degree in (4, 6):
+        return q * (2 * radius + 1) / cells
+    raise ParameterError(
+        "location_area_costs supports line, hex, and square geometries, "
+        f"got {topology!r}"
+    )
+
+
+def _coverage(topology: CellTopology, count: int) -> np.ndarray:
+    """``g(0) .. g(count - 1)`` as floats."""
+    return np.array([topology.coverage(k) for k in range(count)], dtype=float)
+
+
+def _argmin(evaluate, curve: np.ndarray, lo: int) -> BaselineCosts:
+    """``evaluate`` at the parameter the 1e-15 strict-improvement scan of
+    ``lo, lo + 1, ...`` picks; ``curve[k]`` screens parameter ``lo + k``."""
+    best, _, _ = screened_scan(curve, lambda k: evaluate(lo + k).total_cost)
+    return evaluate(lo + best)
+
+
+def _movement_curve(
+    topology: CellTopology,
+    mobility: MobilityParams,
+    costs: CostParams,
+    max_threshold: int,
+) -> np.ndarray:
+    """Total cost of every movement threshold ``M = 1..max_threshold``.
+
+    ``C_T(M) = (U q r^{M-1} + c V sum_{k<M} r^k g(k)) / sum_{k<M} r^k``
+    as running sums; element ``M - 1`` agrees with
+    :func:`movement_based_costs` to float rounding.
+    """
+    q, c = mobility.q, mobility.c
+    r = q / (q + c) if (q + c) > 0 else 0.0
+    weights = r ** np.arange(max_threshold)
+    mass = np.cumsum(weights)
+    covered = np.cumsum(weights * _coverage(topology, weights.size))
+    return (
+        costs.update_cost * q * weights / mass
+        + c * costs.poll_cost * covered / mass
+    )
+
+
+def _timer_curve(
+    topology: CellTopology,
+    mobility: MobilityParams,
+    costs: CostParams,
+    max_period: int,
+) -> np.ndarray:
+    """Total cost of every timer period ``T = 1..max_period``.
+
+    With ``w_s = (1 - c)^s``: period ``T`` pages radius ``s + 1`` from
+    slot states ``s < T - 1`` and radius 0 (the timer just fired) from
+    state ``T - 1``, so ``C_T(T) = (U w_{T-1} + c V (sum_{s<T-1} w_s
+    g(s+1) + w_{T-1} g(0))) / sum_{s<T} w_s``; element ``T - 1`` agrees
+    with :func:`time_based_costs` to float rounding.
+    """
+    c = mobility.c
+    weights = (1.0 - c) ** np.arange(max_period)
+    mass = np.cumsum(weights)
+    ahead = np.cumsum(weights * _coverage(topology, weights.size + 1)[1:])
+    covered = np.concatenate(([0.0], ahead[:-1])) + weights * topology.coverage(0)
+    return costs.update_cost * weights / mass + c * costs.poll_cost * covered / mass
+
+
+def _la_curve(
+    topology: CellTopology,
+    mobility: MobilityParams,
+    costs: CostParams,
+    max_radius: int,
+) -> np.ndarray:
+    """Total cost of every LA radius ``n = 0..max_radius``; element ``n``
+    agrees with :func:`location_area_costs` to float rounding."""
+    radii = np.arange(max_radius + 1)
+    cells = _coverage(topology, radii.size)
+    rate = _la_crossing_rate(topology, mobility.q, radii, cells)
+    return costs.update_cost * rate + mobility.c * costs.poll_cost * cells
 
 
 def optimal_movement_threshold(
@@ -190,12 +267,11 @@ def optimal_movement_threshold(
     max_threshold: int = 100,
 ) -> BaselineCosts:
     """Best movement threshold ``M`` in ``1..max_threshold``."""
-    best = _argmin(
+    return _argmin(
         lambda M: movement_based_costs(topology, mobility, costs, M),
+        _movement_curve(topology, mobility, costs, max_threshold),
         1,
-        max_threshold,
     )
-    return movement_based_costs(topology, mobility, costs, best)
 
 
 def optimal_timer_period(
@@ -205,10 +281,11 @@ def optimal_timer_period(
     max_period: int = 200,
 ) -> BaselineCosts:
     """Best timer period ``T`` in ``1..max_period``."""
-    best = _argmin(
-        lambda T: time_based_costs(topology, mobility, costs, T), 1, max_period
+    return _argmin(
+        lambda T: time_based_costs(topology, mobility, costs, T),
+        _timer_curve(topology, mobility, costs, max_period),
+        1,
     )
-    return time_based_costs(topology, mobility, costs, best)
 
 
 def optimal_la_radius(
@@ -218,7 +295,8 @@ def optimal_la_radius(
     max_radius: int = 100,
 ) -> BaselineCosts:
     """Best LA size parameter ``n`` in ``0..max_radius``."""
-    best = _argmin(
-        lambda n: location_area_costs(topology, mobility, costs, n), 0, max_radius
+    return _argmin(
+        lambda n: location_area_costs(topology, mobility, costs, n),
+        _la_curve(topology, mobility, costs, max_radius),
+        0,
     )
-    return location_area_costs(topology, mobility, costs, best)

@@ -18,6 +18,12 @@ passes:
    so one triangular ``(D+1) x (D+1)`` sweep with ``u_{d,d} = 1``
    terminal conditions reproduces every per-``d`` recursive solve:
    step ``i`` updates column ``i - 1`` of all rows ``d >= i`` at once.
+   ``method="auto"`` takes that sweep only while
+   :func:`dense_recursion_fits` bounds its magnitudes inside float64,
+   and the per-row banded LU otherwise.  The last matrix solved is kept
+   on the model instance under its exact ``(method, d_max)``, so the
+   distance search, the jointly-optimal solver and every delay bound
+   that query one chain share one solve.
 2. :func:`batched_update_costs` turns the diagonal ``p_{d,d}`` into the
    full ``C_u(d)`` vector (eqn (61)) with the model's boundary-rate
    convention applied at ``d = 0``.
@@ -38,12 +44,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from ..exceptions import ParameterError, SolverError
+from ..observability.context import current as _observability
 from ..observability.tracing import traced
 from ..paging.plan import sdf_weights_batch
 from .models import MobilityModel
@@ -54,6 +61,7 @@ __all__ = [
     "CostSurfaceGrid",
     "banded_steady_state",
     "batched_steady_states",
+    "dense_recursion_fits",
     "batched_update_rates",
     "batched_update_costs",
     "compute_cost_surface",
@@ -70,14 +78,40 @@ _TIE_TOLERANCE = 1e-15
 #: The steady-state solver methods ``batched_steady_states`` accepts.
 _SOLVERS = ("auto", "dense", "banded")
 
-#: ``method="auto"`` switches from the dense triangular recursion to the
-#: banded LU above this ``d_max``.  The dense recursion carries
-#: unnormalized magnitudes that grow like ``prod(s_i / a_i) >= 2**d``
-#: (``s_i = a_i + b_i + c >= 2 a_i`` whenever ``b_i >= a_i``, true for
-#: every model in the library), so float64 overflows near ``d ~ 760``;
-#: 512 leaves a comfortable margin while keeping the dense path -- which
-#: is faster for small surfaces -- on every historical workload.
+#: ``method="auto"`` never takes the dense triangular recursion above
+#: this ``d_max``: past it the O(d) banded LU per row is the faster
+#: path anyway.
 BANDED_CUTOVER = 512
+
+#: ``method="auto"`` keeps the dense recursion only while its magnitude
+#: bound (see :func:`dense_recursion_fits`) stays below ``1e300``.
+_DENSE_LOG_LIMIT = math.log(1e300)
+
+
+def dense_recursion_fits(a: np.ndarray, b: np.ndarray, c: float) -> bool:
+    """Whether the backward recursion stays in float64 range for a chain.
+
+    With ``u_d = 1`` the recursion ``u_{i-1} = (u_i s_i - u_{i+1}
+    b_{i+1}) / a_{i-1}`` (``s_i = a_i + b_i + c``) never exceeds
+    ``prod_{k >= i} s_k / a_{k-1}``, which grows far faster than the
+    ``2**d`` of a fast walker when calls dominate moves: at ``q = 3e-4``,
+    ``c = 0.2`` each ring multiplies it by ~1335 and ``d = 100``
+    overflows.  ``method="auto"`` -- in :func:`batched_steady_states`
+    for every row ``d <= len(a) - 1`` at once, and in
+    :meth:`MobilityModel.steady_state` for one ``d`` -- takes the dense
+    recursion only when ``d <= BANDED_CUTOVER`` and
+    ``sum_{i <= d} ln(s_i / a_{i-1}) < ln(1e300)`` for every ``d``; the
+    banded LU, which only ever underflows, takes the rest.  The paper's
+    golden points use about 60% of that budget at most.
+    """
+    d = len(a) - 1
+    if d > BANDED_CUTOVER:
+        return False
+    if d == 0:
+        return True
+    with np.errstate(divide="ignore", over="ignore"):
+        growth = np.cumsum(np.log((a[1:] + b[1:] + c) / a[:-1]))
+    return bool(np.max(growth) < _DENSE_LOG_LIMIT)
 
 
 def _validate_solver(method: str) -> str:
@@ -163,25 +197,33 @@ def banded_steady_state(model: MobilityModel, d: int) -> np.ndarray:
     return pi
 
 
-@traced("analytic.batched_steady_states")
 def batched_steady_states(
     model: MobilityModel, d_max: int, method: str = "auto"
 ) -> np.ndarray:
     """Steady-state vectors of *every* threshold ``0 .. d_max`` at once.
 
-    Returns a ``(d_max + 1, d_max + 1)`` row-triangular matrix ``P``
-    whose row ``d`` holds ``p_{0,d} .. p_{d,d}`` followed by zeros --
-    exactly what ``model.steady_state(d, method="recursive")`` returns
-    per row.
+    Returns a read-only ``(d_max + 1, d_max + 1)`` row-triangular
+    matrix ``P`` whose row ``d`` holds ``p_{0,d} .. p_{d,d}`` followed
+    by zeros -- exactly what ``model.steady_state(d, method="recursive")``
+    returns per row.
 
     ``method`` picks the solver: ``"dense"`` is the vectorized backward
     recursion below, ``"banded"`` solves each row with the O(d)
     tridiagonal LU of :func:`_banded_solve`, and ``"auto"`` (the
-    default) uses the dense sweep up to
-    :data:`BANDED_CUTOVER` and the banded path beyond it -- the dense
-    recursion's unnormalized values overflow float64 near ``d ~ 760``,
-    so very large surfaces are *only* reachable banded.  Both methods
-    agree to ~1e-14 (the conformance suite pins 1e-10).
+    default) uses the dense sweep while :func:`dense_recursion_fits`
+    bounds its magnitudes inside float64 and the banded path otherwise
+    -- the dense recursion's unnormalized values overflow for deep or
+    call-dominated chains, which are *only* reachable banded.  Both
+    methods agree to ~1e-14 (the conformance suite pins 1e-10).
+
+    The last matrix solved is kept on ``model`` under its exact
+    ``(resolved method, d_max)``; asking again returns that same array
+    without a solve (and without an ``analytic.batched_steady_states``
+    span).  A different ``d_max`` solves afresh rather than slicing a
+    larger matrix: a leading square is not bitwise a fresh solve,
+    because NumPy's pairwise row sums group the terms differently.
+    ``analytic_steady_memo_total{method, outcome}`` counts hits and
+    misses.
 
     The dense recursion (paper Section 4.1, uniform form): with
     unnormalized ``u_{d,d} = 1`` and ``u_{d,d+1} = 0``,
@@ -197,13 +239,45 @@ def batched_steady_states(
     d_max = validate_threshold(d_max)
     _require_invariant_rates(model)
     _validate_solver(method)
-    if method == "auto":
-        method = "dense" if d_max <= BANDED_CUTOVER else "banded"
+    memo = getattr(model, "_batched_steady", None)
+    if memo is not None and memo.d_max == d_max:
+        resolved = memo.auto_method if method == "auto" else method
+        if resolved == memo.method:
+            _count_memo(model, resolved, "hit")
+            return memo.matrix
     a, b = model.transition_rates(d_max)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    c = model.c
-    n = d_max + 1
+    auto_method = "dense" if dense_recursion_fits(a, b, model.c) else "banded"
+    resolved = auto_method if method == "auto" else method
+    _count_memo(model, resolved, "miss")
+    pi = _solve_batched(a, b, model.c, resolved)
+    pi.flags.writeable = False
+    model._batched_steady = _SteadyMemo(d_max, resolved, auto_method, pi)
+    return pi
+
+
+class _SteadyMemo(NamedTuple):
+    """The last batched solve of a model, with what ``"auto"`` resolves
+    to at its ``d_max`` (a property of the chain, kept so a hit needs no
+    rates)."""
+
+    d_max: int
+    method: str
+    auto_method: str
+    matrix: np.ndarray
+
+
+def _count_memo(model: MobilityModel, method: str, outcome: str) -> None:
+    _observability().registry.counter(
+        "analytic_steady_memo_total", model=model.name, method=method, outcome=outcome
+    ).inc()
+
+
+@traced("analytic.batched_steady_states")
+def _solve_batched(a: np.ndarray, b: np.ndarray, c: float, method: str) -> np.ndarray:
+    """One batched solve of :func:`batched_steady_states` (no memo)."""
+    n = a.size
     if method == "banded":
         pi = np.zeros((n, n))
         pi[0, 0] = 1.0
@@ -215,7 +289,7 @@ def batched_steady_states(
         diag = np.arange(n)
         u[diag, diag] = 1.0
         b_pad = np.append(b, 0.0)  # u_{d,d+1} is 0, so b_{d+1} never matters
-        for i in range(d_max, 0, -1):
+        for i in range(n - 1, 0, -1):
             u[i:, i - 1] = (
                 u[i:, i] * s[i] - u[i:, i + 1] * b_pad[i + 1]
             ) / a[i - 1]

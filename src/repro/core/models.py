@@ -77,6 +77,9 @@ class MobilityModel(abc.ABC):
     def __init__(self, mobility: MobilityParams) -> None:
         self.mobility = mobility
         self._steady_cache: dict = {}
+        #: The last batched steady-state solve; see
+        #: :func:`repro.core.batch.batched_steady_states`.
+        self._batched_steady = None
 
     # -- construction conveniences ------------------------------------
 
@@ -129,8 +132,8 @@ class MobilityModel(abc.ABC):
         ``"recursive"`` (paper Section 4.1), ``"matrix"`` (reference
         linear solve), or ``"banded"`` (the scipy tridiagonal LU of
         :func:`repro.core.batch.banded_steady_state` -- the only solver
-        that stays finite past ``d ~ 760``).  Results of ``"auto"`` are
-        cached per threshold.
+        that stays finite where the recursion overflows).  Results of
+        ``"auto"`` are cached per threshold.
         """
         d = validate_threshold(d)
         if method == "auto":
@@ -164,17 +167,20 @@ class MobilityModel(abc.ABC):
     def _solve_recursive_or_banded(self, d: int) -> np.ndarray:
         """Default solver for recursion-based models.
 
-        The backward recursion's unnormalized values grow at least like
-        ``2**d`` and overflow float64 near ``d ~ 760``; past the batch
-        module's cutover the banded LU -- which anchors ``p_0 = 1`` and
-        only ever *underflows* -- takes over, making very large
-        thresholds solvable through the same ``steady_state(d)`` call.
+        The backward recursion's unnormalized values can leave float64
+        range -- near ``d ~ 760`` for fast walkers, far earlier when
+        calls dominate moves; where
+        :func:`repro.core.batch.dense_recursion_fits` cannot bound them
+        the banded LU -- which anchors ``p_0 = 1`` and only ever
+        *underflows* -- takes over, making such thresholds solvable
+        through the same ``steady_state(d)`` call.
         """
-        from .batch import BANDED_CUTOVER  # local: batch imports us
+        from .batch import dense_recursion_fits  # local: batch imports us
 
-        if d > BANDED_CUTOVER:
-            return self._solve_banded(d)
-        return solve_steady_state_recursive(self.chain(d))
+        chain = self.chain(d)
+        if dense_recursion_fits(chain.a, chain.b, chain.reset):
+            return solve_steady_state_recursive(chain)
+        return self._solve_banded(d)
 
     def _solve_closed_form(self, d: int) -> np.ndarray:
         raise ParameterError(f"{self.name} has no closed-form steady state")

@@ -19,6 +19,13 @@ A greedy :func:`hill_climb` is included as an ablation baseline to
 demonstrate *why* the paper rejects pure descent (it gets caught on the
 local minima the paper mentions).
 
+:func:`screened_scan` replays the exhaustive scan's ascending
+strict-improvement rule over a cost vector computed in one array pass,
+calling the exact scalar cost only where the vector's float error could
+change a comparison -- how the jointly-optimal registration step and
+the baseline optimizers scan hundreds of candidates cheaply while
+returning exactly what the scalar scan returns.
+
 All searchers share the :class:`OptimizationResult` record and count
 cost evaluations, so the optimizer bench can compare accuracy against
 work performed.
@@ -29,16 +36,22 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..exceptions import ParameterError
 
 __all__ = [
     "OptimizationResult",
     "exhaustive_search",
+    "screened_scan",
     "simulated_annealing",
     "hill_climb",
 ]
+
+#: Strict-improvement tie tolerance of every ascending scan.
+_TIE_TOLERANCE = 1e-15
 
 CostFunction = Callable[[int], float]
 
@@ -99,7 +112,7 @@ def exhaustive_search(cost: CostFunction, d_max: int) -> OptimizationResult:
     best_cost = math.inf
     for d in range(d_max + 1):
         value = memo(d)
-        if value < best_cost - 1e-15:
+        if value < best_cost - _TIE_TOLERANCE:
             best_cost = value
             best_d = d
     return OptimizationResult(
@@ -109,6 +122,73 @@ def exhaustive_search(cost: CostFunction, d_max: int) -> OptimizationResult:
         method="exhaustive",
         curve=dict(memo.cache),
     )
+
+
+def screened_scan(
+    screened: Sequence[float],
+    cost: CostFunction,
+    best: int = 0,
+    best_cost: float = math.inf,
+    skip: Optional[int] = None,
+) -> Tuple[int, float, int]:
+    """The ascending strict-improvement scan, confirmed where it matters.
+
+    Returns ``(best, best_cost, evaluations)`` equal to what
+
+    .. code-block:: python
+
+        for k in range(len(screened)):
+            if k != skip and cost(k) < best_cost - 1e-15:
+                best, best_cost = k, cost(k)
+
+    returns, while calling ``cost`` only ``evaluations`` times.
+    ``screened[k]`` is ``cost(k)`` computed another way -- a vectorized
+    pass that sums the same at most ``n = len(screened)`` non-negative
+    terms in a different order -- so it is within ``4 (n + 8) 2**-52
+    |screened[k]| + 2e-15`` of ``cost(k)``, and every comparison those
+    bounds decide is decided without ``cost``:
+
+    * a threshold whose lower bound is not below ``best_cost - 1e-15``
+      for any ``best_cost`` the scan can still hold is never accepted
+      (the scan's ``fl(best_cost - 1e-15)`` never exceeds the smallest
+      cost seen so far, so the running minimum of the upper bounds
+      screens all of them in one array pass);
+    * a threshold whose upper bound is below the incumbent's lower
+      bound minus the tolerance is accepted, with its cost known only
+      to within its bounds;
+    * any other comparison -- near-ties -- calls ``cost`` for the
+      candidate and, if still bounded only, the incumbent.
+
+    The winner's cost is confirmed last if it is still only bounded.
+    NaNs defeat every bound and fall through to ``cost``.
+    """
+    tol = _TIE_TOLERANCE
+    values = np.asarray(screened, dtype=float)
+    slack = 4.0 * (values.size + 8) * 2.0**-52 * np.abs(values) + 2.0 * tol
+    lower = values - slack
+    upper = values + slack
+    ceiling = np.minimum.accumulate(np.concatenate(([best_cost - tol], upper[:-1])))
+    low = high = best_cost
+    exact = True
+    evaluations = 0
+    for k in np.flatnonzero(~(lower >= ceiling)).tolist():
+        if k == skip or lower[k] >= high - tol:
+            continue
+        if upper[k] < low - tol:
+            best, low, high, exact = k, lower[k], upper[k], False
+            continue
+        if not exact:
+            low = high = cost(best)
+            exact = True
+            evaluations += 1
+        value = cost(k)
+        evaluations += 1
+        if value < low - tol:
+            best, low, high = k, value, value
+    if not exact:
+        low = cost(best)
+        evaluations += 1
+    return best, low, evaluations
 
 
 def simulated_annealing(

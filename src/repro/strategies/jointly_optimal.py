@@ -28,7 +28,12 @@ registration step
     beyond ``d'`` dropped; new rings appended as extra polling groups
     while the delay bound allows, else merged into the last group).
     The incumbent ``(d, plan)`` is one of the candidates, so this step
-    never worsens the cost either.
+    never worsens the cost either.  One array pass
+    (:meth:`_JointEvaluator.registration_costs`) prices every adapted
+    plan; the scan's comparisons are then replayed by
+    :func:`~repro.core.optimizers.screened_scan`, which computes the
+    scalar cost only for the thresholds whose float error could change
+    a decision, so the result is exactly the full scalar scan's.
 
 Convergence criterion (documented contract):
 
@@ -44,16 +49,17 @@ Convergence criterion (documented contract):
   count).
 
 Steady states come from the batched triangular solver of
-:mod:`repro.core.batch` (one solve covers every candidate threshold);
-models without threshold-invariant rates fall back to per-threshold
-scalar solves.
+:mod:`repro.core.batch` (one solve covers every candidate threshold,
+and the distance search at the same ``d_max`` already made it);
+models without threshold-invariant rates stack per-threshold scalar
+solves into the same matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -69,10 +75,12 @@ from ..core.parameters import (
     validate_delay,
     validate_threshold,
 )
+from ..core.optimizers import screened_scan
 from ..core.threshold import DEFAULT_MAX_THRESHOLD, find_optimal_threshold
 from ..exceptions import ParameterError
 from ..geometry import HexTopology, LineTopology, SquareTopology
 from ..geometry.topology import Cell, CellTopology
+from ..observability.context import current as _observability
 from ..paging import PagingPlan, partition_from_sizes, sdf_partition, subarea_count
 from ..paging.optimal import optimal_contiguous_partition
 from .base import register_strategy
@@ -86,12 +94,6 @@ __all__ = [
     "exact_model_for_topology",
     "optimize_joint_policy",
 ]
-
-#: Minimum strict improvement for the registration step to move the
-#: threshold -- the same tie tolerance the exhaustive distance searcher
-#: uses, so degenerate instances tie-break identically.
-_TIE_TOLERANCE = 1e-15
-
 
 @dataclass(frozen=True)
 class JointIteration:
@@ -190,12 +192,12 @@ def adapt_plan(plan: PagingPlan, d_new: int, m) -> PagingPlan:
 class _JointEvaluator:
     """Analytic ``C_T(d, plan)`` for arbitrary contiguous plans.
 
-    Steady states are served from one batched triangular solve
-    (:func:`repro.core.batch.batched_steady_states`) when the model's
-    rates are threshold-invariant; otherwise each threshold's row is a
-    memoized scalar solve.  Update costs follow eqn (61) with the
-    requested boundary convention, paging costs eqns (62)-(65) with the
-    plan's own grouping.
+    Holds one ``(d_max + 1)``-square steady-state matrix: the batched
+    triangular solve (:func:`repro.core.batch.batched_steady_states`)
+    when the model's rates are threshold-invariant, else the scalar
+    per-threshold solves stacked row by row.  Update costs follow eqn
+    (61) with the requested boundary convention, paging costs eqns
+    (62)-(65) with the plan's own grouping.
     """
 
     def __init__(
@@ -205,25 +207,31 @@ class _JointEvaluator:
         self.costs = costs
         self.d_max = d_max
         self.convention = convention
-        self._rows: Dict[int, np.ndarray] = {}
-        self._steady = None
+        size = d_max + 1
         if getattr(model, "threshold_invariant_rates", False):
-            from ..core.batch import batched_steady_states  # deferred: heavy
+            from ..core.batch import (  # deferred: heavy
+                batched_steady_states,
+                batched_update_rates,
+            )
 
             self._steady = batched_steady_states(model, d_max)
+            rates = batched_update_rates(model, d_max, convention=convention)
+        else:
+            self._steady = np.zeros((size, size))
+            for d in range(size):
+                self._steady[d, : d + 1] = model.steady_state(d)
+            rates = np.array(
+                [model.update_rate(d, convention=convention) for d in range(size)]
+            )
         topology = model.topology
         self._ring_sizes = np.array(
-            [topology.ring_size(i) for i in range(d_max + 1)], dtype=float
+            [topology.ring_size(i) for i in range(size)], dtype=float
         )
+        self._coverage = np.cumsum(self._ring_sizes)
+        self._update = np.diagonal(self._steady) * rates * costs.update_cost
 
     def steady_row(self, d: int) -> np.ndarray:
-        if self._steady is not None:
-            return self._steady[d, : d + 1]
-        row = self._rows.get(d)
-        if row is None:
-            row = np.asarray(self.model.steady_state(d), dtype=float)
-            self._rows[d] = row
-        return row
+        return self._steady[d, : d + 1]
 
     def ring_sizes(self, d: int) -> np.ndarray:
         return self._ring_sizes[: d + 1]
@@ -240,6 +248,42 @@ class _JointEvaluator:
     def total_cost(self, d: int, plan: PagingPlan) -> float:
         update, paging, _, _ = self.breakdown(d, plan)
         return update + paging
+
+    def registration_costs(self, plan: PagingPlan, m) -> np.ndarray:
+        """``C_T(d', adapt_plan(plan, d', m))`` for every ``d' <= d_max``.
+
+        One ``(d_max + 1)``-square pass instead of ``d_max + 1`` plan
+        rebuilds.  Under :func:`adapt_plan` ring ``r`` of threshold
+        ``d'`` is polled with the group ending at
+
+        * ``d'`` when ``r`` lies at or past the *tail start* -- the
+          first ring of the group holding ``d'`` when shrinking, the
+          first merged ring when growing past the singletons the delay
+          bound still allows (the old last group's start if none);
+        * its own group's end (``r`` itself for appended singletons)
+          otherwise,
+
+        so the expected polled cells are the steady-state-weighted
+        gather of the cumulative coverage at those ends.  Agrees with
+        :meth:`total_cost` to float rounding (the terms are summed in a
+        different order), which is what
+        :func:`~repro.core.optimizers.screened_scan` needs.
+        """
+        sizes = np.array(_plan_sizes(plan))
+        d = plan.threshold
+        thresholds = np.arange(self.d_max + 1)
+        ends = np.cumsum(sizes) - 1
+        starts = ends - sizes + 1
+        limit = thresholds + 1 if m == math.inf else np.minimum(thresholds + 1, int(m))
+        singletons = np.clip(np.minimum(thresholds - d, limit - sizes.size), 0, None)
+        tail = np.where(singletons > 0, d + singletons, starts[-1])
+        tail[: d + 1] = np.repeat(starts, sizes)
+        group_end = np.concatenate((np.repeat(ends, sizes), thresholds[d + 1 :]))
+        polled = np.where(
+            thresholds >= tail[:, np.newaxis], thresholds[:, np.newaxis], group_end
+        )
+        cells = np.einsum("ij,ij->i", self._steady, self._coverage[polled])
+        return self._update + self.model.c * self.costs.poll_cost * cells
 
 
 def optimize_joint_policy(
@@ -285,6 +329,9 @@ def optimize_joint_policy(
         model, costs, m, d_max=d_max, convention=convention
     )
     evaluator = _JointEvaluator(model, costs, d_max, convention)
+    confirmations = _observability().registry.counter(
+        "joint_registration_confirmed_total", model=model.name
+    )
 
     d = baseline.threshold
     plan = sdf_partition(d, m)
@@ -305,15 +352,16 @@ def optimize_joint_policy(
         # (adapted to each candidate's ring count).  Ascending scan with
         # a strict-improvement tie tolerance reproduces the distance
         # searcher's tie-breaking on degenerate instances.
-        best_d, best_plan, best_cost = d, plan, cost
-        for d_new in range(d_max + 1):
-            if d_new == d:
-                continue
-            trial_plan = adapt_plan(plan, d_new, m)
-            trial_cost = evaluator.total_cost(d_new, trial_plan)
-            if trial_cost < best_cost - _TIE_TOLERANCE:
-                best_d, best_plan, best_cost = d_new, trial_plan, trial_cost
-        d, plan = best_d, best_plan
+        best_d, best_cost, confirmed = screened_scan(
+            evaluator.registration_costs(plan, m),
+            lambda d_new: evaluator.total_cost(d_new, adapt_plan(plan, d_new, m)),
+            best=d,
+            best_cost=cost,
+            skip=d,
+        )
+        confirmations.inc(confirmed)
+        if best_d != d:
+            d, plan = best_d, adapt_plan(plan, best_d, m)
         improvement = cost - best_cost
         cost = min(cost, best_cost)  # guard: never record an increase
         history.append(JointIteration(sweep, d, plan, cost))

@@ -8,6 +8,7 @@ import pytest
 from repro.analysis.compare import SCHEMES, run_tournament
 from repro.analysis.sweep import MODEL_CLASSES
 from repro.exceptions import ParameterError
+from repro.observability import session
 
 AXES = {"U": [20.0, 100.0], "m": [1, 2]}
 POINT_KW = dict(q=0.2, c=0.02, poll_cost=10.0, d_max=25)
@@ -89,6 +90,38 @@ class TestCaching:
         assert not first.from_cache
         assert second.from_cache
         assert first.points == second.points
+
+
+class TestSolverWork:
+    """A tournament solves each chain once per leg, whatever the m axis."""
+
+    @staticmethod
+    def traced(**kwargs):
+        with session() as obs:
+            run_tournament(
+                "2d-exact",
+                {"m": [1, 2, 3, math.inf]},
+                q=0.05,
+                c=0.01,
+                update_cost=100.0,
+                poll_cost=10.0,
+                d_max=100,
+                **kwargs,
+            )
+        spans = [record.name for record in obs.tracer.records]
+        return spans.count("analytic.batched_steady_states"), obs.registry
+
+    def test_two_solves_cold_and_one_warm(self, tmp_path):
+        cold, registry = self.traced(cache_dir=tmp_path)
+        warm, _ = self.traced(cache_dir=tmp_path)
+        # One solve for the distance sweep's model, one for the joint
+        # leg's; a warm sweep cache leaves only the joint leg's.
+        assert cold <= 2
+        assert warm <= 1
+        hits = registry.counter(
+            "analytic_steady_memo_total", model="2d-exact", method="dense", outcome="hit"
+        ).value
+        assert hits >= 6
 
 
 @pytest.mark.slow

@@ -23,6 +23,7 @@ from repro.core.optimizers import exhaustive_search
 from repro.core.parameters import CostParams, MobilityParams
 from repro.core.threshold import find_optimal_threshold
 from repro.exceptions import ParameterError
+from repro.observability import session
 from repro.analysis.sweep import MODEL_CLASSES
 
 MOBILITY = MobilityParams(move_probability=0.05, call_probability=0.01)
@@ -77,6 +78,78 @@ class TestBatchedSteadyStates:
 
         with pytest.raises(ParameterError, match="threshold-dependent"):
             batched_steady_states(Dependent(MOBILITY), 5)
+
+
+class TestSteadyStateMemo:
+    """One chain queried at one ``d_max`` is solved once."""
+
+    @staticmethod
+    def memo_counts(obs):
+        return {
+            (record["labels"]["method"], record["labels"]["outcome"]): record["value"]
+            for record in obs.registry.collect()
+            if record["name"] == "analytic_steady_memo_total"
+        }
+
+    def test_repeat_returns_the_same_read_only_matrix(self):
+        model = model_of("2d-exact")
+        first = batched_steady_states(model, 30)
+        assert batched_steady_states(model, 30) is first
+        assert batched_steady_states(model, 30, method="dense") is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.5
+
+    def test_auto_resolution_is_part_of_the_key(self):
+        model = model_of("2d-exact")
+        dense = batched_steady_states(model, 30, method="dense")
+        assert batched_steady_states(model, 30) is dense
+        banded = batched_steady_states(model, 30, method="banded")
+        assert batched_steady_states(model, 30, method="banded") is banded
+        again = batched_steady_states(model, 30)
+        assert again is not banded
+        np.testing.assert_array_equal(again, dense)
+
+    def test_hit_is_bitwise_a_fresh_solve(self):
+        model = model_of("square-exact", q=0.2, c=0.03)
+        batched_steady_states(model, 40)
+        fresh = batched_steady_states(model_of("square-exact", q=0.2, c=0.03), 40)
+        np.testing.assert_array_equal(batched_steady_states(model, 40), fresh)
+
+    def test_keys_on_exact_method_and_d_max(self):
+        model = model_of("2d-exact")
+        with session() as obs:
+            small = batched_steady_states(model, 20)
+            large = batched_steady_states(model, 40)
+            again = batched_steady_states(model, 20)
+            banded = batched_steady_states(model, 20, method="banded")
+            spans = [r.name for r in obs.tracer.records]
+        # Only the last solve is kept, and a leading square of a larger
+        # matrix is never served in place of a fresh solve.
+        assert again is not small
+        np.testing.assert_array_equal(again, small)
+        assert large.shape == (41, 41)
+        assert banded is not again
+        assert spans.count("analytic.batched_steady_states") == 4
+        assert self.memo_counts(obs) == {("dense", "miss"): 3.0, ("banded", "miss"): 1.0}
+
+    def test_hit_opens_no_span_and_is_counted(self):
+        model = model_of("1d")
+        with session() as obs:
+            for _ in range(3):
+                batched_steady_states(model, 25)
+            spans = [r.name for r in obs.tracer.records]
+        assert spans.count("analytic.batched_steady_states") == 1
+        assert self.memo_counts(obs) == {("dense", "miss"): 1.0, ("dense", "hit"): 2.0}
+
+    def test_threshold_search_and_surfaces_share_the_solve(self):
+        model = model_of("2d-exact")
+        with session() as obs:
+            for m in (1, 2, 3, math.inf):
+                find_optimal_threshold(model, COSTS, m, d_max=50)
+            compute_cost_surface(model, COSTS, 50)
+            spans = [r.name for r in obs.tracer.records]
+        assert spans.count("analytic.batched_steady_states") == 1
 
 
 class TestBatchedUpdateCosts:

@@ -1,8 +1,14 @@
 """Unit tests for threshold search algorithms."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro import ParameterError, exhaustive_search, hill_climb, simulated_annealing
+from repro.core.optimizers import screened_scan
+
+TIE = 1e-15
 
 
 def convex(d):
@@ -130,3 +136,65 @@ class TestHillClimb:
     def test_rejects_bad_start(self):
         with pytest.raises(ParameterError):
             hill_climb(convex, 10, start=11)
+
+
+def full_scan(costs, best=0, best_cost=math.inf, skip=None):
+    """The scan :func:`screened_scan` replays, pricing every candidate."""
+    for k, value in enumerate(costs):
+        if k != skip and value < best_cost - TIE:
+            best, best_cost = k, value
+    return best, best_cost
+
+
+class TestScreenedScan:
+    def test_distinct_costs_need_one_confirmation(self):
+        costs = [convex(d) for d in range(30)]
+        calls = []
+
+        def cost(k):
+            calls.append(k)
+            return costs[k]
+
+        assert screened_scan(np.array(costs), cost) == (7, 1.0, 1)
+        assert calls == [7]
+
+    def test_incumbent_is_skipped_and_kept_on_ties(self):
+        costs = [2.0, 1.0, 1.0, 3.0]
+        assert screened_scan(np.array(costs), costs.__getitem__, best=1,
+                             best_cost=1.0, skip=1) == (1, 1.0, 1)
+
+    def test_early_far_candidate_shifts_the_tie_decisions(self):
+        # An ascending scan accepts level + 2.8 tol first; that
+        # acceptance blocks level + 1.9 tol and lets level + 0.95 tol
+        # in, which then keeps the true minimum out.  Scanning only the
+        # candidates within the screen's margin (~2 tol here) of the
+        # minimum would drop the first and end at the minimum instead.
+        costs = [1e-3 + k * TIE for k in (10.0, 2.8, 1.9, 0.95, 0.0)]
+        expected = full_scan(costs)
+        assert expected[0] == 3
+        assert screened_scan(np.array(costs), costs.__getitem__)[:2] == expected
+
+    def test_nan_screens_fall_through_to_the_exact_cost(self):
+        costs = [3.0, 2.0, 1.0, 4.0]
+        screened = np.array([3.0, np.nan, np.nan, 4.0])
+        assert screened_scan(screened, costs.__getitem__)[:2] == (2, 1.0)
+
+    def test_empty_curve_keeps_the_start(self):
+        assert screened_scan(np.array([]), lambda k: 0.0) == (0, math.inf, 0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_full_scan_on_near_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            size = int(rng.integers(1, 60))
+            # Costs a few tie tolerances apart around a random level, with
+            # some far outliers, and screened values off by up to 2e-15.
+            level = float(rng.choice([1e-3, 1.0, 30.0]))
+            costs = level + TIE * rng.integers(0, 12, size) * rng.choice([0.5, 0.6, 1.1], size)
+            costs[rng.random(size) < 0.2] += level * rng.random()
+            costs = costs.tolist()
+            screened = np.array(costs) + rng.uniform(-2e-15, 2e-15, size)
+            skip = int(rng.integers(0, size)) if rng.random() < 0.5 else None
+            start = (skip, costs[skip]) if skip is not None else (0, math.inf)
+            got = screened_scan(screened, costs.__getitem__, *start, skip=skip)
+            assert got[:2] == full_scan(costs, *start, skip=skip)

@@ -10,7 +10,11 @@ Three families of properties over random operating points:
 * scheme identifications: a movement threshold of 1 (report after
   every move) fires exactly when a distance threshold of 0 does, so
   the two costs coincide under the physical boundary convention --
-  the regime where the two schemes' definitions coincide.
+  the regime where the two schemes' definitions coincide;
+* vector formulas: the one-pass cost vectors that screen the
+  jointly-optimal registration step and the baseline optimizers agree
+  with the scalar costs within the float margin
+  :func:`~repro.core.optimizers.screened_scan` relies on.
 """
 
 import math
@@ -21,6 +25,9 @@ from hypothesis import strategies as st
 
 from repro import CostParams, MobilityParams
 from repro.core.baselines import (
+    _la_curve,
+    _movement_curve,
+    _timer_curve,
     location_area_costs,
     movement_based_costs,
     time_based_costs,
@@ -32,7 +39,9 @@ from repro.core.models import (
     TwoDimensionalModel,
 )
 from repro.geometry import HexTopology, LineTopology, SquareTopology
-from repro.strategies import optimize_joint_policy, strategy_names
+from repro.paging import partition_from_sizes
+from repro.strategies import adapt_plan, optimize_joint_policy, strategy_names
+from repro.strategies.jointly_optimal import _JointEvaluator
 
 pytestmark = pytest.mark.slow
 
@@ -54,6 +63,20 @@ cost_params = st.builds(
     poll_cost=st.floats(min_value=0.1, max_value=50.0),
 )
 delays = st.one_of(st.integers(min_value=1, max_value=5), st.just(math.inf))
+
+
+def screen_margin(value, terms):
+    """The float margin ``screened_scan`` allows a screened cost."""
+    return 4.0 * (terms + 8) * 2.0**-52 * abs(value) + 2e-15
+
+
+@st.composite
+def contiguous_plans(draw, d_max):
+    """A random contiguous paging plan over rings ``0..d`` with ``d <= d_max``."""
+    d = draw(st.integers(min_value=0, max_value=d_max))
+    cuts = draw(st.sets(st.integers(min_value=1, max_value=d), max_size=d)) if d else set()
+    bounds = [0, *sorted(cuts), d + 1]
+    return partition_from_sizes(d, [hi - lo for lo, hi in zip(bounds, bounds[1:])])
 
 
 def _baseline_costs(topology, mob, costs):
@@ -171,3 +194,45 @@ class TestSchemeIdentifications:
             assert movement.paging_cost == pytest.approx(
                 breakdown.paging_cost, rel=1e-12
             )
+
+
+class TestVectorFormulas:
+    @given(data=st.data(), mob=mobility_params, costs=cost_params, m=delays)
+    @settings(max_examples=60, deadline=None)
+    def test_registration_costs_match_adapted_plans(self, data, mob, costs, m):
+        d_max = data.draw(st.integers(min_value=0, max_value=40), label="d_max")
+        plan = data.draw(contiguous_plans(d_max), label="plan")
+        model_cls = data.draw(st.sampled_from(sorted(EXACT_MODELS.values(), key=str)))
+        convention = data.draw(st.sampled_from(["paper", "physical"]))
+        evaluator = _JointEvaluator(model_cls(mob), costs, d_max, convention)
+        screened = evaluator.registration_costs(plan, m)
+        assert screened.shape == (d_max + 1,)
+        # Every d' covers the shrink, grow-by-singletons and merge branches.
+        for d_new in range(d_max + 1):
+            exact = evaluator.total_cost(d_new, adapt_plan(plan, d_new, m))
+            assert abs(screened[d_new] - exact) <= screen_margin(
+                screened[d_new], d_max + 1
+            )
+
+    @given(
+        mob=st.builds(
+            MobilityParams,
+            move_probability=st.floats(min_value=0.001, max_value=0.9),
+            call_probability=st.one_of(
+                st.just(0.0), st.floats(min_value=1e-5, max_value=0.1)
+            ),
+        ),
+        costs=cost_params,
+        bound=st.integers(min_value=1, max_value=120),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_baseline_curves_match_scalar_costs(self, mob, costs, bound):
+        for topology in TOPOLOGIES:
+            for curve, scalar, first in (
+                (_movement_curve(topology, mob, costs, bound), movement_based_costs, 1),
+                (_timer_curve(topology, mob, costs, 2 * bound), time_based_costs, 1),
+                (_la_curve(topology, mob, costs, bound), location_area_costs, 0),
+            ):
+                for k, value in enumerate(curve):
+                    exact = scalar(topology, mob, costs, first + k).total_cost
+                    assert abs(value - exact) <= screen_margin(value, curve.size)
