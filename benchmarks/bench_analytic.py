@@ -7,7 +7,7 @@ Times :meth:`repro.core.costs.CostEvaluator.cost_curve` at the
 acceptance operating point (2d-exact, q=0.05, c=0.01, U=100, V=10,
 d_max=100) through both evaluation paths -- ``method="scalar"`` (one
 chain solve + SDF partition per threshold) and ``method="batched"``
-(one triangular NumPy recursion for all thresholds) -- verifies the
+(prefix sums of one steady-state solve for all thresholds) -- verifies the
 two agree to 1e-10, times :func:`repro.analysis.grid_sweep` against a
 scalar-path optimization loop, demonstrates the on-disk cache, and
 writes ``benchmarks/out/analytic.json``.
@@ -119,11 +119,12 @@ def _time_scalar_grid(d_max: int, u_values, m_values, reps: int) -> float:
 def run_solver_gate(d: int, reps: int, write_baseline: bool) -> list:
     """Banded vs dense steady-state solvers at depth ``d``; gate ratios.
 
-    At very large ``d`` the triangular recursion overflows float64 (its
+    At very large ``d`` the backward recursion overflows float64 (its
     unnormalized probabilities grow like ``2**d``), so the only dense
     method that still works is the O(d^3) matrix solve -- that is the
-    honest denominator for the banded O(d) path.  Returns a list of
-    failure strings (empty = pass).
+    honest denominator for the banded O(d) path.  The batched matrix of
+    every threshold ``0 .. d``, built from prefix sums, must come out
+    finite.  Returns a list of failure strings (empty = pass).
     """
     import numpy as np
 
@@ -161,9 +162,7 @@ def run_solver_gate(d: int, reps: int, write_baseline: bool) -> list:
             "overflow (SolverError): the unnormalized recursion grows "
             "like 2**d and leaves float64 range near d ~ 760"
         )
-    batched_s, batched_pi = _best(
-        lambda m: batched_steady_states(m, d, method="banded"), 1
-    )
+    batched_s, batched_pi = _best(lambda m: batched_steady_states(m, d), 1)
     entry = {
         "reps": reps,
         "matrix_seconds": matrix_s,
@@ -180,7 +179,7 @@ def run_solver_gate(d: int, reps: int, write_baseline: bool) -> list:
           f"({entry['banded_vs_matrix_speedup']:,.0f}x)")
     print(f"  recursive solve     {recursive_note}")
     print(f"  agreement: max |matrix - banded| = {deviation:.2e}")
-    print(f"  batched banded to d_max={d}: {batched_s:.3f}s, "
+    print(f"  batched (prefix sums) to d_max={d}: {batched_s:.3f}s, "
           f"finite: {entry['batched_banded_finite']}")
 
     errors = []
@@ -190,7 +189,7 @@ def run_solver_gate(d: int, reps: int, write_baseline: bool) -> list:
             f"{AGREEMENT_TOLERANCE:.0e}"
         )
     if not entry["batched_banded_finite"]:
-        errors.append(f"batched banded d_max={d} produced non-finite rows")
+        errors.append(f"batched d_max={d} produced non-finite rows")
     key = f"d{d}"
     if write_baseline:
         baseline = kernels_baseline.load_baseline()

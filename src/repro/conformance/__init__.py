@@ -1,7 +1,7 @@
 """Differential conformance harness: oracles + metamorphic invariants.
 
 The library computes the paper's quantities through many independent
-routes -- closed forms, recursions, matrix solves, a batched triangular
+routes -- closed forms, recursions, matrix solves, a batched prefix-sum
 solver, and three simulation engines.  This package makes their mutual
 agreement, and the paper's structural laws, continuously checkable:
 

@@ -2,7 +2,7 @@
 
 Every quantity the library computes has at least two producers -- a
 closed form and a recursion, a scalar evaluator and a batched
-triangular solve, a per-cell simulator and a vectorized one -- and each
+prefix-sum solve, a per-cell simulator and a vectorized one -- and each
 oracle here pairs two of them over the sampled configuration, reporting
 the worst disagreement as a deviation:
 
@@ -11,7 +11,7 @@ oracle                          pairing
 ==============================  =============================================
 steady-closed-vs-recursive      closed-form solver vs Section-4.1 recursion
 steady-recursive-vs-matrix      recursion vs reference linear solve
-steady-batched-vs-scalar        triangular batched solve vs per-threshold
+steady-batched-vs-scalar        prefix-sum batched matrix vs per-threshold
 cost-curve-batched-vs-scalar    ``cost_curve(method="batched")`` vs scalar
 surface-vs-breakdown            ``compute_cost_surface`` cell vs ``breakdown``
 optimal-threshold-consistency   exhaustive (batched) vs exhaustive-scalar
@@ -21,7 +21,7 @@ serial-vs-pooled                ``run_replicated`` serial vs process pool
 fleet-sharded-vs-single         ``run_fleet`` sharded vs one shard
 fleet-pooled-vs-inprocess       ``run_fleet`` process pool vs in-process
 steady-banded-vs-recursive      banded tridiagonal LU vs Section-4.1 recursion
-surface-banded-vs-dense         cost surface solved banded vs dense recursion
+surface-prefix-vs-banded        prefix-sum surface vs per-threshold banded rows
 vectorized-counter-vs-fleet     vectorized engine vs homogeneous fleet
 ==============================  =============================================
 
@@ -62,6 +62,7 @@ import numpy as np
 
 from .checks import CheckSkipped, ConformanceConfig, Deviation, REGISTRY
 from ..exceptions import ParameterError
+from ..paging import sdf_partition
 
 __all__ = ["replicated_agreement", "bitwise_agreement"]
 
@@ -153,7 +154,7 @@ def _steady_recursive_vs_matrix(config: ConformanceConfig) -> Deviation:
     "steady-batched-vs-scalar",
     tolerance=1e-10,
     paper_ref="Section 4.1",
-    description="triangular batched steady states equal per-threshold solves",
+    description="batched steady states equal per-threshold solves",
 )
 def _steady_batched_vs_scalar(config: ConformanceConfig) -> Deviation:
     from ..core.batch import batched_steady_states  # deferred: avoid cycle
@@ -457,28 +458,33 @@ def _steady_banded_vs_recursive(config: ConformanceConfig) -> Deviation:
 
 
 @REGISTRY.oracle(
-    "surface-banded-vs-dense",
+    "surface-prefix-vs-banded",
     tolerance=1e-10,
     paper_ref="eqns (61)-(66)",
-    description="cost surface solved banded equals the dense triangular solve",
+    description="prefix-sum cost surface equals one assembled from banded rows",
     applies=lambda config: config.plan_factory is None,
 )
-def _surface_banded_vs_dense(config: ConformanceConfig) -> Deviation:
-    from ..core.batch import compute_cost_surface  # deferred: avoid cycle
+def _surface_prefix_vs_banded(config: ConformanceConfig) -> Deviation:
+    from ..core.batch import banded_steady_state, compute_cost_surface  # deferred
 
     model = config.build_model()
-    common = dict(
-        costs=config.costs(),
-        d_max=config.d_max,
-        delays=(config.m,),
+    costs = config.costs()
+    surface = compute_cost_surface(
+        model, costs, d_max=config.d_max, delays=(config.m,),
         convention=config.convention,
     )
-    dense = compute_cost_surface(model, solver="dense", **common)
-    banded = compute_cost_surface(model, solver="banded", **common)
+    update = np.empty(config.d_max + 1)
+    paging = np.empty(config.d_max + 1)
+    for d in range(config.d_max + 1):
+        p = banded_steady_state(model, d)
+        rate = model.update_rate(d, convention=config.convention)
+        update[d] = p[d] * rate * costs.update_cost
+        cells = sdf_partition(d, config.m).expected_polled_cells(model.topology, p)
+        paging[d] = model.c * costs.poll_cost * cells
     gaps = {
-        "update": float(np.max(np.abs(dense.update - banded.update))),
-        "paging": float(np.max(np.abs(dense.paging - banded.paging))),
-        "total": float(np.max(np.abs(dense.total - banded.total))),
+        "update": float(np.max(np.abs(surface.update - update))),
+        "paging": float(np.max(np.abs(surface.paging[0] - paging))),
+        "total": float(np.max(np.abs(surface.total[0] - (update + paging)))),
     }
     worst_field = max(gaps, key=gaps.get)
     return Deviation(

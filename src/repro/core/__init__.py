@@ -15,8 +15,9 @@ Submodules
 ``costs``
     update/paging/total cost evaluation (Section 5);
 ``batch``
-    batched cost-surface solver: all thresholds in one triangular
-    NumPy recursion (the fast path behind every exhaustive scan);
+    batched cost-surface solver: all thresholds from O(D) prefix sums
+    of one steady-state solve (the fast path behind every exhaustive
+    scan);
 ``optimizers``
     exhaustive search and simulated annealing (Section 6);
 ``threshold``

@@ -117,7 +117,7 @@ def movement_based_costs(
     r = q / (q + c) if (q + c) > 0 else 0.0
     weights = np.array([1.0] + [r**k for k in range(1, M)])
     p = weights / weights.sum()
-    g = _coverage(topology, M)
+    g = topology.coverage_curve(M - 1)
     update = costs.update_cost * q * p[M - 1]
     paging = c * costs.poll_cost * float(p @ g)
     return BaselineCosts(
@@ -189,11 +189,6 @@ def _la_crossing_rate(topology: CellTopology, q: float, radius, cells):
     )
 
 
-def _coverage(topology: CellTopology, count: int) -> np.ndarray:
-    """``g(0) .. g(count - 1)`` as floats."""
-    return np.array([topology.coverage(k) for k in range(count)], dtype=float)
-
-
 def _argmin(evaluate, curve: np.ndarray, lo: int) -> BaselineCosts:
     """``evaluate`` at the parameter the 1e-15 strict-improvement scan of
     ``lo, lo + 1, ...`` picks; ``curve[k]`` screens parameter ``lo + k``."""
@@ -217,7 +212,7 @@ def _movement_curve(
     r = q / (q + c) if (q + c) > 0 else 0.0
     weights = r ** np.arange(max_threshold)
     mass = np.cumsum(weights)
-    covered = np.cumsum(weights * _coverage(topology, weights.size))
+    covered = np.cumsum(weights * topology.coverage_curve(max_threshold - 1))
     return (
         costs.update_cost * q * weights / mass
         + c * costs.poll_cost * covered / mass
@@ -241,7 +236,7 @@ def _timer_curve(
     c = mobility.c
     weights = (1.0 - c) ** np.arange(max_period)
     mass = np.cumsum(weights)
-    ahead = np.cumsum(weights * _coverage(topology, weights.size + 1)[1:])
+    ahead = np.cumsum(weights * topology.coverage_curve(max_period)[1:])
     covered = np.concatenate(([0.0], ahead[:-1])) + weights * topology.coverage(0)
     return costs.update_cost * weights / mass + c * costs.poll_cost * covered / mass
 
@@ -255,7 +250,7 @@ def _la_curve(
     """Total cost of every LA radius ``n = 0..max_radius``; element ``n``
     agrees with :func:`location_area_costs` to float rounding."""
     radii = np.arange(max_radius + 1)
-    cells = _coverage(topology, radii.size)
+    cells = topology.coverage_curve(max_radius)
     rate = _la_crossing_rate(topology, mobility.q, radii, cells)
     return costs.update_cost * rate + mobility.c * costs.poll_cost * cells
 

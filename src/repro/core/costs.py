@@ -21,11 +21,11 @@ Breakdowns are memoized per ``(d, m)``: repeated queries -- an
 exhaustive search followed by a breakdown at the optimum, say -- solve
 each operating point once.  :meth:`CostEvaluator.cost_curve` prefers
 the batched surface solver of :mod:`repro.core.batch` (all thresholds
-in one triangular NumPy recursion) whenever the evaluator uses the
-default SDF partition on a model with threshold-invariant rates; the
-per-point scalar path remains available (``method="scalar"``) as the
-cross-check reference and is used automatically for custom plan
-factories.
+from O(D) prefix sums of one memoized steady-state solve) whenever the
+evaluator uses the default SDF partition on a model with
+threshold-invariant rates; the per-point scalar path remains available
+(``method="scalar"``) as the cross-check reference and is used
+automatically for custom plan factories.
 """
 
 from __future__ import annotations
@@ -217,21 +217,14 @@ class CostEvaluator:
         if surface is None or surface.d_max < d_max:
             from .batch import compute_cost_surface  # deferred: heavy numpy path
 
-            # Reuse the triangular steady-state solve from any other
-            # delay's surface that is large enough: row d is identical
-            # for every matrix size >= d + 1, so only the SDF weight
-            # pass is new work per delay bound.
-            steady = None
-            for other in self._surfaces.values():
-                if other.d_max >= d_max:
-                    steady = other.steady
-                    break
+            # The model keeps its last steady-state solve, so every
+            # delay bound queried at this d_max shares one solve; only
+            # the SDF weight pass is new work per delay bound.
             with _observability().tracer.span(
                 "analytic.batched_surface",
                 model=self.model.name,
                 d_max=d_max,
                 delay=str(m),
-                reused_steady=steady is not None,
             ):
                 surface = compute_cost_surface(
                     self.model,
@@ -239,7 +232,6 @@ class CostEvaluator:
                     d_max,
                     delays=(m,),
                     convention=self.convention,
-                    steady=steady,
                 )
             self._surfaces[m] = surface
         return surface
@@ -252,8 +244,8 @@ class CostEvaluator:
 
         ``"auto"``
             the batched surface solver when the evaluator pages with
-            the default SDF partition (one triangular NumPy recursion
-            for all thresholds), falling back to the scalar loop
+            the default SDF partition (prefix sums of one steady-state
+            solve for all thresholds), falling back to the scalar loop
             otherwise;
         ``"batched"``
             force the batched solver; raises
@@ -273,7 +265,7 @@ class CostEvaluator:
         if method != "scalar":
             surface = self._batched_surface(m, d_max)
             if surface is not None:
-                return [float(x) for x in surface.curve(m)[: d_max + 1]]
+                return surface.curve(m)[: d_max + 1].tolist()
             if method == "batched":
                 raise ParameterError(
                     "this evaluator cannot use the batched surface (custom "

@@ -33,6 +33,7 @@ Each class implements its paper convention in :meth:`update_rate`; pass
 from __future__ import annotations
 
 import abc
+import math
 from typing import Tuple
 
 import numpy as np
@@ -45,15 +46,50 @@ from .chains import ResetChain, solve_steady_state_matrix, solve_steady_state_re
 from .parameters import MobilityParams, validate_threshold
 
 __all__ = [
+    "BANDED_CUTOVER",
     "MobilityModel",
     "OneDimensionalModel",
     "SquareGridApproximateModel",
     "SquareGridModel",
     "TwoDimensionalModel",
     "TwoDimensionalApproximateModel",
+    "dense_recursion_fits",
 ]
 
 _CONVENTIONS = ("paper", "physical")
+
+#: The default solver never takes the backward recursion above this
+#: ``d``: past it the O(d) banded LU is the faster path anyway.
+BANDED_CUTOVER = 512
+
+#: Below the cutover, the recursion's magnitude bound (see
+#: :func:`dense_recursion_fits`) must also stay below ``1e300``.
+_DENSE_LOG_LIMIT = math.log(1e300)
+
+
+def dense_recursion_fits(a: np.ndarray, b: np.ndarray, c: float) -> bool:
+    """Whether the backward recursion stays in float64 range for a chain.
+
+    With ``u_d = 1`` the recursion ``u_{i-1} = (u_i s_i - u_{i+1}
+    b_{i+1}) / a_{i-1}`` (``s_i = a_i + b_i + c``) never exceeds
+    ``prod_{k >= i} s_k / a_{k-1}``, which grows far faster than the
+    ``2**d`` of a fast walker when calls dominate moves: at ``q = 3e-4``,
+    ``c = 0.2`` each ring multiplies it by ~1335 and ``d = 100``
+    overflows.  :meth:`MobilityModel.steady_state`'s default solver
+    takes the recursion for the chain ``a_0 .. a_d`` only when
+    ``d <= BANDED_CUTOVER`` and ``sum_{i <= d} ln(s_i / a_{i-1}) <
+    ln(1e300)``; the banded LU, which only ever underflows, takes the
+    rest.  The paper's golden points use about 60% of that budget at
+    most.
+    """
+    d = len(a) - 1
+    if d > BANDED_CUTOVER:
+        return False
+    if d == 0:
+        return True
+    with np.errstate(divide="ignore", over="ignore"):
+        growth = np.cumsum(np.log((a[1:] + b[1:] + c) / a[:-1]))
+    return bool(np.max(growth) < _DENSE_LOG_LIMIT)
 
 
 class MobilityModel(abc.ABC):
@@ -68,8 +104,8 @@ class MobilityModel(abc.ABC):
     #: ``transition_rates(d)`` for every ``d <= D``.  This holds for
     #: every model in the library (the rates come from per-ring
     #: neighbor geometry) and is what lets
-    #: :mod:`repro.core.batch` solve all thresholds in one triangular
-    #: sweep.  A subclass whose rates genuinely depend on ``d`` must
+    #: :mod:`repro.core.batch` solve all thresholds from one set of
+    #: prefix sums.  A subclass whose rates genuinely depend on ``d`` must
     #: set this to False; the batched solver then refuses it and the
     #: scalar path is used instead.
     threshold_invariant_rates: bool = True
@@ -78,8 +114,8 @@ class MobilityModel(abc.ABC):
         self.mobility = mobility
         self._steady_cache: dict = {}
         #: The last batched steady-state solve; see
-        #: :func:`repro.core.batch.batched_steady_states`.
-        self._batched_steady = None
+        #: :func:`repro.core.batch.steady_prefix`.
+        self._steady_prefix = None
 
     # -- construction conveniences ------------------------------------
 
@@ -169,14 +205,11 @@ class MobilityModel(abc.ABC):
 
         The backward recursion's unnormalized values can leave float64
         range -- near ``d ~ 760`` for fast walkers, far earlier when
-        calls dominate moves; where
-        :func:`repro.core.batch.dense_recursion_fits` cannot bound them
-        the banded LU -- which anchors ``p_0 = 1`` and only ever
-        *underflows* -- takes over, making such thresholds solvable
+        calls dominate moves; where :func:`dense_recursion_fits` cannot
+        bound them the banded LU -- which anchors ``p_0 = 1`` and only
+        ever *underflows* -- takes over, making such thresholds solvable
         through the same ``steady_state(d)`` call.
         """
-        from .batch import dense_recursion_fits  # local: batch imports us
-
         chain = self.chain(d)
         if dense_recursion_fits(chain.a, chain.b, chain.reset):
             return solve_steady_state_recursive(chain)

@@ -30,7 +30,7 @@ from typing import Optional
 
 from .costs import CostEvaluator, PlanFactory
 from .models import TwoDimensionalApproximateModel, TwoDimensionalModel
-from .optimizers import exhaustive_search
+from .optimizers import scan_curve
 from .parameters import CostParams, MobilityParams, validate_delay, validate_threshold
 from .threshold import DEFAULT_MAX_THRESHOLD
 
@@ -76,9 +76,8 @@ def near_optimal_threshold(
     exact_eval = CostEvaluator(exact, costs, plan_factory=plan_factory)
 
     # One batched curve evaluation (all thresholds at once) feeds the
-    # exhaustive scan; array lookups keep the searcher's tie-breaking.
-    approx_curve = approx_eval.cost_curve(m, d_max)
-    search = exhaustive_search(lambda d: approx_curve[d], d_max)
+    # exhaustive scan, replayed over the array.
+    search = scan_curve(approx_eval.cost_curve(m, d_max))
     d_prime = search.optimal_threshold
     uncorrected = d_prime
     corrected = False

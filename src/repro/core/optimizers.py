@@ -19,12 +19,16 @@ A greedy :func:`hill_climb` is included as an ablation baseline to
 demonstrate *why* the paper rejects pure descent (it gets caught on the
 local minima the paper mentions).
 
-:func:`screened_scan` replays the exhaustive scan's ascending
-strict-improvement rule over a cost vector computed in one array pass,
-calling the exact scalar cost only where the vector's float error could
-change a comparison -- how the jointly-optimal registration step and
-the baseline optimizers scan hundreds of candidates cheaply while
-returning exactly what the scalar scan returns.
+:func:`scan_curve` replays the exhaustive scan's ascending
+strict-improvement rule over a cost vector computed in one array pass
+-- only a strict running minimum can be accepted, so it visits those
+candidates alone -- and is how the threshold search reads a batched
+cost curve.  :func:`screened_scan` replays the same rule over a vector
+that only approximates the costs, calling the exact scalar cost only
+where the vector's float error could change a comparison -- how the
+jointly-optimal registration step and the baseline optimizers scan
+hundreds of candidates cheaply while returning exactly what the scalar
+scan returns.
 
 All searchers share the :class:`OptimizationResult` record and count
 cost evaluations, so the optimizer bench can compare accuracy against
@@ -45,6 +49,7 @@ from ..exceptions import ParameterError
 __all__ = [
     "OptimizationResult",
     "exhaustive_search",
+    "scan_curve",
     "screened_scan",
     "simulated_annealing",
     "hill_climb",
@@ -121,6 +126,33 @@ def exhaustive_search(cost: CostFunction, d_max: int) -> OptimizationResult:
         evaluations=memo.evaluations,
         method="exhaustive",
         curve=dict(memo.cache),
+    )
+
+
+def scan_curve(curve: Sequence[float]) -> OptimizationResult:
+    """:func:`exhaustive_search` over a cost vector already computed.
+
+    Returns exactly what ``exhaustive_search(lambda d: curve[d],
+    len(curve) - 1)`` returns -- threshold, cost, ``D + 1`` evaluations
+    and the full ``curve`` dict -- without a Python call per threshold.
+    The scan's ``fl(best_cost - 1e-15)`` never exceeds the smallest
+    value seen so far, so only a strict running minimum can be
+    accepted; the rule is replayed over those candidates alone.  NaNs
+    are never accepted and do not hide later minima.
+    """
+    values = np.asarray(curve, dtype=float)
+    earlier = np.fmin.accumulate(np.concatenate(([math.inf], values)))[:-1]
+    candidates = np.flatnonzero(values < earlier)
+    best, best_cost = 0, math.inf
+    for k, value in zip(candidates.tolist(), values[candidates].tolist()):
+        if value < best_cost - _TIE_TOLERANCE:
+            best, best_cost = k, value
+    return OptimizationResult(
+        optimal_threshold=best,
+        optimal_cost=best_cost,
+        evaluations=values.size,
+        method="exhaustive",
+        curve=dict(enumerate(values.tolist())),
     )
 
 

@@ -4,6 +4,12 @@ Ties together the model, cost evaluator, and searcher into the
 operation a network operator actually performs: "given this user's
 ``(q, c)``, these costs ``(U, V)``, and a delay budget ``m``, what
 threshold distance should the terminal use, and what will it cost?"
+
+The default exhaustive search reads the whole cost curve as one array
+-- from the batched prefix-sum surface of :mod:`repro.core.batch`
+whenever the evaluator pages with the SDF partition -- and replays the
+scan's tie-breaking over it with
+:func:`~repro.core.optimizers.scan_curve`.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .optimizers import (
     OptimizationResult,
     exhaustive_search,
     hill_climb,
+    scan_curve,
     simulated_annealing,
 )
 from .parameters import CostParams, validate_delay, validate_threshold
@@ -98,14 +105,13 @@ def find_optimal_threshold(
     def objective(d: int) -> float:
         return evaluator.total_cost(d, m)
 
-    if method in ("exhaustive", "exhaustive-scalar"):
-        # Materialize the whole curve first (one triangular batched
-        # solve when possible), then run the searcher over array
-        # lookups so tie-breaking and evaluation accounting are
-        # identical to the scalar scan.
-        curve_method = "scalar" if method == "exhaustive-scalar" else "auto"
-        curve = evaluator.cost_curve(m, d_max, method=curve_method)
-        search = exhaustive_search(lambda d: curve[d], d_max)
+    if method == "exhaustive":
+        # Materialize the whole curve first (one batched surface when
+        # possible), then replay the scan's tie-breaking and evaluation
+        # accounting over the array.
+        search = scan_curve(evaluator.cost_curve(m, d_max))
+    elif method == "exhaustive-scalar":
+        search = exhaustive_search(objective, d_max)
     elif method == "annealing":
         search = simulated_annealing(objective, d_max, seed=seed)
     elif method == "hill":

@@ -28,6 +28,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from .topology import CellTopology
 
 __all__ = ["HexTopology", "AXIAL_DIRECTIONS"]
@@ -123,6 +125,10 @@ class HexTopology(CellTopology):
         if radius < 0:
             raise ValueError(f"radius must be >= 0, got {radius}")
         return 3 * radius * (radius + 1) + 1
+
+    def coverage_curve(self, radius: int) -> np.ndarray:
+        r = np.arange(radius + 1.0)
+        return 3.0 * r * (r + 1.0) + 1.0
 
     # ------------------------------------------------------------------
     # Corner/edge cell classification

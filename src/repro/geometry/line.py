@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+import numpy as np
+
 from .topology import CellTopology
 
 __all__ = ["LineTopology"]
@@ -60,6 +62,10 @@ class LineTopology(CellTopology):
         if radius < 0:
             raise ValueError(f"radius must be >= 0, got {radius}")
         return 2 * radius + 1
+
+    def coverage_curve(self, radius: int) -> np.ndarray:
+        r = np.arange(radius + 1.0)
+        return 2.0 * r + 1.0
 
     def __repr__(self) -> str:
         return "LineTopology()"

@@ -29,6 +29,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from .topology import CellTopology
 
 __all__ = ["SquareTopology", "SQUARE_DIRECTIONS"]
@@ -108,6 +110,10 @@ class SquareTopology(CellTopology):
         if radius < 0:
             raise ValueError(f"radius must be >= 0, got {radius}")
         return 2 * radius * (radius + 1) + 1
+
+    def coverage_curve(self, radius: int) -> np.ndarray:
+        r = np.arange(radius + 1.0)
+        return 2.0 * r * (r + 1.0) + 1.0
 
     def is_corner(self, center: SquareCell, cell: SquareCell) -> bool:
         """True if ``cell`` lies on an axis through ``center``.

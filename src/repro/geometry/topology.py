@@ -24,6 +24,8 @@ from __future__ import annotations
 import abc
 from typing import Hashable, Iterable, Sequence, Tuple
 
+import numpy as np
+
 __all__ = ["Cell", "CellTopology"]
 
 #: A cell identifier.  Concrete topologies use plain integers (1-D) or
@@ -107,6 +109,14 @@ class CellTopology(abc.ABC):
         if radius < 0:
             raise ValueError(f"radius must be >= 0, got {radius}")
         return sum(self.ring_size(r) for r in range(radius + 1))
+
+    def coverage_curve(self, radius: int) -> np.ndarray:
+        """``g(0) .. g(radius)`` as one float vector.
+
+        The generic implementation sums :meth:`ring_size`; subclasses
+        override with the closed form evaluated on an array.
+        """
+        return np.cumsum([self.ring_size(r) for r in range(radius + 1)], dtype=float)
 
     def validate_cell(self, cell: Cell) -> None:
         """Raise ``ValueError`` if ``cell`` is not a cell of this topology.

@@ -192,24 +192,29 @@ def sdf_partition(d: int, m) -> PagingPlan:
     return partition_from_sizes(d, sizes)
 
 
-def sdf_weights_batch(steady, cumulative_cells, m):
+def sdf_weights_batch(chain, cumulative_cells, m):
     """SDF partition weights (eqns (63)-(65)) for *all* thresholds at once.
 
     The scalar path builds a :class:`PagingPlan` per ``(d, m)`` and
     sums ``alpha_j w_j`` over its subareas.  For the paper's SDF scheme
-    every subarea is a contiguous ring range, so both weights collapse
-    onto cumulative sums: ``alpha_j`` is a difference of the row-wise
-    cumulative steady-state, and ``w_j`` is the cumulative coverage at
-    the subarea's outermost ring.  This evaluates the whole threshold
-    axis with one cumsum and at most ``min(m, d_max + 1)`` vectorized
-    passes (one per polling cycle).
+    every subarea is a contiguous ring range, so with
+    ``F_d(k) = P(ring <= k | d)`` and ``hi_j`` the outer ring of
+    subarea ``j`` (of ``l = min(d + 1, m)``), summation by parts gives
+
+        cells(d) = g(d) - sum_{j < l-1} F_d(hi_j) (g(hi_{j+1}) - g(hi_j)),
+        delay(d) = l    - sum_{j < l-1} F_d(hi_j),
+
+    one vectorized pass over the threshold axis per polling cycle.  When
+    every threshold polls ring by ring (``m > D``) both are plain
+    steady-state means of ``g(i)`` and ``i + 1``.
 
     Parameters
     ----------
-    steady:
-        ``(D+1, D+1)`` row-triangular matrix; row ``d`` holds
-        ``p_{0,d} .. p_{d,d}`` padded with zeros (the layout produced
-        by :func:`repro.core.batch.batched_steady_states`).
+    chain:
+        The thresholds' steady states as prefix sums: an object with
+        ``ring_cdf(d, k)`` (``F_d(k)`` for index arrays) and ``mean(f)``
+        (``sum_i p_{i,d} f(i)`` for every ``d``), such as
+        :class:`repro.core.batch.SteadyPrefix`.
     cumulative_cells:
         ``g(0) .. g(D)`` -- cumulative ring sizes of the topology.
     m:
@@ -222,42 +227,26 @@ def sdf_weights_batch(steady, cumulative_cells, m):
     expected paging delay in cycles, for each threshold ``d``.
     """
     m = validate_delay(m)
-    probabilities = np.asarray(steady, dtype=float)
-    if probabilities.ndim != 2 or probabilities.shape[0] != probabilities.shape[1]:
-        raise PartitionError(
-            f"steady must be a square row-triangular matrix, got shape "
-            f"{probabilities.shape}"
-        )
-    size = probabilities.shape[0]
     coverage = np.asarray(cumulative_cells, dtype=float)
-    if coverage.shape != (size,):
-        raise PartitionError(
-            f"cumulative_cells must have length {size}, got {coverage.shape}"
-        )
+    size = coverage.size
+    if m >= size:
+        return chain.mean(coverage), chain.mean(np.arange(1.0, size + 1.0))
     thresholds = np.arange(size)
-    if m == math.inf:
-        # Per-ring partition: alpha_j = p_j, w_j = g(j), delay j + 1.
-        cells = probabilities @ coverage
-        delay = probabilities @ (thresholds + 1.0)
-        return cells, delay
     count = np.minimum(thresholds + 1, int(m))  # l(d), eqn (2)
     gamma = (thresholds + 1) // count
-    cumulative = np.cumsum(probabilities, axis=1)
-    cells = np.zeros(size)
-    delay = np.zeros(size)
-    for j in range(min(int(m), size)):
-        # Subarea j exists for every threshold with l(d) > j, i.e.
-        # d >= j.  Its rings are [j*gamma, (j+1)*gamma - 1], except the
-        # last subarea which absorbs the remainder up to ring d.
-        rows = thresholds[j:]
-        gamma_j = gamma[rows]
-        is_last = j == count[rows] - 1
-        hi = np.where(is_last, rows, (j + 1) * gamma_j - 1)
-        alpha = cumulative[rows, hi]
-        if j > 0:
-            alpha = alpha - cumulative[rows, j * gamma_j - 1]
-        cells[rows] += alpha * coverage[hi]
-        delay[rows] += alpha * (j + 1)
+    cells = coverage.copy()
+    delay = count.astype(float)
+    for j in range(int(m) - 1):
+        # Subarea j + 1 exists for every threshold with l(d) > j + 1,
+        # i.e. d > j.  Subarea j ends at ring (j+1) gamma - 1; the next
+        # one ends gamma rings later, or at d if it is the last.
+        rows = thresholds[j + 1 :]
+        step = gamma[j + 1 :]
+        hi = (j + 1) * step - 1
+        hi_next = np.where(count[j + 1 :] == j + 2, rows, hi + step)
+        below = chain.ring_cdf(rows, hi)
+        cells[j + 1 :] -= below * (coverage[hi_next] - coverage[hi])
+        delay[j + 1 :] -= below
     return cells, delay
 
 

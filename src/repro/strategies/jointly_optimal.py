@@ -48,10 +48,10 @@ Convergence criterion (documented contract):
   ``tol``, or after ``max_iterations`` sweeps (bounded iteration
   count).
 
-Steady states come from the batched triangular solver of
-:mod:`repro.core.batch` (one solve covers every candidate threshold,
-and the distance search at the same ``d_max`` already made it);
-models without threshold-invariant rates stack per-threshold scalar
+Steady states come from the batched solver of :mod:`repro.core.batch`:
+the matrix of every candidate threshold is built in one pass from the
+prefix sums the distance search at the same ``d_max`` already solved.
+Models without threshold-invariant rates stack per-threshold scalar
 solves into the same matrix.
 """
 
@@ -193,9 +193,9 @@ class _JointEvaluator:
     """Analytic ``C_T(d, plan)`` for arbitrary contiguous plans.
 
     Holds one ``(d_max + 1)``-square steady-state matrix: the batched
-    triangular solve (:func:`repro.core.batch.batched_steady_states`)
-    when the model's rates are threshold-invariant, else the scalar
-    per-threshold solves stacked row by row.  Update costs follow eqn
+    solve (:func:`repro.core.batch.batched_steady_states`) when the
+    model's rates are threshold-invariant, else the scalar per-threshold
+    solves stacked row by row.  Update costs follow eqn
     (61) with the requested boundary convention, paging costs eqns
     (62)-(65) with the plan's own grouping.
     """
@@ -223,11 +223,8 @@ class _JointEvaluator:
             rates = np.array(
                 [model.update_rate(d, convention=convention) for d in range(size)]
             )
-        topology = model.topology
-        self._ring_sizes = np.array(
-            [topology.ring_size(i) for i in range(size)], dtype=float
-        )
-        self._coverage = np.cumsum(self._ring_sizes)
+        self._coverage = model.topology.coverage_curve(d_max)
+        self._ring_sizes = np.diff(self._coverage, prepend=0.0)
         self._update = np.diagonal(self._steady) * rates * costs.update_cost
 
     def steady_row(self, d: int) -> np.ndarray:

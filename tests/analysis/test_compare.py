@@ -119,7 +119,7 @@ class TestSolverWork:
         assert cold <= 2
         assert warm <= 1
         hits = registry.counter(
-            "analytic_steady_memo_total", model="2d-exact", method="dense", outcome="hit"
+            "analytic_steady_memo_total", model="2d-exact", outcome="hit"
         ).value
         assert hits >= 6
 

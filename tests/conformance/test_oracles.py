@@ -69,7 +69,7 @@ class TestAnalyticOraclesFail:
         assert result.status == "fail"
 
     def test_batched_vs_scalar_catches_skewed_solver(self):
-        # The batched triangular solve derives from the transition
+        # The batched prefix-sum solve derives from the transition
         # rates and stays correct; the skewed per-threshold solver
         # cannot hide behind it.
         result = run(

@@ -1,13 +1,14 @@
 """Banded steady-state solver: correctness, cutover, and overflow horizon.
 
-The dense triangular recursion computes unnormalized probabilities that
+The scalar backward recursion computes unnormalized probabilities that
 grow like ``prod(s_i / a_{i-1}) >= 2**d``, so it overflows float64 near
 ``d ~ 760`` -- and far earlier when calls dominate moves.  The banded
 path anchors ``p_0 = 1`` and solves the tridiagonal balance system
 directly, which stays finite far past that horizon -- these tests pin
-both the agreement regime (banded == dense to ~1e-12), the regime only
-the banded path can reach (d = 2000), and the ``method="auto"`` rule
-that picks between them.
+the agreement regime (banded == recursion to ~1e-12), the regime only
+the banded path can reach (d = 2000), the rule by which the scalar
+default picks between them, and the batched prefix-sum path against
+banded rows.
 """
 
 import numpy as np
@@ -15,21 +16,22 @@ import pytest
 
 from repro.cli import main
 from repro.core.batch import (
-    BANDED_CUTOVER,
     banded_steady_state,
     batched_steady_states,
     compute_cost_surface,
-    dense_recursion_fits,
 )
 from repro.core.models import (
+    BANDED_CUTOVER,
     OneDimensionalModel,
     SquareGridModel,
     TwoDimensionalApproximateModel,
     TwoDimensionalModel,
+    dense_recursion_fits,
 )
 from repro.core.parameters import CostParams, MobilityParams
 from repro.core.threshold import find_optimal_threshold
-from repro.exceptions import ParameterError, SolverError
+from repro.exceptions import SolverError
+from repro.paging import sdf_partition
 
 MOBILITY = MobilityParams(move_probability=0.1, call_probability=0.02)
 MODELS = (
@@ -77,11 +79,13 @@ def test_steady_state_method_banded_and_auto_cutover():
     assert np.all(np.isfinite(deep))
 
 
-def test_batched_banded_matches_dense():
+def test_batched_matches_banded_rows():
     model = SquareGridModel(MOBILITY)
-    dense = batched_steady_states(model, 40, method="dense")
-    banded = batched_steady_states(model, 40, method="banded")
-    np.testing.assert_allclose(banded, dense, rtol=0, atol=1e-12)
+    batched = batched_steady_states(model, 40)
+    for d in range(41):
+        np.testing.assert_allclose(
+            batched[d, : d + 1], banded_steady_state(model, d), rtol=0, atol=1e-12
+        )
 
 
 def test_batched_auto_cutover_reaches_deep_chains():
@@ -93,26 +97,34 @@ def test_batched_auto_cutover_reaches_deep_chains():
     np.testing.assert_allclose(rows, np.ones_like(rows), atol=1e-9)
 
 
-def test_batched_rejects_unknown_method():
-    with pytest.raises(ParameterError, match="solver"):
-        batched_steady_states(MODELS[0], 5, method="cholesky")
+def banded_costs(model, costs, d_max, m):
+    """``(C_u, C_v)`` of every threshold from per-threshold banded rows."""
+    update, paging = np.empty(d_max + 1), np.empty(d_max + 1)
+    for d in range(d_max + 1):
+        p = banded_steady_state(model, d)
+        update[d] = p[d] * model.update_rate(d) * costs.update_cost
+        cells = sdf_partition(d, m).expected_polled_cells(model.topology, p)
+        paging[d] = model.c * costs.poll_cost * cells
+    return update, paging
 
 
 def test_surface_solver_equivalence():
     model = TwoDimensionalModel(MOBILITY)
     costs = CostParams(update_cost=50.0, poll_cost=5.0)
-    dense = compute_cost_surface(model, costs, d_max=25, delays=(1, 3),
-                                 solver="dense")
-    banded = compute_cost_surface(model, costs, d_max=25, delays=(1, 3),
-                                  solver="banded")
-    np.testing.assert_allclose(banded.total, dense.total, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(banded.update, dense.update, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(banded.paging, dense.paging, rtol=0, atol=1e-9)
+    surface = compute_cost_surface(model, costs, d_max=25, delays=(1, 3))
+    for k, m in enumerate(surface.delays):
+        update, paging = banded_costs(model, costs, 25, m)
+        np.testing.assert_allclose(surface.update, update, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(surface.paging[k], paging, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            surface.total[k], update + paging, rtol=0, atol=1e-9
+        )
 
 
 class TestAutoCutover:
-    """``method="auto"`` takes the dense recursion only where its
-    magnitude bound ``prod(s_i / a_{i-1})`` stays below ``1e300``."""
+    """The scalar default takes the backward recursion only where its
+    magnitude bound ``prod(s_i / a_{i-1})`` stays below ``1e300``; the
+    batched path needs no such rule."""
 
     def test_often_called_slow_walker_steady_state(self):
         model = TwoDimensionalModel(MobilityParams(1e-4, 0.1))
@@ -123,11 +135,12 @@ class TestAutoCutover:
 
     def test_often_called_slow_walker_threshold_search(self):
         model = OneDimensionalModel(MobilityParams(3e-4, 0.2))
-        solution = find_optimal_threshold(
-            model, CostParams(100.0, 10.0), 1, d_max=100
-        )
-        assert np.isfinite(solution.total_cost)
-        assert model._batched_steady.method == "banded"
+        costs = CostParams(100.0, 10.0)
+        solution = find_optimal_threshold(model, costs, 1, d_max=100)
+        update, paging = banded_costs(model, costs, 100, 1)
+        curve = np.array([solution.search.curve[d] for d in range(101)])
+        np.testing.assert_allclose(curve, update + paging, rtol=1e-11, atol=0)
+        assert solution.total_cost == curve.min()
 
     def test_often_called_slow_walker_sweep_cli(self, capsys):
         code = main(
@@ -143,10 +156,10 @@ class TestAutoCutover:
         a, b = model.transition_rates(100)
         assert not dense_recursion_fits(a, b, model.c)
         with pytest.raises(SolverError), np.errstate(all="ignore"):
-            batched_steady_states(model, 100, method="dense")
+            model.steady_state(100, method="recursive")
         a, b = model.transition_rates(60)
         assert dense_recursion_fits(a, b, model.c)
-        batched_steady_states(model, 60, method="dense")
+        model.steady_state(60, method="recursive")
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
     def test_everyday_chains_stay_dense(self, model):

@@ -1,12 +1,13 @@
 """Unit tests for threshold search algorithms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import ParameterError, exhaustive_search, hill_climb, simulated_annealing
-from repro.core.optimizers import screened_scan
+from repro.core.optimizers import scan_curve, screened_scan
 
 TIE = 1e-15
 
@@ -144,6 +145,53 @@ def full_scan(costs, best=0, best_cost=math.inf, skip=None):
         if k != skip and value < best_cost - TIE:
             best, best_cost = k, value
     return best, best_cost
+
+
+class TestScanCurve:
+    """``scan_curve`` returns exactly the ``OptimizationResult`` of
+    ``exhaustive_search`` over lookups into the same vector."""
+
+    @staticmethod
+    def reference(values):
+        return exhaustive_search(lambda d: values[d], len(values) - 1)
+
+    def test_walks_a_chain_of_sub_tolerance_steps(self):
+        values = [1.0, 1.0 - 0.8e-15, 1.0 - 1.6e-15]
+        result = scan_curve(values)
+        assert result == self.reference(values)
+        assert result.optimal_threshold == 2
+
+    def test_nan_and_infinities(self):
+        for values in (
+            [math.nan, 3.0, math.nan, 1.0, 2.0],
+            [math.inf, math.inf],
+            [math.nan, math.nan],
+            [2.0, -math.inf, -math.inf, 1.0],
+        ):
+            result, reference = scan_curve(values), self.reference(values)
+            # NaN != NaN, so the curves are compared NaN-aware.
+            np.testing.assert_equal(result.curve, reference.curve)
+            assert replace(result, curve={}) == replace(reference, curve={})
+
+    def test_accepts_arrays(self):
+        values = np.array([convex(d) for d in range(15)])
+        result = scan_curve(values)
+        assert result == self.reference(values.tolist())
+        assert (result.optimal_threshold, result.evaluations) == (7, 15)
+        assert result.method == "exhaustive"
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_exhaustive_search_on_near_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            size = int(rng.integers(1, 80))
+            level = float(rng.choice([1e-3, 1.0, 30.0]))
+            values = level + TIE * rng.integers(-12, 12, size) * rng.choice(
+                [0.3, 0.5, 0.6, 1.1], size
+            )
+            values[rng.random(size) < 0.2] += level * rng.random()
+            values = values.tolist()
+            assert scan_curve(values) == self.reference(values)
 
 
 class TestScreenedScan:

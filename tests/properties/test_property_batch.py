@@ -1,10 +1,13 @@
 """Property-based cross-check of the batched cost-surface solver.
 
 Across random ``(q, c, d_max, m)`` and every mobility model, the
-batched triangular recursion must agree with both scalar steady-state
+batched prefix-sum solve must agree with both scalar steady-state
 solvers and with the scalar cost evaluator to 1e-10 -- the acceptance
 bar of ``benchmarks/bench_analytic.py``, here enforced over the whole
-random parameter space rather than one operating point.
+random parameter space rather than one operating point -- and, on
+chains up to ``D = 300`` and down to ``c = 0``, with costs built from
+per-threshold recursive (or, where the recursion overflows, banded)
+solves to 1e-11 relative.
 """
 
 import pytest
@@ -16,6 +19,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.sweep import MODEL_CLASSES
 from repro.core.batch import batched_steady_states, compute_cost_surface
+from repro.core.models import dense_recursion_fits
+from repro.paging import sdf_partition
 from repro.core.chains import (
     ResetChain,
     solve_steady_state_matrix,
@@ -85,3 +90,39 @@ class TestBatchedSurfaceAgreement:
             assert abs(
                 surface.expected_delay[0, d] - breakdown.expected_delay
             ) <= TOLERANCE
+
+
+class TestPrefixSurfaceMatchesPerThresholdSolves:
+    @given(
+        name=st.sampled_from(["1d", "2d-exact", "2d-approx", "square-exact"]),
+        q=st.floats(min_value=1e-4, max_value=0.9),
+        c=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.1)),
+        update_cost=st.floats(min_value=1.0, max_value=1e4),
+        poll_cost=st.floats(min_value=0.1, max_value=100.0),
+        m=st.one_of(st.integers(min_value=1, max_value=8), st.just(math.inf)),
+        d_max=st.integers(min_value=0, max_value=300),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_costs_match_recursive_or_banded_rows(
+        self, name, q, c, update_cost, poll_cost, m, d_max
+    ):
+        model = build_model(name, (q, c))
+        costs = CostParams(update_cost=update_cost, poll_cost=poll_cost)
+        surface = compute_cost_surface(model, costs, d_max, delays=(m,))
+        for d in range(d_max + 1):
+            chain = model.chain(d)
+            method = (
+                "recursive"
+                if dense_recursion_fits(chain.a, chain.b, model.c)
+                else "banded"
+            )
+            p = model.steady_state(d, method=method)
+            update = p[d] * model.update_rate(d) * update_cost
+            cells = sdf_partition(d, m).expected_polled_cells(model.topology, p)
+            paging = model.c * poll_cost * cells
+            # Relative to the total, so a component that underflows
+            # toward zero is held to the total's precision.
+            scale = 1e-11 * (update + paging)
+            assert abs(surface.update[d] - update) <= scale
+            assert abs(surface.paging[0, d] - paging) <= scale
+            assert abs(surface.total[0, d] - (update + paging)) <= scale
