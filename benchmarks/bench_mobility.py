@@ -12,6 +12,14 @@ per-terminal residence clock and per-expiry distribution sampling, so
 it is expected to cost more per slot; the gate bounds that overhead so
 a regression in the CTRW kernels is caught, not hidden.
 
+Estimator: each preset is timed in ``REPEATS`` back-to-back pairs
+with the uniform walk, alternating which runs first, and its overhead
+is the median of the pair ratios -- the estimator of
+``bench_throughput.measure_observability_overhead``.  A single timing
+per preset swung the ratio from 2.4x to 4.0x between runs of the same
+code on a shared 2-vCPU host; a slowdown that lasts only part of a run
+moves both sides of the pairs it hits and cancels in their ratios.
+
 Also times the per-cell :class:`~repro.simulation.engine.SimulationEngine`
 with a CTRW walker against its uniform-walk baseline, and verifies the
 ctrw-exp preset's measured cost lands within CI-plus-5% of the uniform
@@ -30,6 +38,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from statistics import median
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -49,15 +58,19 @@ COSTS = CostParams(update_cost=50.0, poll_cost=10.0)
 
 #: Allowed slowdown of the slowest CTRW preset relative to the uniform
 #: counter-RNG path in the vectorized engine.  The CTRW block adds
-#: residence-clock rounds with per-expiry sampling; smoke runs measure
-#: about 2x, and the margin covers shared CI hardware.
+#: residence-clock rounds with per-expiry sampling; smoke runs (K = 128,
+#: where per-call dispatch dominates) measure 3.2-3.4x, full-size runs
+#: about 1.8x.
 DEFAULT_MAX_OVERHEAD = 4.0
 
+#: Alternating uniform/CTRW timing pairs per preset.
+REPEATS = 9
 
-def _vectorized_rate(spec, terminals: int, slots: int) -> float:
-    topology = HexTopology()
+
+def _vectorized_timer(spec, terminals: int, slots: int):
+    """A function that times ``slots`` more slots of one warmed engine."""
     engine = VectorizedDistanceEngine(
-        topology,
+        HexTopology(),
         threshold=D,
         mobility=MobilityParams(move_probability=Q, call_probability=C),
         costs=COSTS,
@@ -67,10 +80,41 @@ def _vectorized_rate(spec, terminals: int, slots: int) -> float:
         walk=spec,
     )
     engine.run(64)  # touch lazily-built tables before timing
-    start = time.perf_counter()
-    engine.run(slots)
-    elapsed = time.perf_counter() - start
-    return terminals * slots / elapsed
+
+    def timed() -> float:
+        start = time.perf_counter()
+        engine.run(slots)
+        return time.perf_counter() - start
+
+    return timed
+
+
+def measure_ctrw_overhead(terminals: int, slots: int):
+    """``(rates, overheads)``: each walk's median terminal-slots/s, and
+    each CTRW preset's median time ratio to the uniform walk over
+    ``REPEATS`` alternating back-to-back pairs."""
+    uniform = _vectorized_timer(None, terminals, slots)
+    seconds = {"uniform": []}
+    overheads = {}
+    for name in MOBILITY_PRESETS:
+        if name == "uniform":
+            continue
+        ctrw = _vectorized_timer(mobility_preset(name, Q), terminals, slots)
+        seconds[name] = []
+        ratios = []
+        for i in range(REPEATS):
+            if i % 2 == 0:
+                u = uniform()
+                c = ctrw()
+            else:
+                c = ctrw()
+                u = uniform()
+            seconds["uniform"].append(u)
+            seconds[name].append(c)
+            ratios.append(c / u)
+        overheads[name] = median(ratios)
+    rates = {name: terminals * slots / median(s) for name, s in seconds.items()}
+    return rates, overheads
 
 
 def _vectorized_cost(spec, terminals: int, slots: int):
@@ -122,15 +166,8 @@ def main(argv=None) -> int:
     else:
         terminals, slots, per_cell_slots, check_slots = 1024, 8000, 120_000, 20_000
 
-    rates = {}
-    rates["uniform"] = _vectorized_rate(None, terminals, slots)
-    for name in MOBILITY_PRESETS:
-        if name == "uniform":
-            continue
-        spec = mobility_preset(name, Q)
-        rates[name] = _vectorized_rate(spec, terminals, slots)
-    slowest = min(rate for name, rate in rates.items() if name != "uniform")
-    overhead = rates["uniform"] / slowest
+    rates, overheads = measure_ctrw_overhead(terminals, slots)
+    overhead = max(overheads.values())
 
     per_cell = {
         "uniform": _per_cell_rate(None, per_cell_slots),
@@ -144,10 +181,12 @@ def main(argv=None) -> int:
     band = uniform_ci + exp_ci + 0.05 * uniform_cost
     degenerate_ok = abs(uniform_cost - exp_cost) <= band
 
-    print(f"vectorized slot-terminal throughput (terminals={terminals}):")
+    print(f"vectorized slot-terminal throughput (terminals={terminals}, "
+          f"median of {REPEATS}):")
     for name, rate in rates.items():
-        print(f"  {name:<12} {rate:>12.0f} /s")
-    print(f"CTRW overhead (uniform / slowest preset): {overhead:.2f}x "
+        ratio = f"  {overheads[name]:.2f}x uniform" if name in overheads else ""
+        print(f"  {name:<12} {rate:>12.0f} /s{ratio}")
+    print(f"CTRW overhead (slowest preset's median pair ratio): {overhead:.2f}x "
           f"(max allowed {args.max_overhead:.1f}x)")
     print("per-cell engine slots/s: "
           + ", ".join(f"{k}={v:.0f}" for k, v in per_cell.items()))
@@ -160,12 +199,13 @@ def main(argv=None) -> int:
         "provenance": build_provenance(
             "bench-mobility",
             params={"terminals": terminals, "slots": slots,
-                    "smoke": args.smoke},
+                    "repeats": REPEATS, "smoke": args.smoke},
             seed=7,
         ),
         "vectorized_rates": rates,
         "per_cell_rates": per_cell,
         "overhead": overhead,
+        "overhead_by_preset": overheads,
         "degeneracy": {
             "uniform": uniform_cost,
             "ctrw_exp": exp_cost,

@@ -141,6 +141,9 @@ def approximation_report(
     from ..analysis.sweep import MODEL_CLASSES  # deferred: avoid cycle
     from ..simulation.vectorized import VectorizedDistanceEngine  # deferred
 
+    if slots < 1:
+        # Zero metered slots would report every preset at cost 0.
+        raise ParameterError(f"slots must be >= 1, got {slots}")
     unknown = [name for name in models if name not in MOBILITY_MODELS]
     if unknown:
         raise ParameterError(

@@ -21,7 +21,7 @@ from .fleet import (
     run_fleet,
     shard_bounds,
 )
-from .metrics import CostMeter, MeterSnapshot, z_score
+from .metrics import CostMeter, MeterColumns, MeterSnapshot, z_score
 from .network import BaseStation, LocationRegister, MobileTerminal, PCNetwork
 from .runner import (
     ModelComparison,
@@ -42,6 +42,7 @@ __all__ = [
     "FleetSpec",
     "LocationRegister",
     "LossyUpdateEngine",
+    "MeterColumns",
     "MeterSnapshot",
     "MobileTerminal",
     "ModelComparison",

@@ -11,6 +11,9 @@ The analytical model predicts *per-slot averages* (``C_u``, ``C_v``,
   i.i.d. bounded, so the CLT applies comfortably at the slot counts
   used here);
 * a paging-delay histogram (polling cycles per call).
+
+:class:`MeterColumns` holds what pooled statistics read of many meters
+as arrays, one row per meter.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
+
+import numpy as np
 
 from ..exceptions import ParameterError, SimulationError
 
-__all__ = ["CostMeter", "MeterSnapshot", "z_score"]
+__all__ = ["CostMeter", "MeterColumns", "MeterSnapshot", "z_score"]
 
 #: Two-sided z-scores for the common confidence levels, kept as a fast
 #: path; any other level in (0, 1) is computed exactly via the normal
@@ -127,6 +132,35 @@ class MeterSnapshot:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"malformed snapshot payload: {exc}") from exc
+
+
+@dataclass(frozen=True, eq=False)
+class MeterColumns:
+    """Several meters' call counts and per-slot means, one array each.
+
+    Row ``k`` holds meter ``k``'s values of the :class:`MeterSnapshot`
+    field or property of the same name, so a statistic pooled over the
+    rows equals, bit for bit, the one pooled over the snapshots.
+    """
+
+    calls: np.ndarray
+    mean_total_cost: np.ndarray
+    mean_update_cost: np.ndarray
+    mean_paging_cost: np.ndarray
+    mean_paging_delay: np.ndarray
+
+    @classmethod
+    def from_snapshots(cls, snapshots: Sequence[MeterSnapshot]) -> "MeterColumns":
+        """Stack the snapshots' values, one row per snapshot."""
+        means = ("mean_total_cost", "mean_update_cost", "mean_paging_cost",
+                 "mean_paging_delay")
+        return cls(
+            calls=np.array([s.calls for s in snapshots], dtype=np.int64),
+            **{
+                name: np.array([getattr(s, name) for s in snapshots], dtype=np.float64)
+                for name in means
+            },
+        )
 
 
 class CostMeter:

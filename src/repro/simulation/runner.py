@@ -52,7 +52,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,7 +65,7 @@ from ..observability import context as _obs_context
 from ..persist import atomic_write_json, read_checkpoint
 from ..strategies.base import UpdateStrategy
 from .engine import SimulationEngine, strategy_labels
-from .metrics import CostMeter, MeterSnapshot
+from .metrics import CostMeter, MeterColumns, MeterSnapshot
 
 __all__ = [
     "PartialReplication",
@@ -106,40 +106,69 @@ class PartialReplication:
     snapshot: MeterSnapshot
 
 
-@dataclass(frozen=True)
 class ReplicatedResult:
     """Pooled outcome of several independent simulation runs.
 
-    ``partials`` lists replications that hit their deadline; pooled
-    statistics cover the completed ``snapshots`` only.
+    The pooled statistics read :class:`~repro.simulation.metrics.
+    MeterColumns`, one row per run, fixed when the result is made.  A
+    result made from a ``snapshots`` list stacks it into columns.  The
+    vectorized engine passes its per-terminal ``columns`` together with
+    a zero-argument ``snapshots`` builder, which runs when
+    :attr:`snapshots` is first read.  ``partials`` lists replications
+    that hit their deadline; pooled statistics cover the completed runs
+    only.
     """
 
-    snapshots: List[MeterSnapshot]
-    partials: Tuple[PartialReplication, ...] = ()
+    def __init__(
+        self,
+        snapshots: Union[
+            Sequence[MeterSnapshot], Callable[[], List[MeterSnapshot]]
+        ] = (),
+        partials: Tuple[PartialReplication, ...] = (),
+        columns: Optional[MeterColumns] = None,
+    ) -> None:
+        if columns is None:
+            snapshots = list(snapshots)
+            columns = MeterColumns.from_snapshots(snapshots)
+        self.columns = columns
+        self.partials = tuple(partials)
+        self._snapshots = snapshots
+
+    @property
+    def snapshots(self) -> List[MeterSnapshot]:
+        """One :class:`MeterSnapshot` per completed run."""
+        if callable(self._snapshots):
+            self._snapshots = self._snapshots()
+        return self._snapshots
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ReplicatedResult):
+            return NotImplemented
+        return self.snapshots == other.snapshots and self.partials == other.partials
 
     @property
     def replications(self) -> int:
-        return len(self.snapshots)
+        return len(self.columns.calls)
 
     @property
     def mean_total_cost(self) -> float:
         """Grand mean of per-slot total cost across replications."""
-        return float(np.mean([s.mean_total_cost for s in self.snapshots]))
+        return float(np.mean(self.columns.mean_total_cost))
 
     @property
     def mean_update_cost(self) -> float:
-        return float(np.mean([s.mean_update_cost for s in self.snapshots]))
+        return float(np.mean(self.columns.mean_update_cost))
 
     @property
     def mean_paging_cost(self) -> float:
-        return float(np.mean([s.mean_paging_cost for s in self.snapshots]))
+        return float(np.mean(self.columns.mean_paging_cost))
 
     @property
     def mean_paging_delay(self) -> float:
-        with_calls = [s for s in self.snapshots if s.calls > 0]
-        if not with_calls:
+        with_calls = self.columns.calls > 0
+        if not with_calls.any():
             return 0.0
-        return float(np.mean([s.mean_paging_delay for s in with_calls]))
+        return float(np.mean(self.columns.mean_paging_delay[with_calls]))
 
     def total_cost_ci(self, z: float = 1.96) -> float:
         """Half-width of the CI for the grand mean (over replications).
@@ -149,7 +178,7 @@ class ReplicatedResult:
         """
         if self.replications < 2:
             return math.inf
-        values = [s.mean_total_cost for s in self.snapshots]
+        values = self.columns.mean_total_cost
         return z * float(np.std(values, ddof=1)) / math.sqrt(self.replications)
 
 

@@ -24,7 +24,11 @@ rounds, each hashing the direction and re-arm draws of every
 terminal's next expiry inside the block.  Only movers are hashed for
 direction and residence.  The strategy pass then replays each
 terminal's events in slot order: round ``r`` applies the ``r``-th event
-of every terminal, a call before the same slot's move.
+of every terminal, a call before the same slot's move.  A round is five
+NumPy calls on one int32 code per terminal: gather the codes, reset the
+callers and step (``code * keep + shift``), fold through a table, and
+scatter.  The rings at calls and the update flags come from a ring
+table once per block, after the last round.
 
 Drawing moves ahead of the strategy is exact because mobility never
 reads strategy state: calls and updates move the center, never a
@@ -38,21 +42,30 @@ Exactness
 Terminals are tracked by their true lattice coordinates **relative to
 the current center cell** (the cell of the last update or page hit),
 not by the paper's ring-aggregated ``p+(i)/p-(i)`` chain, so hex and
-square corner effects are exact; a page hit or update resets a
-terminal to the origin.  CTRW mobility (``walk=CTRWSpec(...)``) follows
-the timed slot semantics of :mod:`repro.mobility.ctrw`.  Each terminal
-has its own meter with :class:`CostMeter` accounting, so the pooled
-statistics of :class:`~repro.simulation.runner.ReplicatedResult` apply.
-Event logs, fault models, arbitrary walkers or arrival processes, and
-non-distance strategies need
-:class:`~repro.simulation.engine.SimulationEngine`.
+square corner effects are exact.  Those coordinates (axial on the hex
+grid) never leave ``[-d-1, d+1]``, so each terminal's cell packs into
+one int32 code in base ``2d + 3``; read-only tables of ``(2d + 3)**dims``
+entries, built once per ``(topology, d)``, give every code's ring and
+fold the codes of ring ``d + 1`` -- an update -- back to the origin.
+A page hit also resets a terminal to the origin.  CTRW mobility
+(``walk=CTRWSpec(...)``) follows the timed slot semantics of
+:mod:`repro.mobility.ctrw`.
+
+Each terminal has its own meter with :class:`CostMeter` accounting.
+``run()`` returns a :class:`~repro.simulation.runner.ReplicatedResult`
+over a frozen copy of the per-terminal meter columns: its pooled
+statistics are array reductions, and its per-terminal
+:class:`MeterSnapshot` list is built only when first read.  Event logs,
+fault models, arbitrary walkers or arrival processes, and non-distance
+strategies need :class:`~repro.simulation.engine.SimulationEngine`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -78,7 +91,7 @@ from .kernels import (
     slot_keys,
     terminal_keys,
 )
-from .metrics import MeterSnapshot
+from .metrics import MeterColumns, MeterSnapshot
 from .runner import ReplicatedResult
 
 __all__ = [
@@ -97,6 +110,20 @@ _CTRW_STREAMS = (
 
 #: z-score matching CostMeter's 95% half-width.
 _Z95 = 1.96
+
+#: Most packed cell codes a lattice may need (two 16 MiB tables): d up
+#: to 1022 on the hex and square grids.
+_MAX_CODES = 2**22
+
+
+class _CodeTables(NamedTuple):
+    """See :func:`_code_tables`."""
+
+    step: np.ndarray
+    ring: np.ndarray
+    fold: np.ndarray
+    origin: np.int32
+    powers: np.ndarray
 
 
 def _lattice_kernel(topology: CellTopology) -> Tuple[np.ndarray, callable]:
@@ -138,6 +165,42 @@ def _column_kernel(topology: CellTopology) -> Tuple[np.ndarray, np.ufunc]:
         dirs = np.column_stack([dirs, -dirs.sum(axis=1)])
     steps = np.vstack([dirs, np.zeros_like(dirs[:1])]).T.astype(np.int32)
     return steps, np.add if isinstance(topology, SquareTopology) else np.maximum
+
+
+@functools.lru_cache(maxsize=32)
+def _code_tables(topology: CellTopology, threshold: int) -> _CodeTables:
+    """The read-only packed-code tables of ``topology`` at ``threshold``.
+
+    Center-relative native lattice coordinates (axial on the hex grid)
+    stay in ``[-d-1, d+1]``, so each packs into one int32 code in base
+    ``b = 2d + 3``: ``sum_i (x_i + d + 1) * b**i``.  Adding
+    ``step[j]`` moves a code one cell in direction ``j``
+    (``step[degree] = 0`` is "no move"); ``ring`` maps every code to its
+    ring, and ``fold`` maps the codes past ring ``d`` to the origin and
+    every other code to itself.
+    """
+    dirs, distance = _lattice_kernel(topology)
+    base = 2 * threshold + 3
+    dims = dirs.shape[1]
+    if base**dims > _MAX_CODES:
+        raise ParameterError(
+            f"threshold {threshold} needs {base**dims} packed cell codes on "
+            f"{topology!r}, more than {_MAX_CODES}; use SimulationEngine"
+        )
+    powers = base ** np.arange(dims, dtype=np.int32)
+    codes = np.arange(base**dims, dtype=np.int32)
+    ring = distance(codes[:, None] // powers % base - (threshold + 1))
+    origin = np.int32((threshold + 1) * powers.sum())
+    tables = _CodeTables(
+        step=np.append(dirs @ powers, 0).astype(np.int32),
+        ring=ring,
+        fold=np.where(ring > threshold, origin, codes),
+        origin=origin,
+        powers=powers,
+    )
+    for array in (tables.step, tables.ring, tables.fold, tables.powers):
+        array.flags.writeable = False
+    return tables
 
 
 def _paging_tables(plan, threshold: int, max_delay, topology: CellTopology):
@@ -232,15 +295,15 @@ class VectorizedDistanceEngine:
             )
         self._seed = int(seed)
         self._idx_keys = terminal_keys(0, self.terminals)
-        self._steps, self._ring_reduce = _column_kernel(topology)
-        self._degree = self._steps.shape[1] - 1
+        self._tables = _code_tables(topology, self.threshold)
+        self._degree = len(self._tables.step) - 1
         self._block = _block_length(self.terminals)
         self.plan, self._ring_to_cycle, self._cumulative_polled = _paging_tables(
             plan, self.threshold, max_delay, topology
         )
-        # Center-relative positions: the whole batch starts freshly
-        # fixed at its (arbitrary) start cells.
-        self._pos = np.zeros((len(self._steps), self.terminals), dtype=np.int32)
+        # Packed center-relative positions: the whole batch starts
+        # freshly fixed at its (arbitrary) start cells.
+        self._code = np.full(self.terminals, self._tables.origin, dtype=np.int32)
         if walk is not None:
             if walk.drift_direction >= self._degree:
                 raise ParameterError(
@@ -402,18 +465,36 @@ class VectorizedDistanceEngine:
             paging_cost.inc(polled * V)
 
     def result(self) -> ReplicatedResult:
-        """Freeze the current per-terminal meters into a pooled result."""
-        return ReplicatedResult(snapshots=self.snapshots())
+        """Freeze a copy of the per-terminal meters into a pooled result;
+        its :class:`MeterSnapshot` list is built when first read."""
+        slots, costs, *arrays = self._meters()
+        meters = (slots, costs, *[array.copy() for array in arrays])
+        return ReplicatedResult(
+            snapshots=functools.partial(_meter_snapshots, *meters),
+            columns=_meter_columns(*meters),
+        )
 
     def snapshots(self) -> List[MeterSnapshot]:
         """One :class:`MeterSnapshot` per terminal (CostMeter semantics)."""
-        counts = (self._moves, self._updates, self._calls, self._polled_cells)
-        return _meter_snapshots(
-            self._metered_slots, self.costs, *counts,
-            self._cost_sum, self._cost_sq_sum, self._delay_counts,
-        )
+        return _meter_snapshots(*self._meters())
+
+    @property
+    def _pos(self) -> np.ndarray:
+        """The ``(dims, K)`` center-relative native coordinates the
+        codes pack (axial on the hex grid)."""
+        powers = self._tables.powers[:, None]
+        base = 2 * self.threshold + 3
+        return self._code // powers % base - (self.threshold + 1)
 
     # -- internals --------------------------------------------------------
+
+    def _meters(self) -> tuple:
+        """The arguments of :func:`_meter_snapshots` for the live meters."""
+        return (
+            self._metered_slots, self.costs, self._moves, self._updates,
+            self._calls, self._polled_cells, self._cost_sum, self._cost_sq_sum,
+            self._delay_counts,
+        )
 
     def _uniform_block(self, width: int) -> Tuple[np.ndarray, np.ndarray]:
         """The uniform walk's ``(K, width)`` call flags and directions,
@@ -471,9 +552,6 @@ class VectorizedDistanceEngine:
         self._residence = due - (width - 1)
         return called, direction
 
-    def _ring(self, pos: np.ndarray) -> np.ndarray:
-        return self._ring_reduce.reduce(np.abs(pos), axis=0)
-
     def _strategy_pass(self, called: np.ndarray, direction: np.ndarray) -> None:
         """Apply a block's events -- terminal-slots with a call, a move or
         both, call first -- to the strategy, round ``r`` replaying every
@@ -489,27 +567,29 @@ class VectorizedDistanceEngine:
         order = np.argsort(rank.astype(np.int8), kind="stable")
         events, who = events[order], terminal[order]
         call = called.ravel()[events]
-        keep = ~call
-        steps = self._steps.take(direction.ravel()[events], axis=1)
-        ring = np.empty(events.size, dtype=np.int32)
-        crossed = np.empty(events.size, dtype=bool)
+        # An event maps code x to x * keep + shift: a page hit makes the
+        # terminal's cell the new center (the origin), then it steps.
+        keep = (~call).astype(np.int32)
+        shift = self._tables.step.take(direction.ravel()[events])
+        shift += call * self._tables.origin
+        before = np.empty(events.size, dtype=np.int32)
+        after = np.empty(events.size, dtype=np.int32)
+        code, fold = self._code, self._tables.fold
         start = 0
         for stop in np.cumsum(np.bincount(rank)).tolist():
             t = who[start:stop]
-            pos = self._pos.take(t, axis=1)
-            ring[start:stop] = self._ring(pos)
-            # A page hit makes the terminal's cell the new center.
-            pos *= keep[start:stop]
-            pos += steps[:, start:stop]
+            now, moved_to = before[start:stop], after[start:stop]
+            # "clip" writes straight into `now`; "raise" would buffer.
+            code.take(t, out=now, mode="clip")
+            np.multiply(now, keep[start:stop], out=moved_to)
+            moved_to += shift[start:stop]
             # Crossing the residing-area boundary triggers an update
             # and re-centers the terminal.
-            out = self._ring(pos) > self.threshold
-            pos[:, out] = 0
-            crossed[start:stop] = out
-            for row, values in zip(self._pos, pos):  # 1-D scatters beat one 2-D
-                row[t] = values
+            code[t] = fold.take(moved_to)
             start = stop
-        rings, callers = ring[call], who[call]
+        ring_of = self._tables.ring
+        crossed = ring_of.take(after) > self.threshold
+        rings, callers = ring_of.take(before[call]), who[call]
         cycles = self._ring_to_cycle[rings]
         polled = self._cumulative_polled[cycles]
         if self._ring_hits is not None:
@@ -593,22 +673,43 @@ def replay_trace_meters(
     return _meter_snapshots(len(trace.steps), costs, *meters)[0]
 
 
+def _meter_columns(
+    slots, costs, moves, updates, calls, polled_cells, cost_sum, cost_sq_sum,
+    delay_counts,
+) -> MeterColumns:
+    """CostMeter accounting of ``(K,)`` meter columns, as columns;
+    element-wise IEEE arithmetic gives the floats a per-terminal loop
+    gives, and the delay sums are exact integers."""
+    K = len(moves)
+
+    def per_slot(total: np.ndarray) -> np.ndarray:
+        return total / slots if slots else np.zeros(K)
+
+    weighted = delay_counts @ np.arange(1.0, delay_counts.shape[1] + 1)
+    return MeterColumns(
+        calls=calls,
+        mean_total_cost=per_slot(cost_sum),
+        mean_update_cost=per_slot(updates * costs.update_cost),
+        mean_paging_cost=per_slot(polled_cells * costs.poll_cost),
+        mean_paging_delay=np.divide(weighted, calls, out=np.zeros(K), where=calls > 0),
+    )
+
+
 def _meter_snapshots(
     slots, costs, moves, updates, calls, polled_cells, cost_sum, cost_sq_sum,
     delay_counts,
 ) -> List[MeterSnapshot]:
-    """CostMeter accounting of ``(K,)`` meter columns, one snapshot each;
-    element-wise IEEE arithmetic gives the floats a per-terminal loop
-    gives, and the delay sums are exact integers."""
-    K = len(moves)
-    mean = cost_sum / slots if slots else np.zeros(K)
+    """The :func:`_meter_columns` accounting as one snapshot per terminal."""
+    columns = _meter_columns(
+        slots, costs, moves, updates, calls, polled_cells, cost_sum, cost_sq_sum,
+        delay_counts,
+    )
+    mean = columns.mean_total_cost
     if slots >= 2:
         var = np.maximum(cost_sq_sum / slots - mean * mean, 0.0)
         half = _Z95 * np.sqrt(var / slots)
     else:
-        half = np.full(K, math.inf)
-    weighted = delay_counts @ np.arange(1.0, delay_counts.shape[1] + 1)
-    delay = np.divide(weighted, calls, out=np.zeros(K), where=calls > 0)
+        half = np.full(len(moves), math.inf)
     U, V = costs.update_cost, costs.poll_cost
     return [
         MeterSnapshot(
@@ -626,7 +727,8 @@ def _meter_snapshots(
         )
         for m, u, c, p, mean_k, half_k, delay_k, row in zip(
             *(column.tolist() for column in (moves, updates, calls, polled_cells)),
-            mean.tolist(), half.tolist(), delay.tolist(), delay_counts.tolist(),
+            mean.tolist(), half.tolist(), columns.mean_paging_delay.tolist(),
+            delay_counts.tolist(),
         )
     ]
 

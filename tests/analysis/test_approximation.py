@@ -1,8 +1,13 @@
-"""approximation_report: a preset's row does not depend on the others."""
+"""approximation_report: a preset's row does not depend on the others,
+bad slot counts are refused, and no per-terminal snapshot is built."""
 
 import pytest
 
 from repro.analysis.approximation import MOBILITY_MODELS, approximation_report
+from repro.core.parameters import CostParams, MobilityParams
+from repro.exceptions import ParameterError
+from repro.geometry import HexTopology
+from repro.simulation import vectorized
 
 SMALL = dict(slots=200, terminals=64, warmup_slots=20, seed=3)
 
@@ -22,3 +27,34 @@ def test_preset_order_does_not_change_rows(full_rows):
     rows = approximation_report(models=("ctrw-exp", "uniform"), **SMALL).rows
     assert [row.mobility for row in rows] == ["ctrw-exp", "uniform"]
     assert all(row == full_rows[row.mobility] for row in rows)
+
+
+@pytest.mark.parametrize("slots", [0, -5])
+def test_rejects_fewer_than_one_slot_before_building_an_engine(monkeypatch, slots):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(vectorized, "VectorizedDistanceEngine", no_engine)
+    with pytest.raises(ParameterError, match="slots must be >= 1"):
+        approximation_report(**{**SMALL, "slots": slots})
+
+
+def test_report_builds_no_meter_snapshots(monkeypatch):
+    built = []
+    build = vectorized._meter_snapshots
+
+    def counted(*args):
+        snapshots = build(*args)
+        built.append(len(snapshots))
+        return snapshots
+
+    monkeypatch.setattr(vectorized, "_meter_snapshots", counted)
+    approximation_report(**SMALL)
+    assert built == []
+    # The count is live: reading a result's snapshots builds them.
+    engine = vectorized.VectorizedDistanceEngine(
+        HexTopology(), 2, MobilityParams(0.2, 0.02), CostParams(50.0, 10.0),
+        terminals=5,
+    )
+    assert len(engine.run(3).snapshots) == 5
+    assert built == [5]

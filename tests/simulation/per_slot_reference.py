@@ -151,14 +151,11 @@ class PerSlotReference:
     def mismatches(self) -> list:
         """Names of the engine state fields that differ from this one."""
         engine = self.engine
-        # The engine keeps (dims, K) rows; hex rows are cube coordinates
-        # (q, r, -q-r), whose first two rows are the axial ones.
-        native = self.pos.shape[1]
-        cube_ok = len(engine._pos) == native or not engine._pos.sum(axis=0).any()
         checks = {
             "slot": engine.slot == self.slot,
             "metered_slots": engine._metered_slots == self.metered_slots,
-            "positions": cube_ok and np.array_equal(engine._pos[:native].T, self.pos),
+            # The engine's packed codes, decoded to (dims, K) rows.
+            "positions": np.array_equal(engine._pos.T, self.pos),
             "moves": np.array_equal(engine._moves, self.moves),
             "updates": np.array_equal(engine._updates, self.updates),
             "calls": np.array_equal(engine._calls, self.calls),

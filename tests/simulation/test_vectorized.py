@@ -1,8 +1,11 @@
-"""Vectorized distance engine: agreement with the per-cell engine."""
+"""Vectorized distance engine: agreement with the per-cell engine, and
+its columnar pooled results."""
 
 import math
+import struct
 from functools import partial
 
+import numpy as np
 import pytest
 
 from repro import CostParams, MobilityParams, ParameterError
@@ -139,6 +142,84 @@ class TestMeterSemantics:
         assert all(s.slots == 2_000 for s in result.snapshots)
 
 
+def pooled_from_snapshots(snapshots):
+    """The pooled statistics computed one snapshot at a time from a
+    snapshot list: the reference the columnar statistics must equal."""
+    n = len(snapshots)
+    with_calls = [s for s in snapshots if s.calls > 0]
+    totals = [s.mean_total_cost for s in snapshots]
+    return {
+        "replications": n,
+        "mean_total_cost": float(np.mean(totals)),
+        "mean_update_cost": float(np.mean([s.mean_update_cost for s in snapshots])),
+        "mean_paging_cost": float(np.mean([s.mean_paging_cost for s in snapshots])),
+        "mean_paging_delay": (
+            float(np.mean([s.mean_paging_delay for s in with_calls]))
+            if with_calls else 0.0
+        ),
+        "total_cost_ci": (
+            1.96 * float(np.std(totals, ddof=1)) / math.sqrt(n) if n >= 2 else math.inf
+        ),
+    }
+
+
+def pooled(result):
+    return {
+        "replications": result.replications,
+        "mean_total_cost": result.mean_total_cost,
+        "mean_update_cost": result.mean_update_cost,
+        "mean_paging_cost": result.mean_paging_cost,
+        "mean_paging_delay": result.mean_paging_delay,
+        "total_cost_ci": result.total_cost_ci(),
+    }
+
+
+def bits(stats):
+    """The statistics with every float as its IEEE bit pattern."""
+    return {
+        key: struct.pack("<d", value) if isinstance(value, float) else value
+        for key, value in stats.items()
+    }
+
+
+class TestColumnarResult:
+    """Pooled statistics read frozen per-terminal columns, bit for bit
+    what the per-terminal snapshots give."""
+
+    @pytest.mark.parametrize("slots", [0, 1, 150])
+    @pytest.mark.parametrize("terminals", [1, 2, 97])
+    @pytest.mark.parametrize("max_delay", [1, 3, math.inf])
+    def test_statistics_equal_the_snapshot_way(self, slots, terminals, max_delay):
+        costs = CostParams(50.3, 10.7)
+        engine = VectorizedDistanceEngine(
+            HexTopology(), 3, MOBILITY, costs, max_delay=max_delay,
+            terminals=terminals, seed=5,
+        )
+        engine.run(20)
+        engine.reset_meters()
+        result = engine.run(slots)
+        assert bits(pooled(result)) == bits(pooled_from_snapshots(result.snapshots))
+        if terminals == 97 and slots == 150:
+            calls = [s.calls for s in result.snapshots]
+            assert 0 in calls and max(calls) > 0
+
+    def test_result_is_frozen_and_snapshots_are_built_once(self):
+        engine = VectorizedDistanceEngine(
+            SquareTopology(), 2, MOBILITY, COSTS, terminals=9, seed=2
+        )
+        result = engine.run(300)
+        before = pooled(result)
+        engine.run(300)
+        engine.reset_meters()
+        assert pooled(result) == before
+        assert result.snapshots is result.snapshots
+        assert all(s.slots == 300 for s in result.snapshots)
+
+    def test_per_cell_results_stack_their_snapshots(self):
+        result = engine_result(LineTopology(), 2, 1, slots=500, replications=3)
+        assert bits(pooled(result)) == bits(pooled_from_snapshots(result.snapshots))
+
+
 class TestValidation:
     def test_unsupported_topology_rejected(self):
         class WeirdTopology(LineTopology):
@@ -151,6 +232,17 @@ class TestValidation:
         )
         with pytest.raises(ParameterError, match="SimulationEngine"):
             VectorizedDistanceEngine(object(), 1, MOBILITY, COSTS)  # type: ignore[arg-type]
+
+    def test_threshold_past_the_code_tables_rejected(self):
+        # Hex and square cells pack into (2d + 3)**2 codes, at most 2**22.
+        for topology in (HexTopology(), SquareTopology()):
+            with pytest.raises(ParameterError, match="packed cell codes"):
+                VectorizedDistanceEngine(topology, 1023, MOBILITY, COSTS, terminals=2)
+        # The line needs only 2d + 3.
+        engine = VectorizedDistanceEngine(
+            LineTopology(), 100_000, MOBILITY, COSTS, terminals=2
+        )
+        assert engine.run(10).replications == 2
 
     def test_bad_event_mode_rejected(self):
         with pytest.raises(ParameterError):

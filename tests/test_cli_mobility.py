@@ -71,6 +71,13 @@ class TestApproxCommand:
         )
         assert code != 0
 
+    def test_zero_slots_is_an_error(self, capsys):
+        code = main(["approx", "--slots", "0", "--terminals", "32"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "slots must be >= 1" in captured.err
+        assert "converges" not in captured.out
+
     def test_report_artifact_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "approx.jsonl"
         code = main(
