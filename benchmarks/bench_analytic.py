@@ -10,7 +10,8 @@ chain solve + SDF partition per threshold) and ``method="batched"``
 (prefix sums of one steady-state solve for all thresholds) -- verifies the
 two agree to 1e-10, times :func:`repro.analysis.grid_sweep` against a
 scalar-path optimization loop, demonstrates the on-disk cache, and
-writes ``benchmarks/out/analytic.json``.
+writes ``benchmarks/out/analytic.json`` (``benchmarks/out/smoke/``
+with ``--smoke``, which is git-ignored).
 
 A fresh model and evaluator are built for every repetition so neither
 path benefits from the per-instance memo/surface caches -- the numbers
@@ -463,8 +464,9 @@ def main(argv=None) -> int:
     print(f"  cache   cold {cold_s * 1e3:8.2f} ms -> warm {warm_s * 1e3:8.2f} ms "
           f"({cold_s / warm_s:,.0f}x) | roundtrip {'OK' if cache_ok else 'FAIL'}")
 
-    OUT_DIR.mkdir(exist_ok=True)
-    out_path = OUT_DIR / "analytic.json"
+    out_dir = OUT_DIR / "smoke" if args.smoke else OUT_DIR
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out_path = out_dir / "analytic.json"
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_path}")
 

@@ -22,8 +22,8 @@ import pytest
 
 from repro import CostParams, MobilityParams
 from repro.analysis import render_table
+from repro.faults import ResilientEngine, SignalingPolicy, UpdateLoss
 from repro.geometry import HexTopology
-from repro.simulation import LossyUpdateEngine
 from repro.strategies import DistanceStrategy
 
 from conftest import emit, emit_json
@@ -39,12 +39,13 @@ def _measure(loss: float):
     totals, delays, violations, recoveries = [], [], 0, 0
     calls = 0
     for seed in (1, 2, 3):
-        engine = LossyUpdateEngine(
+        engine = ResilientEngine(
             topology=HexTopology(),
             strategy=DistanceStrategy(D, max_delay=M),
             mobility=MOBILITY,
             costs=COSTS,
-            loss_probability=loss,
+            faults=[UpdateLoss(loss)],
+            signaling=SignalingPolicy.fire_and_forget(),
             seed=seed,
         )
         snapshot = engine.run(SLOTS)

@@ -28,7 +28,8 @@ as a correctness guard on the timed fast path).
 
 Plain script (no pytest-benchmark dependency) so CI can run it in
 smoke mode on every supported Python version.  Writes
-``benchmarks/out/mobility.json``.
+``benchmarks/out/mobility.json`` (``benchmarks/out/smoke/`` with
+``--smoke``, which is git-ignored).
 """
 
 from __future__ import annotations
@@ -194,7 +195,8 @@ def main(argv=None) -> int:
           f"ctrw-exp {exp_cost:.4f}+/-{exp_ci:.4f} -> "
           f"{'ok' if degenerate_ok else 'FAIL'}")
 
-    OUT_DIR.mkdir(exist_ok=True)
+    out_dir = OUT_DIR / "smoke" if args.smoke else OUT_DIR
+    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "provenance": build_provenance(
             "bench-mobility",
@@ -213,8 +215,8 @@ def main(argv=None) -> int:
             "ok": degenerate_ok,
         },
     }
-    (OUT_DIR / "mobility.json").write_text(json.dumps(payload, indent=2))
-    print(f"wrote {OUT_DIR / 'mobility.json'}")
+    (out_dir / "mobility.json").write_text(json.dumps(payload, indent=2))
+    print(f"wrote {out_dir / 'mobility.json'}")
 
     if overhead > args.max_overhead:
         print(f"FAIL: CTRW overhead {overhead:.2f}x exceeds "

@@ -10,7 +10,10 @@ Measures slots/sec of :class:`repro.simulation.SimulationEngine` and
 terminal-slots/sec of
 :class:`repro.simulation.VectorizedDistanceEngine` at the acceptance
 operating point (d=3, m=1, q=0.3, c=0.01) on both geometries, prints a
-table, and writes ``benchmarks/out/throughput.json``.
+table, and writes ``benchmarks/out/throughput.json`` (and
+``observability.json``).  ``--smoke`` runs write every file into the
+git-ignored ``benchmarks/out/smoke/`` instead, so CI never rewrites the
+committed full-size results.
 
 ``--fleet`` (or ``--fleet-only``) additionally runs the sharded
 heterogeneous fleet engine and writes ``benchmarks/out/fleet.json``,
@@ -20,7 +23,7 @@ change that starts materializing per-terminal history blows through
 the budget by orders of magnitude.  CI smoke runs 100k terminals; the
 nightly ``slow`` test runs the full million.
 
-Unlike the table/figure benches this is a plain script (no
+Unlike the pytest-benchmark benches this is a plain script (no
 pytest-benchmark dependency) so CI can run it in smoke mode -- tiny
 slot counts that exercise the vectorized path on every supported
 Python version without burning minutes.
@@ -142,8 +145,9 @@ def run_fleet_gate(
     slots: int,
     workers: int,
     seed: int = 0,
+    out_dir: Path = OUT_DIR,
 ) -> dict:
-    """Run the fleet bench and write ``benchmarks/out/fleet.json``.
+    """Run the fleet bench and write ``fleet.json`` into ``out_dir``.
 
     The returned report carries ``rss_within_budget``; callers decide
     whether to gate on it (``main`` does).
@@ -163,8 +167,8 @@ def run_fleet_gate(
          "workers": workers},
         seed=seed,
     )
-    OUT_DIR.mkdir(exist_ok=True)
-    out_path = OUT_DIR / "fleet.json"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out_path = out_dir / "fleet.json"
     out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     rss = report["peak_rss_bytes"]
     print(
@@ -212,6 +216,7 @@ def main(argv=None) -> int:
                         help="default: 20 in smoke mode, 50 otherwise")
     parser.add_argument("--fleet-workers", type=int, default=2)
     args = parser.parse_args(argv)
+    out_dir = OUT_DIR / "smoke" if args.smoke else OUT_DIR
 
     if args.fleet_only:
         report = run_fleet_gate(
@@ -220,6 +225,7 @@ def main(argv=None) -> int:
             slots=args.fleet_slots or (20 if args.smoke else 50),
             workers=args.fleet_workers,
             seed=args.seed,
+            out_dir=out_dir,
         )
         if not report["rss_within_budget"]:
             print(
@@ -281,8 +287,8 @@ def main(argv=None) -> int:
               f"vectorized {vec:>14,.0f} terminal-slots/s | "
               f"speedup {report['speedup']:7.1f}x")
 
-    OUT_DIR.mkdir(exist_ok=True)
-    out_path = OUT_DIR / "throughput.json"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out_path = out_dir / "throughput.json"
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_path}")
 
@@ -297,7 +303,7 @@ def main(argv=None) -> int:
         {"slots": overhead["slots"], "smoke": args.smoke},
         seed=args.seed,
     )
-    obs_path = OUT_DIR / "observability.json"
+    obs_path = out_dir / "observability.json"
     obs_path.write_text(json.dumps(overhead, indent=2, sort_keys=True) + "\n")
     print(
         f"observability overhead (no-op armed vs disabled): "
@@ -328,6 +334,7 @@ def main(argv=None) -> int:
             slots=args.fleet_slots or (20 if args.smoke else 50),
             workers=args.fleet_workers,
             seed=args.seed,
+            out_dir=out_dir,
         )
         if not report["rss_within_budget"]:
             print(

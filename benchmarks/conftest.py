@@ -1,10 +1,11 @@
 """Shared helpers for the benchmark harness.
 
-Each bench regenerates one table or figure of the paper (or one
-ablation) and prints the reproduced rows next to the published values,
-so running ``pytest benchmarks/ --benchmark-only -s`` produces the full
-evaluation section of the paper on stdout.  Output also works without
-``-s``: every bench writes its rendering into ``benchmarks/out/``.
+Each bench runs one ablation or extension experiment (EXPERIMENTS.md's
+ABL-* and EXT-* rows) and gates on its headline result; running
+``pytest benchmarks/ --benchmark-only -s`` prints every report on
+stdout, and every bench also writes its rendering into
+``benchmarks/out/``.  The paper's own tables and figures are not
+benches: ``repro-lm reproduce`` writes them into ``results/``.
 
 Every artifact written here is provenance-stamped with the same
 schema the observability exporter uses (git revision, library version,

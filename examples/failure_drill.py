@@ -1,9 +1,10 @@
 """Failure drill: what lost update messages do to the protocol.
 
 Injects signaling loss into the paper's distance-based scheme with
-:class:`repro.simulation.LossyUpdateEngine`: transmitted updates that
-never reach the location register leave the network paging around a
-stale center, and the expanding-ring recovery search has to rescue the
+:class:`repro.faults.ResilientEngine` (one update-loss fault, the
+paper's fire-and-forget signaling): transmitted updates that never
+reach the location register leave the network paging around a stale
+center, and the expanding-ring recovery search has to rescue the
 call.  The drill sweeps the loss rate and reports the damage -- cost,
 paging delay, and how far recovery had to reach -- then sweeps the
 threshold under fixed loss to show how the recovery burden scales with
@@ -16,8 +17,8 @@ Run:  python examples/failure_drill.py
 import numpy as np
 
 from repro import CostParams, MobilityParams
+from repro.faults import ResilientEngine, SignalingPolicy, UpdateLoss
 from repro.geometry import HexTopology
-from repro.simulation import LossyUpdateEngine
 from repro.strategies import DistanceStrategy
 
 MOBILITY = MobilityParams(move_probability=0.3, call_probability=0.02)
@@ -26,12 +27,13 @@ SLOTS = 100_000
 
 
 def drill(threshold: int, loss: float, seed: int = 1):
-    engine = LossyUpdateEngine(
+    engine = ResilientEngine(
         topology=HexTopology(),
         strategy=DistanceStrategy(threshold, max_delay=2),
         mobility=MOBILITY,
         costs=PRICES,
-        loss_probability=loss,
+        faults=[UpdateLoss(loss)],
+        signaling=SignalingPolicy.fire_and_forget(),
         seed=seed,
     )
     snapshot = engine.run(SLOTS)

@@ -27,10 +27,8 @@ reproduced tables and figures.
 from .core import (
     BaselineCosts,
     CostBreakdown,
-    CostCurve,
     CostEvaluator,
     CostParams,
-    CostSurface,
     CostSurfaceGrid,
     DEFAULT_MAX_THRESHOLD,
     MobilityModel,
@@ -52,7 +50,6 @@ from .core import (
     batched_update_costs,
     batched_update_rates,
     compute_cost_surface,
-    compute_surface,
     derive_metrics,
     distribution_at,
     exhaustive_search,
@@ -99,10 +96,8 @@ __version__ = "1.0.0"
 __all__ = [
     "BaselineCosts",
     "CostBreakdown",
-    "CostCurve",
     "CostEvaluator",
     "CostParams",
-    "CostSurface",
     "CostSurfaceGrid",
     "DEFAULT_MAX_THRESHOLD",
     "FaultInjectionError",
@@ -136,7 +131,6 @@ __all__ = [
     "batched_update_costs",
     "batched_update_rates",
     "compute_cost_surface",
-    "compute_surface",
     "density_ordered_partition",
     "derive_metrics",
     "distribution_at",

@@ -6,7 +6,9 @@ regenerate Tables 1-2 and Figures 4-5 (with the published values
 embedded in :mod:`~repro.analysis.paper_data` for comparison),
 :mod:`~repro.analysis.sweep` provides free-form parameter sweeps,
 :mod:`~repro.analysis.validate` runs the simulation-vs-model campaign,
-and :mod:`~repro.analysis.report` renders everything as text/CSV.
+:mod:`~repro.analysis.report` renders tables, plots and CSV, and
+:mod:`~repro.analysis.reproduce` writes every paper artifact into one
+directory (``repro-lm reproduce``).
 """
 
 from . import paper_data
@@ -24,7 +26,9 @@ from .figures import (
     check_figure_shape,
     compute_figure4,
     compute_figure5,
+    gap_closure,
     log_sweep,
+    threshold_jumps,
 )
 from .hexmap import (
     render_hex_map,
@@ -84,6 +88,7 @@ __all__ = [
     "compute_table1",
     "compute_table2",
     "format_delay",
+    "gap_closure",
     "log_sweep",
     "paper_data",
     "render_ascii_plot",
@@ -98,5 +103,6 @@ __all__ = [
     "run_validation_campaign",
     "table1_rows",
     "table2_rows",
+    "threshold_jumps",
     "write_csv",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,8 @@ __all__ = [
     "compute_figure4",
     "compute_figure5",
     "check_figure_shape",
+    "gap_closure",
+    "threshold_jumps",
 ]
 
 #: The four delay bounds plotted in every figure.
@@ -226,24 +228,47 @@ def check_figure_shape(figure: FigureSeries, tolerance: float = 1e-9) -> List[st
                     f"{figure.x_label}={figure.x_values[i]:.4g}"
                 )
                 break
-    gaps_closed_2: List[float] = []
-    gaps_closed_3: List[float] = []
-    unbounded = figure.curves[math.inf]
-    for i in range(len(figure.x_values)):
-        gap = figure.curves[1][i] - unbounded[i]
-        if gap <= tolerance:
-            continue  # delay makes no difference here; skip the ratio
-        gaps_closed_2.append((figure.curves[1][i] - figure.curves[2][i]) / gap)
-        if 3 in figure.curves:
-            gaps_closed_3.append((figure.curves[1][i] - figure.curves[3][i]) / gap)
-    if gaps_closed_2 and float(np.mean(gaps_closed_2)) < 1.0 / 3.0:
+    closure_2 = gap_closure(figure, 2, tolerance)
+    if closure_2 is not None and closure_2 < 1.0 / 3.0:
         problems.append(
             f"{figure.name}: delay 2 closes only "
-            f"{np.mean(gaps_closed_2):.0%} of the delay-1 gap on average"
+            f"{closure_2:.0%} of the delay-1 gap on average"
         )
-    if gaps_closed_3 and float(np.mean(gaps_closed_3)) < 0.75:
+    closure_3 = gap_closure(figure, 3, tolerance) if 3 in figure.curves else None
+    if closure_3 is not None and closure_3 < 0.75:
         problems.append(
             f"{figure.name}: delay 3 closes only "
-            f"{np.mean(gaps_closed_3):.0%} of the delay-1 gap on average"
+            f"{closure_3:.0%} of the delay-1 gap on average"
         )
     return problems
+
+
+def gap_closure(
+    figure: FigureSeries, m: float, tolerance: float = 1e-9
+) -> Optional[float]:
+    """Mean share of the delay-1-to-unbounded gap that delay ``m`` closes.
+
+    Averaged over the sweep points where the gap exceeds ``tolerance``
+    (elsewhere the delay bound makes no difference); None if there are
+    none.  The Conclusions section says delay 2 closes it "half way".
+    """
+    unbounded = figure.curves[math.inf]
+    closed: List[float] = []
+    for i in range(len(figure.x_values)):
+        gap = figure.curves[1][i] - unbounded[i]
+        if gap > tolerance:
+            closed.append((figure.curves[1][i] - figure.curves[m][i]) / gap)
+    return float(np.mean(closed)) if closed else None
+
+
+def threshold_jumps(figure: FigureSeries) -> int:
+    """How often ``d*`` changes between adjacent sweep points, over all curves.
+
+    Section 7: "discontinuities appear in some curves due to the sudden
+    changes in the optimal threshold distances".
+    """
+    return sum(
+        a != b
+        for ds in figure.thresholds.values()
+        for a, b in zip(ds, ds[1:])
+    )

@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import functools
 import math
 import pickle
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -54,8 +54,8 @@ from ..core.parameters import CostParams, MobilityParams, validate_delay
 from ..core.threshold import find_optimal_threshold
 from ..exceptions import ParameterError, SweepPointError
 from ..observability.context import current as _observability
-from ..persist import atomic_write_json
-from ..simulation.runner import _resolve_workers
+from ..parallel import resolve_workers, run_jobs
+from ..persist import atomic_write_json, read_checkpoint
 
 __all__ = [
     "SweepPoint",
@@ -195,12 +195,12 @@ def _solve_grid_point(
     convention: str,
     plan_factory: Optional[PlanFactory],
     models: Optional[Dict[Tuple[float, float], MobilityModel]] = None,
-) -> Tuple[int, SweepPoint]:
+) -> SweepPoint:
     """Solve one grid point for its optimal threshold.
 
-    Module-level so worker processes can pickle and run it; both the
-    serial and the pooled path go through this exact function, which is
-    what makes ``workers=N`` output identical to a serial sweep.
+    Module-level so worker processes can pickle and run it; both
+    executors run this exact function (see :mod:`repro.parallel`), which
+    is what makes ``workers=N`` output identical to a serial sweep.
 
     A serial sweep passes one ``models`` dict for all its points; it
     keeps the model of the last ``(q, c)`` solved, so the points of one
@@ -243,7 +243,7 @@ def _solve_grid_point(
             f"grid point {point_params} failed to solve: {exc!r}",
             point_params,
         ) from exc
-    return index, SweepPoint(
+    return SweepPoint(
         q=q,
         c=c,
         update_cost=update_cost,
@@ -317,47 +317,34 @@ def _load_cached_points(
 
     Returns None when the file does not exist; raises
     :class:`~repro.exceptions.ParameterError` when it exists but cannot
-    be trusted (schema or fingerprint mismatch) -- silence there would
-    hide stale results.
+    be trusted (unreadable, malformed, schema or fingerprint mismatch)
+    -- silence there would hide stale results.
     """
     if not path.exists():
         return None
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParameterError(
-            f"unreadable sweep cache entry {path}: {exc}; delete the file "
-            "or rerun with the cache disabled (--no-cache)"
-        ) from exc
-    stored = payload.get("fingerprint") or {}
-    version = stored.get("version")
-    if version != _CACHE_SCHEMA_VERSION:
-        raise ParameterError(
-            f"sweep cache entry {path} uses schema version {version!r}, but "
-            f"this library writes version {_CACHE_SCHEMA_VERSION} and cannot "
-            "read other layouts; delete the file (results are recomputed "
-            "deterministically) or rerun with the cache disabled (--no-cache)"
-        )
-    if stored != fingerprint:
-        raise ParameterError(
-            f"sweep cache entry {path} belongs to a different sweep "
-            "(model/axes/fixed parameters/d_max/convention differ); delete "
-            "the file or rerun with the cache disabled (--no-cache)"
-        )
-    return tuple(
-        SweepPoint(
-            q=point["q"],
-            c=point["c"],
-            update_cost=point["update_cost"],
-            poll_cost=point["poll_cost"],
-            max_delay=_json_restore(point["max_delay"]),
-            optimal_d=int(point["optimal_d"]),
-            total_cost=point["total_cost"],
-            update_component=point["update_component"],
-            paging_component=point["paging_component"],
-            expected_delay=point["expected_delay"],
-        )
-        for point in payload["points"]
+    return read_checkpoint(
+        path,
+        fingerprint,
+        lambda payload: tuple(
+            SweepPoint(
+                q=point["q"],
+                c=point["c"],
+                update_cost=point["update_cost"],
+                poll_cost=point["poll_cost"],
+                max_delay=_json_restore(point["max_delay"]),
+                optimal_d=int(point["optimal_d"]),
+                total_cost=point["total_cost"],
+                update_component=point["update_component"],
+                paging_component=point["paging_component"],
+                expected_delay=point["expected_delay"],
+            )
+            for point in payload["points"]
+        ),
+        label="sweep cache entry",
+        mismatch="a different sweep (model/axes/fixed parameters/d_max/"
+        "convention differ)",
+        remedy="delete the file (results are recomputed deterministically) "
+        "or rerun with the cache disabled (--no-cache)",
     )
 
 
@@ -433,7 +420,7 @@ def grid_sweep(
             f"unknown model {model_name!r}; known: {sorted(MODEL_CLASSES)}"
         )
     canonical = _canonical_axes(axes)
-    pool_size = _resolve_workers(workers)
+    pool_size = resolve_workers(workers)
     fixed = {
         "q": q,
         "c": c,
@@ -470,21 +457,25 @@ def grid_sweep(
     for param, values in canonical:
         combos = [dict(combo, **{param: v}) for combo in combos for v in values]
 
-    def job_args(index: int) -> tuple:
-        combo = combos[index]
-        return (
+    jobs = [
+        (
             index,
-            model_name,
-            combo.get("q", fixed["q"]),
-            combo.get("c", fixed["c"]),
-            combo.get("U", fixed["U"]),
-            combo.get("V", fixed["V"]),
-            combo.get("m", fixed["m"]),
-            d_max,
-            convention,
-            plan_factory,
+            (
+                index,
+                model_name,
+                combo.get("q", fixed["q"]),
+                combo.get("c", fixed["c"]),
+                combo.get("U", fixed["U"]),
+                combo.get("V", fixed["V"]),
+                combo.get("m", fixed["m"]),
+                d_max,
+                convention,
+                plan_factory,
+            ),
+            {},
         )
-
+        for index, combo in enumerate(combos)
+    ]
     solved: Dict[int, SweepPoint] = {}
     with obs.tracer.span(
         "analysis.grid_sweep",
@@ -494,11 +485,10 @@ def grid_sweep(
         d_max=d_max,
     ):
         if pool_size is None:
-            models: Dict[Tuple[float, float], MobilityModel] = {}
-            for index in range(len(combos)):
-                i, point = _solve_grid_point(*job_args(index), models)
-                solved[i] = point
+            # One memo for the whole serial sweep: see _solve_grid_point.
+            solve = functools.partial(_solve_grid_point, models={})
         else:
+            solve = _solve_grid_point
             try:
                 pickle.dumps(plan_factory)
             except Exception as exc:
@@ -508,16 +498,7 @@ def grid_sweep(
                     "a module-level function rather than a lambda "
                     f"({exc})"
                 ) from exc
-            with ProcessPoolExecutor(
-                max_workers=min(pool_size, len(combos))
-            ) as pool:
-                futures = [
-                    pool.submit(_solve_grid_point, *job_args(index))
-                    for index in range(len(combos))
-                ]
-                for future in as_completed(futures):
-                    i, point = future.result()
-                    solved[i] = point
+        run_jobs(solve, jobs, pool_size, solved.__setitem__, merge_key="point")
 
     points = tuple(solved[i] for i in range(len(combos)))
     if cache_file is not None and fingerprint is not None:

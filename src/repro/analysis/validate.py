@@ -27,7 +27,21 @@ from ..core.models import MobilityModel, OneDimensionalModel, TwoDimensionalMode
 from ..core.parameters import CostParams, MobilityParams
 from ..simulation.runner import ModelComparison, validate_against_model
 
-__all__ = ["ValidationCase", "ValidationOutcome", "run_validation_campaign", "DEFAULT_CASES"]
+__all__ = [
+    "CAMPAIGN_REPLICATIONS",
+    "CAMPAIGN_SEED",
+    "CAMPAIGN_SLOTS",
+    "DEFAULT_CASES",
+    "ValidationCase",
+    "ValidationOutcome",
+    "run_validation_campaign",
+]
+
+#: The campaign EXPERIMENTS.md quotes and ``results/validation.txt``
+#: holds: slots per replication, replications per case, master seed.
+CAMPAIGN_SLOTS = 120_000
+CAMPAIGN_REPLICATIONS = 4
+CAMPAIGN_SEED = 21
 
 
 @dataclass(frozen=True)
@@ -80,9 +94,9 @@ DEFAULT_CASES: Tuple[ValidationCase, ...] = (
 
 def run_validation_campaign(
     cases: Sequence[ValidationCase] = DEFAULT_CASES,
-    slots: int = 150_000,
-    replications: int = 5,
-    seed: int = 7,
+    slots: int = CAMPAIGN_SLOTS,
+    replications: int = CAMPAIGN_REPLICATIONS,
+    seed: int = CAMPAIGN_SEED,
     workers=None,
 ) -> List[ValidationOutcome]:
     """Run every case and return the outcomes in order.

@@ -3,6 +3,7 @@
 Subcommands map one-to-one onto the paper's experiments plus the
 library's own validation tooling::
 
+    repro-lm reproduce              # every paper artifact into results/
     repro-lm table1                 # reproduce Table 1 (1-D)
     repro-lm table2                 # reproduce Table 2 (2-D + near-opt)
     repro-lm fig4 --dimensions 2    # Figure 4(b) series + ASCII plot
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 from pathlib import Path
 from typing import List, Optional
 
@@ -36,13 +38,21 @@ from .analysis import (
     compute_figure5,
     compute_table1,
     compute_table2,
-    render_ascii_plot,
     render_table,
     run_validation_campaign,
     table1_rows,
     table2_rows,
     write_csv,
 )
+from .analysis.reproduce import (
+    FIGURE_POINTS,
+    render_figure,
+    render_table1,
+    render_table2,
+    render_validation,
+    reproduce,
+)
+from .analysis.validate import CAMPAIGN_REPLICATIONS, CAMPAIGN_SLOTS
 from .analysis.sweep import MODEL_CLASSES
 from .conformance.sampling import ALL_MODELS, SUITES
 from .core.parameters import CostParams, MobilityParams
@@ -82,6 +92,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    p = sub.add_parser(
+        "reproduce",
+        help="write Tables 1-2, Figures 4-5, the validation campaign and "
+        "SUMMARY.txt into one directory",
+    )
+    p.add_argument("--outdir", default="results", help="default: results")
+    p.add_argument(
+        "--quick", action="store_true",
+        help="5-point figure sweeps and 30,000-slot validation runs "
+        "(smoke runs; the committed results/ use the default)",
+    )
+
     for name in ("table1", "table2"):
         p = sub.add_parser(name, help=f"reproduce the paper's {name}")
         p.add_argument("--csv", help="also write the rows to this CSV path")
@@ -89,7 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("fig4", "fig5"):
         p = sub.add_parser(name, help=f"reproduce the paper's {name} curves")
         p.add_argument("--dimensions", type=int, choices=(1, 2), default=1)
-        p.add_argument("--points", type=int, default=13, help="sweep resolution")
+        p.add_argument(
+            "--points", type=int, default=FIGURE_POINTS[name],
+            help=f"sweep resolution (default {FIGURE_POINTS[name]})",
+        )
         p.add_argument("--csv", help="also write the series to this CSV path")
         p.add_argument("--no-plot", action="store_true", help="skip the ASCII plot")
 
@@ -203,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("validate", help="simulation-vs-model campaign")
-    p.add_argument("--slots", type=int, default=100_000)
-    p.add_argument("--replications", type=int, default=3)
+    p.add_argument("--slots", type=int, default=CAMPAIGN_SLOTS)
+    p.add_argument("--replications", type=int, default=CAMPAIGN_REPLICATIONS)
     p.add_argument(
         "--workers", type=int, default=1,
         help="worker processes per campaign point (1 = serial)",
@@ -424,6 +449,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         handler = {
+            "reproduce": _cmd_reproduce,
             "table1": _cmd_table1,
             "table2": _cmd_table2,
             "fig4": _cmd_fig4,
@@ -488,37 +514,34 @@ def _run_observed(handler, args) -> int:
     return code
 
 
+def _cmd_reproduce(args) -> int:
+    started = time.perf_counter()
+    lines = reproduce(args.outdir, quick=args.quick)
+    print("\n".join(lines))
+    print(f"\nwrote {args.outdir}/ in {time.perf_counter() - started:.1f}s")
+    return 0
+
+
 def _cmd_table1(args) -> int:
-    headers, rows = table1_rows(compute_table1())
-    print(render_table(headers, rows, title="Table 1 (1-D), q=0.05 c=0.01 V=10"))
+    table = compute_table1()
+    print(render_table1(table))
     if args.csv:
-        write_csv(args.csv, headers, rows)
+        write_csv(args.csv, *table1_rows(table))
     return 0
 
 
 def _cmd_table2(args) -> int:
-    headers, rows = table2_rows(compute_table2())
-    print(render_table(headers, rows, title="Table 2 (2-D), q=0.05 c=0.01 V=10"))
+    table = compute_table2()
+    print(render_table2(table))
     if args.csv:
-        write_csv(args.csv, headers, rows)
+        write_csv(args.csv, *table2_rows(table))
     return 0
 
 
 def _figure_output(figure, args) -> int:
-    headers, rows = figure.as_rows()
-    print(render_table(headers, rows, title=figure.name))
-    if not args.no_plot:
-        series = {figure.curve_label(m): ys for m, ys in figure.curves.items()}
-        print()
-        print(
-            render_ascii_plot(
-                series,
-                figure.x_values,
-                title=f"{figure.name}: optimal C_T vs {figure.x_label}",
-            )
-        )
+    print(render_figure(figure, plot=not args.no_plot))
     if args.csv:
-        write_csv(args.csv, headers, rows)
+        write_csv(args.csv, *figure.as_rows())
     return 0
 
 
@@ -959,25 +982,8 @@ def _cmd_validate(args) -> int:
     outcomes = run_validation_campaign(
         slots=args.slots, replications=args.replications, workers=args.workers
     )
-    headers = ["case", "predicted", "measured", "ci", "rel.err", "ok"]
-    rows = []
-    failures = 0
-    for outcome in outcomes:
-        c = outcome.comparison
-        rows.append(
-            [
-                outcome.case.label,
-                c.predicted_total,
-                c.measured_total,
-                c.ci_half_width,
-                c.relative_error,
-                "yes" if outcome.ok else "NO",
-            ]
-        )
-        if not outcome.ok:
-            failures += 1
-    print(render_table(headers, rows, title="model-vs-simulation validation"))
-    return 1 if failures else 0
+    print(render_validation(outcomes))
+    return 0 if all(outcome.ok for outcome in outcomes) else 1
 
 
 def _cmd_conformance(args) -> int:

@@ -65,7 +65,6 @@ from .models import (
 from .near_optimal import NearOptimalSolution, near_optimal_threshold
 from .policy_io import Policy, policy_from_solution
 from .sensitivity import RegretPoint, misestimation_regret, regret_surface
-from .surface import CostCurve, CostSurface, compute_surface
 from .transient import TransientAnalysis, distribution_at, mixing_time, transient_cost
 from .optimizers import (
     OptimizationResult,
@@ -80,10 +79,8 @@ __all__ = [
     "BaselineCosts",
     "CostBreakdown",
     "CostSurfaceGrid",
-    "CostCurve",
     "CostEvaluator",
     "CostParams",
-    "CostSurface",
     "DEFAULT_MAX_THRESHOLD",
     "MobilityModel",
     "MobilityParams",
@@ -105,7 +102,6 @@ __all__ = [
     "batched_update_costs",
     "batched_update_rates",
     "compute_cost_surface",
-    "compute_surface",
     "derive_metrics",
     "distribution_at",
     "exhaustive_search",

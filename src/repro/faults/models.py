@@ -6,8 +6,7 @@ up, every register read is fresh.  Each class here breaks exactly one
 of those assumptions as a small seedable stochastic process, behind the
 common :class:`FaultModel` interface, so an engine can compose any
 subset of them in one run instead of needing a bespoke engine subclass
-per failure scenario (which is how :class:`~repro.simulation.lossy.
-LossyUpdateEngine` started life).
+per failure scenario.
 
 A fault model is passive: it never touches the engine.  The engine
 calls the hooks at well-defined protocol points and combines the

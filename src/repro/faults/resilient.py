@@ -1,16 +1,20 @@
 """A simulation engine that survives a faulty signaling plane.
 
-:class:`ResilientEngine` generalizes the one-off
-:class:`~repro.simulation.lossy.LossyUpdateEngine` into a composable
-subsystem: it accepts any list of :class:`~repro.faults.FaultModel`
-processes plus a :class:`~repro.faults.SignalingPolicy`, and keeps the
-paper's protocol correct under their composition:
+:class:`ResilientEngine` accepts any list of
+:class:`~repro.faults.FaultModel` processes plus a
+:class:`~repro.faults.SignalingPolicy`, and keeps the paper's protocol
+correct under their composition.  The simplest composition is the
+classic lost-update scenario: one :class:`~repro.faults.UpdateLoss`
+under :meth:`SignalingPolicy.fire_and_forget`, where the terminal
+resets its center on every transmitted update, the register keeps the
+stale one when the message dies, and the two views diverge.  In
+general:
 
 * **updates** are acknowledged; a transmission any fault drops is
   retried with exponential backoff, each retry charged a full ``U``
   (see :mod:`repro.faults.signaling`).  An update that exhausts its
-  retries leaves the register stale -- the terminal and network views
-  diverge exactly as in the lossy engine;
+  retries leaves the register stale, and the terminal and network
+  views diverge;
 * **register reads** go through the fault models, so a degraded
   register can serve a stale center and paging starts in the wrong
   place;
@@ -22,8 +26,8 @@ paper's protocol correct under their composition:
   the terminal answers or the hard cap trips with
   :class:`~repro.exceptions.RecoveryExhaustedError`.
 
-The correctness invariant carried over from the lossy engine holds for
-any composition of the shipped fault models: every call is eventually
+The correctness invariant holds for any composition of the shipped
+fault models, total update loss included: every call is eventually
 answered, because update loss is repaired by recovery, page loss has
 probability < 1 per poll, and outages/failovers have finite duration.
 

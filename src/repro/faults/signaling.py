@@ -79,7 +79,7 @@ class SignalingPolicy:
 
     @classmethod
     def fire_and_forget(cls) -> "SignalingPolicy":
-        """The paper's (and :class:`LossyUpdateEngine`'s) semantics.
+        """The paper's semantics: transmit and hope.
 
         No acknowledgement, no retries, no re-page: a lost update stays
         lost until recovery paging repairs the divergence.

@@ -18,10 +18,13 @@ unlinked and the file descriptor from :func:`tempfile.mkstemp` is
 closed, whether the failure happens in ``fdopen``, ``json.dump``,
 ``fsync``, or the final rename.
 
-Both checkpoint formats are read back through
-:func:`read_checkpoint`, which turns an unreadable file, or JSON that
-is not an object with a ``"fingerprint"`` object, into a
-:class:`~repro.exceptions.ParameterError` naming the problem.
+All three files are read back through :func:`read_checkpoint`, the
+one place that decides whether a file on disk may be trusted: an
+unreadable file, JSON that is not an object with a ``"fingerprint"``
+object, a different schema version, a fingerprint of a different run,
+or entries that do not parse each become a
+:class:`~repro.exceptions.ParameterError` naming the file and the
+problem, never a traceback.
 """
 
 from __future__ import annotations
@@ -30,11 +33,13 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Tuple, Union
+from typing import Callable, TypeVar, Union
 
 from .exceptions import ParameterError
 
 __all__ = ["atomic_write_json", "read_checkpoint"]
+
+T = TypeVar("T")
 
 
 def atomic_write_json(path: Union[str, Path], payload: object) -> Path:
@@ -72,16 +77,44 @@ def atomic_write_json(path: Union[str, Path], payload: object) -> Path:
     return path
 
 
-def read_checkpoint(path: Path, label: str) -> Tuple[dict, dict]:
-    """``(payload, stored fingerprint)`` of the ``label`` file ``path``."""
+def read_checkpoint(
+    path: Path,
+    fingerprint: dict,
+    parse: Callable[[dict], T],
+    label: str,
+    mismatch: str,
+    remedy: str,
+) -> T:
+    """Load the ``label`` file ``path`` written for ``fingerprint``.
+
+    The stored fingerprint must carry ``fingerprint["version"]`` and
+    then equal ``fingerprint``; ``parse`` turns the trusted payload into
+    the caller's entries.  Every way the file can fail to be what this
+    run wrote -- unreadable, not a fingerprinted object, another schema
+    version, another run (``"belongs to " + mismatch``), or entries
+    whose parsing raises ``KeyError``/``TypeError``/``ValueError`` --
+    raises :class:`~repro.exceptions.ParameterError` ending in
+    ``remedy``.
+    """
     try:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ParameterError(f"unreadable {label} {path}: {exc}") from exc
+        raise ParameterError(f"unreadable {label} {path}: {exc}; {remedy}") from exc
     stored = payload.get("fingerprint") if isinstance(payload, dict) else None
     if not isinstance(stored, dict):
         raise ParameterError(
             f"malformed {label} {path}: expected a JSON object with a "
-            '"fingerprint" object'
+            f'"fingerprint" object; {remedy}'
         )
-    return payload, stored
+    version = stored.get("version")
+    if version != fingerprint["version"]:
+        raise ParameterError(
+            f"{label} {path} uses schema version {version!r}, but this "
+            f"library writes version {fingerprint['version']}; {remedy}"
+        )
+    if stored != fingerprint:
+        raise ParameterError(f"{label} {path} belongs to {mismatch}; {remedy}")
+    try:
+        return parse(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed {label} {path}: {exc!r}; {remedy}") from exc

@@ -41,7 +41,6 @@ __all__ = [
     "FleetShardEngine",
     "FleetSpec",
     "LocationRegister",
-    "LossyUpdateEngine",
     "MeterColumns",
     "MeterSnapshot",
     "MobileTerminal",
@@ -65,14 +64,3 @@ __all__ = [
     "z_score",
 ]
 
-
-def __getattr__(name: str):
-    # LossyUpdateEngine is now a shim over repro.faults.ResilientEngine,
-    # and repro.faults builds on repro.simulation.engine; importing the
-    # shim lazily keeps the historical `from repro.simulation import
-    # LossyUpdateEngine` working without an import cycle.
-    if name == "LossyUpdateEngine":
-        from .lossy import LossyUpdateEngine
-
-        return LossyUpdateEngine
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

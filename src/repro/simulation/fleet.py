@@ -68,7 +68,6 @@ import math
 import shutil
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -83,6 +82,7 @@ from ..geometry.line import LineTopology
 from ..geometry.square import SquareTopology
 from ..geometry.topology import CellTopology
 from ..observability import context as _obs_context
+from ..parallel import Job, resolve_workers, run_jobs
 from ..persist import atomic_write_json, read_checkpoint
 from ..workload.profiles import Population
 from .kernels import (
@@ -96,7 +96,6 @@ from .kernels import (
     terminal_keys as _terminal_keys,
     uniform_cuts as _uniform_cuts,
 )
-from .runner import _resolve_workers
 from .vectorized import _EVENT_MODES, _Z95, _column_kernel, _paging_tables
 
 __all__ = [
@@ -825,7 +824,7 @@ def _shard_arrays(
     return out
 
 
-def _execute_shard(
+def _run_shard(
     index: int,
     lo: int,
     hi: int,
@@ -836,38 +835,25 @@ def _execute_shard(
     slots: int,
     seed: int,
     event_mode: str,
-    observe: bool,
-) -> Tuple[int, Dict[str, object], Optional[dict]]:
-    """Run one shard to completion.
+) -> Dict[str, object]:
+    """Run one shard to completion; returns its snapshot as a dict.
 
     Module-level so pooled workers can pickle it; the in-process path
-    runs the exact same function on the exact same arrays, which is
-    what makes ``workers=N`` bit-identical to a serial fleet run.
-    Returns ``(index, snapshot dict, observability payload or None)``.
+    runs the exact same function on the exact same arrays (see
+    :mod:`repro.parallel`), which is what makes ``workers=N``
+    bit-identical to a serial fleet run.
     """
-    columns = _shard_arrays(source, lo, hi)
-
-    def simulate() -> ShardSnapshot:
-        engine = FleetShardEngine(
-            topology=topology,
-            n_profiles=n_profiles,
-            max_delay=max_delay,
-            global_offset=lo,
-            seed=seed,
-            event_mode=event_mode,
-            **columns,
-        )
-        engine.run(slots)
-        return engine.snapshot(index=index)
-
-    if not observe:
-        return index, simulate().to_dict(), None
-    with _obs_context.session() as obs:
-        with obs.tracer.span(
-            "simulate.fleet_shard", shard=index, terminals=hi - lo, slots=slots
-        ):
-            snapshot = simulate()
-        return index, snapshot.to_dict(), obs.collect_payload()
+    engine = FleetShardEngine(
+        topology=topology,
+        n_profiles=n_profiles,
+        max_delay=max_delay,
+        global_offset=lo,
+        seed=seed,
+        event_mode=event_mode,
+        **_shard_arrays(source, lo, hi),
+    )
+    engine.run(slots)
+    return engine.snapshot(index=index).to_dict()
 
 
 # -- fleet checkpoints --------------------------------------------------
@@ -905,28 +891,19 @@ def _load_fleet_checkpoint(
     path: Path, fingerprint: dict
 ) -> Dict[int, ShardSnapshot]:
     """Read a fleet checkpoint, validating it belongs to this run."""
-    payload, stored = read_checkpoint(path, "fleet checkpoint")
-    version = stored.get("version")
-    if version != _FLEET_CHECKPOINT_VERSION:
-        raise ParameterError(
-            f"fleet checkpoint {path} uses schema version {version!r}, but "
-            f"this library writes version {_FLEET_CHECKPOINT_VERSION}; "
-            "delete the file to restart (shard results are re-derivable -- "
-            "only compute time is lost)"
-        )
-    if stored != fingerprint:
-        raise ParameterError(
-            f"fleet checkpoint {path} belongs to a different run "
-            "(population/topology/shard layout/slots/seed differ); delete "
-            "it or point the run at a fresh path"
-        )
-    try:
-        return {
+    return read_checkpoint(
+        path,
+        fingerprint,
+        lambda payload: {
             int(entry["index"]): ShardSnapshot.from_dict(entry["snapshot"])
             for entry in payload["shards"]
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParameterError(f"malformed fleet checkpoint {path}: {exc!r}") from exc
+        },
+        label="fleet checkpoint",
+        mismatch="a different run (population/topology/shard layout/slots/"
+        "seed differ)",
+        remedy="delete the file to restart (shard results are re-derivable "
+        "-- only compute time is lost) or point the run at a fresh path",
+    )
 
 
 def _write_fleet_checkpoint(
@@ -984,9 +961,8 @@ def run_fleet(
             f"event_mode must be one of {_EVENT_MODES}, got {event_mode!r}"
         )
     bounds = shard_bounds(spec.count, shards)
-    pool_size = _resolve_workers(workers)
+    pool_size = resolve_workers(workers)
     parent_obs = _obs_context.current()
-    observe = parent_obs.enabled
     fingerprint = _fleet_fingerprint(spec, bounds, slots, seed, event_mode)
     checkpoint_path = Path(checkpoint) if checkpoint is not None else None
     completed: Dict[int, ShardSnapshot] = {}
@@ -994,16 +970,20 @@ def run_fleet(
         completed = _load_fleet_checkpoint(checkpoint_path, fingerprint)
     pending = [i for i in range(len(bounds)) if i not in completed]
 
-    payloads: Dict[int, dict] = {}
-
-    def record(index: int, snapshot_dict: Dict[str, object], payload) -> None:
-        if payload is not None:
-            payloads[index] = payload
+    def record(index: int, snapshot_dict: Dict[str, object]) -> None:
         completed[index] = ShardSnapshot.from_dict(snapshot_dict)
         if checkpoint_path is not None:
             _write_fleet_checkpoint(checkpoint_path, fingerprint, completed)
 
-    n_profiles = len(spec.profile_names)
+    def shard_jobs(source: Dict[str, object]) -> List[Job]:
+        jobs = []
+        for index in pending:
+            lo, hi = bounds[index]
+            args = (index, lo, hi, source, spec.topology, len(spec.profile_names),
+                    spec.max_delay, slots, seed, event_mode)
+            jobs.append((index, args, {"shard": index, "terminals": hi - lo,
+                                       "slots": slots}))
+        return jobs
 
     with parent_obs.tracer.span(
         "simulate.fleet_run",
@@ -1014,12 +994,8 @@ def run_fleet(
     ):
         if pool_size is None:
             source = {name: getattr(spec, name) for name in _SPEC_COLUMNS}
-            for index in pending:
-                lo, hi = bounds[index]
-                record(*_execute_shard(
-                    index, lo, hi, source, spec.topology, n_profiles,
-                    spec.max_delay, slots, seed, event_mode, observe,
-                ))
+            run_jobs(_run_shard, shard_jobs(source), None, record,
+                     span="simulate.fleet_shard", merge_key="shard")
         elif pending:
             spill_root = tempfile.mkdtemp(
                 prefix="fleet-spill-",
@@ -1027,28 +1003,11 @@ def run_fleet(
             )
             try:
                 source = _spill_spec(spec, Path(spill_root))
-                with ProcessPoolExecutor(
-                    max_workers=min(pool_size, len(pending))
-                ) as pool:
-                    futures = [
-                        pool.submit(
-                            _execute_shard,
-                            index, *bounds[index], source, spec.topology,
-                            n_profiles, spec.max_delay, slots, seed,
-                            event_mode, observe,
-                        )
-                        for index in pending
-                    ]
-                    for future in as_completed(futures):
-                        record(*future.result())
+                run_jobs(_run_shard, shard_jobs(source), pool_size, record,
+                         span="simulate.fleet_shard", merge_key="shard")
             finally:
                 shutil.rmtree(spill_root, ignore_errors=True)
-        # Shard payloads (spans) merge after all shards finish, in
-        # shard-index order -- as_completed order is nondeterministic,
-        # and exact reproducibility needs a canonical merge order.
-        for index in sorted(payloads):
-            parent_obs.merge_payload(payloads[index], shard=index)
-        if observe:
+        if parent_obs.enabled:
             # Fleet-level exact accounting: every counter is fed once
             # per shard from its snapshot, in shard-index order, so the
             # exported totals are bit-equal to summing the snapshot

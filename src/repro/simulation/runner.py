@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -62,6 +61,7 @@ from ..core.parameters import CostParams, MobilityParams
 from ..exceptions import ParameterError
 from ..geometry.topology import Cell, CellTopology
 from ..observability import context as _obs_context
+from ..parallel import resolve_workers, run_jobs
 from ..persist import atomic_write_json, read_checkpoint
 from ..strategies.base import UpdateStrategy
 from .engine import SimulationEngine, strategy_labels
@@ -235,23 +235,8 @@ def _load_checkpoint(
     keyed by replication index (completion order is arbitrary under a
     worker pool).
     """
-    payload, stored = read_checkpoint(path, "checkpoint")
-    version = stored.get("version")
-    if version != _CHECKPOINT_VERSION:
-        raise ParameterError(
-            f"checkpoint {path} uses schema version {version!r}, but this "
-            f"library writes version {_CHECKPOINT_VERSION} and cannot "
-            "resume older checkpoints; delete the file to restart the "
-            "campaign (child seeding is deterministic, so no statistical "
-            "ground is lost -- only compute time)"
-        )
-    if stored != fingerprint:
-        raise ParameterError(
-            f"checkpoint {path} belongs to a different campaign "
-            "(topology/strategy/start/seed/slots/replications/parameters "
-            "differ); delete it or point the run at a fresh path"
-        )
-    try:
+
+    def parse(payload: dict):
         completed = {
             int(entry["index"]): MeterSnapshot.from_dict(entry["snapshot"])
             for entry in payload["snapshots"]
@@ -265,9 +250,19 @@ def _load_checkpoint(
             )
             for p in payload.get("partials", [])
         }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParameterError(f"malformed checkpoint {path}: {exc!r}") from exc
-    return completed, partials
+        return completed, partials
+
+    return read_checkpoint(
+        path,
+        fingerprint,
+        parse,
+        label="checkpoint",
+        mismatch="a different campaign (topology/strategy/start/seed/slots/"
+        "replications/parameters differ)",
+        remedy="delete the file to restart the campaign (child seeding is "
+        "deterministic, so no statistical ground is lost -- only compute "
+        "time) or point the run at a fresh path",
+    )
 
 
 def _write_checkpoint(
@@ -296,25 +291,7 @@ def _write_checkpoint(
     atomic_write_json(path, payload)
 
 
-def _resolve_workers(workers: Optional[Union[int, str]]) -> Optional[int]:
-    """Normalize the ``workers`` argument to a pool size (None = serial)."""
-    if workers is None or workers == "serial":
-        return None
-    if isinstance(workers, str):
-        raise ParameterError(
-            f"workers must be a positive int or 'serial', got {workers!r}"
-        )
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise ParameterError(
-            f"workers must be a positive int or 'serial', got {workers!r}"
-        )
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-    return None if workers == 1 else workers
-
-
-def _execute_replication(
-    index: int,
+def _run_one_replication(
     seed: np.random.SeedSequence,
     topology: CellTopology,
     strategy_factory: StrategyFactory,
@@ -325,58 +302,15 @@ def _execute_replication(
     event_mode: str,
     warmup_slots: int,
     replication_deadline: Optional[float],
-    observe: bool = False,
     walker_factory=None,
-) -> Tuple[int, MeterSnapshot, int, Optional[dict]]:
+) -> Tuple[MeterSnapshot, int]:
     """Run one replication to completion (or to its deadline).
 
-    Module-level so worker processes can pickle and run it; both the
-    serial and the pooled path go through this exact function, which is
-    what makes ``workers=N`` bit-identical to a serial campaign.
-    Returns ``(index, snapshot, completed_slots, observability)`` where
-    the last element is the replication's collected metrics/spans
-    payload (picklable; see
-    :meth:`repro.observability.Observability.collect_payload`) when
-    ``observe`` is set, else None.
-
-    ``observe=True`` opens a *fresh* observability session around the
-    replication -- in a pooled worker because the parent's context does
-    not exist there, and in the serial path for symmetry, so both
-    executors aggregate through the identical merge step and a campaign
-    exports the same metrics regardless of ``workers``.
+    Module-level so worker processes can pickle and run it; both
+    executors run this exact function (see :mod:`repro.parallel`), which
+    is what makes ``workers=N`` bit-identical to a serial campaign.
+    Returns the snapshot and the number of slots completed.
     """
-    if not observe:
-        return _run_one_replication(
-            index, seed, topology, strategy_factory, mobility, costs, slots,
-            start, event_mode, warmup_slots, replication_deadline,
-            walker_factory,
-        ) + (None,)
-    with _obs_context.session() as obs:
-        with obs.tracer.span(
-            "simulate.replication", index=index, slots=slots
-        ):
-            result = _run_one_replication(
-                index, seed, topology, strategy_factory, mobility, costs, slots,
-                start, event_mode, warmup_slots, replication_deadline,
-                walker_factory,
-            )
-        return result + (obs.collect_payload(),)
-
-
-def _run_one_replication(
-    index: int,
-    seed: np.random.SeedSequence,
-    topology: CellTopology,
-    strategy_factory: StrategyFactory,
-    mobility: MobilityParams,
-    costs: CostParams,
-    slots: int,
-    start: Optional[Cell],
-    event_mode: str,
-    warmup_slots: int,
-    replication_deadline: Optional[float],
-    walker_factory=None,
-) -> Tuple[int, MeterSnapshot, int]:
     engine = SimulationEngine(
         topology=topology,
         strategy=strategy_factory(),
@@ -391,14 +325,14 @@ def _run_one_replication(
         engine.run(warmup_slots)
         engine.meter = CostMeter(costs.update_cost, costs.poll_cost)
     if replication_deadline is None:
-        return index, engine.run(slots), slots
+        return engine.run(slots), slots
     deadline = time.monotonic() + replication_deadline
     remaining = slots
     while remaining > 0 and time.monotonic() < deadline:
         chunk = min(remaining, _DEADLINE_CHUNK_SLOTS)
         engine.run(chunk)
         remaining -= chunk
-    return index, engine.meter.snapshot(), slots - remaining
+    return engine.meter.snapshot(), slots - remaining
 
 
 def run_replicated(
@@ -455,9 +389,8 @@ def run_replicated(
         raise ParameterError(
             f"replication_deadline must be > 0 seconds, got {replication_deadline}"
         )
-    pool_size = _resolve_workers(workers)
+    pool_size = resolve_workers(workers)
     parent_obs = _obs_context.current()
-    observe = parent_obs.enabled
     # One probe instance pins down the strategy's configuration (name,
     # threshold, delay bound) for the checkpoint fingerprint and
     # validates the factory before any simulation work starts.
@@ -481,16 +414,8 @@ def run_replicated(
     children = master.spawn(replications)
     pending = [i for i in range(replications) if i not in completed]
 
-    payloads: Dict[int, dict] = {}
-
-    def record(
-        index: int,
-        snapshot: MeterSnapshot,
-        completed_slots: int,
-        payload: Optional[dict],
-    ) -> None:
-        if payload is not None:
-            payloads[index] = payload
+    def record(index: int, outcome: Tuple[MeterSnapshot, int]) -> None:
+        snapshot, completed_slots = outcome
         if completed_slots < slots:
             partials[index] = PartialReplication(
                 index=index,
@@ -503,12 +428,18 @@ def run_replicated(
         if checkpoint_path is not None:
             _write_checkpoint(checkpoint_path, fingerprint, completed, partials)
 
-    def job_args(index: int) -> tuple:
-        return (
-            index, children[index], topology, strategy_factory, mobility,
-            costs, slots, start, event_mode, warmup_slots, replication_deadline,
-            observe, walker_factory,
+    jobs = [
+        (
+            index,
+            (
+                children[index], topology, strategy_factory, mobility, costs,
+                slots, start, event_mode, warmup_slots, replication_deadline,
+                walker_factory,
+            ),
+            {"index": index, "slots": slots},
         )
+        for index in pending
+    ]
 
     with parent_obs.tracer.span(
         "simulate.run_replicated",
@@ -517,10 +448,7 @@ def run_replicated(
         slots=slots,
         strategy=strategy_repr,
     ):
-        if pool_size is None:
-            for index in pending:
-                record(*_execute_replication(*job_args(index)))
-        elif pending:
+        if pool_size is not None and pending:
             try:
                 pickle.dumps(
                     (topology, strategy_factory, mobility, costs, start,
@@ -534,22 +462,11 @@ def run_replicated(
                     "DistanceStrategy, d, max_delay=m) instead of a lambda "
                     f"({exc})"
                 ) from exc
-            with ProcessPoolExecutor(
-                max_workers=min(pool_size, len(pending))
-            ) as pool:
-                futures = [
-                    pool.submit(_execute_replication, *job_args(index))
-                    for index in pending
-                ]
-                for future in as_completed(futures):
-                    record(*future.result())
-        # Replication payloads are merged *after* all runs finish, in
-        # replication-index order: ``as_completed`` yields futures in a
-        # nondeterministic order, and float merging is only exactly
-        # reproducible (serial == workers=N) for a canonical order.
-        for index in sorted(payloads):
-            parent_obs.merge_payload(payloads[index], replication=index)
-        if observe:
+        run_jobs(
+            _run_one_replication, jobs, pool_size, record,
+            span="simulate.replication", merge_key="replication",
+        )
+        if parent_obs.enabled:
             # Campaign-level exact cost accounting: one increment per
             # completed replication from its snapshot, in index order --
             # never per event -- so the exported totals are bit-equal to

@@ -8,7 +8,9 @@ from repro.analysis import (
     check_figure_shape,
     compute_figure4,
     compute_figure5,
+    gap_closure,
     log_sweep,
+    threshold_jumps,
 )
 
 # Figure sweeps are moderately expensive; compute once per module with
@@ -114,6 +116,16 @@ class TestPaperShapeClaims:
         # where the delay bound bites.
         for i in range(len(fig4a.x_values)):
             assert fig4b.curves[1][i] >= fig4a.curves[1][i] - 1e-12
+
+    def test_fig5a_thresholds_jump(self, fig5a):
+        # "Discontinuities appear in some curves due to the sudden
+        # changes in the optimal threshold distances."
+        assert threshold_jumps(fig5a) > 0
+
+    def test_fig5b_delay_two_closes_the_gap_half_way(self, fig5b):
+        # Conclusions: "a small increase of the maximum delay from 1 to
+        # 2 polling cycles can lower the optimal cost to half way".
+        assert gap_closure(fig5b, 2) >= 0.40
 
     def test_threshold_grows_with_mobility(self, fig4a):
         # Faster walkers need larger thresholds (unbounded delay case).

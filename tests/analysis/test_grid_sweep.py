@@ -10,7 +10,9 @@ from repro.analysis.sweep import (
     grid_sweep,
     sweep,
 )
+from repro.cli import main
 from repro.exceptions import ParameterError
+from repro.observability import session
 from repro.paging import per_ring_partition
 
 
@@ -82,6 +84,25 @@ class TestWorkers:
         with pytest.raises(ParameterError, match="workers"):
             grid_sweep("1d", {"q": [0.05]}, d_max=5, workers=0)
 
+    def test_pooled_sweep_exports_the_serial_metrics_and_spans(self):
+        axes = {"U": [10.0, 20.0, 50.0], "m": [1, 2]}
+        exported = {}
+        for workers in (None, 2):
+            with session() as obs:
+                grid_sweep("2d-exact", axes, d_max=30, workers=workers)
+            records = obs.tracer.records
+            (root,) = [r for r in records if r.name == "analysis.grid_sweep"]
+            points = sorted(
+                r.metadata["point"] for r in records if r.parent_id == root.span_id
+            )
+            assert points == list(range(6))
+            surfaces = [r for r in records if r.name == "analytic.compute_cost_surface"]
+            exported[workers] = (
+                obs.registry.total("analytic_solves_total"), len(surfaces)
+            )
+        assert exported[None] == (6.0, 6)
+        assert exported[2] == exported[None]
+
 
 class TestCache:
     AXES = {"q": [0.05, 0.1], "m": [1, math.inf]}
@@ -124,6 +145,38 @@ class TestCache:
         entry.write_text("{not json")
         with pytest.raises(ParameterError, match="unreadable"):
             grid_sweep("1d", self.AXES, d_max=12, cache_dir=tmp_path)
+
+    MALFORMED = pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda payload: [],
+            lambda payload: {"fingerprint": 3},
+            lambda payload: {"fingerprint": payload["fingerprint"]},
+            lambda payload: {**payload, "points": [{"q": 0.05}]},
+            lambda payload: {**payload, "points": 7},
+        ],
+        ids=["array", "scalar-fingerprint", "no-points",
+             "point-missing-key", "scalar-points"],
+    )
+
+    @MALFORMED
+    def test_malformed_entry_refused(self, tmp_path, mangle):
+        grid_sweep("1d", self.AXES, d_max=12, cache_dir=tmp_path)
+        entry = next(tmp_path.glob("grid-*.json"))
+        entry.write_text(json.dumps(mangle(json.loads(entry.read_text()))))
+        with pytest.raises(ParameterError, match="malformed sweep cache entry"):
+            grid_sweep("1d", self.AXES, d_max=12, cache_dir=tmp_path)
+
+    @MALFORMED
+    def test_cli_exits_2_on_malformed_entry(self, tmp_path, capsys, mangle):
+        argv = ["sweep", "--model", "1d", "--vary", "q=0.05,0.1",
+                "--d-max", "12", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        entry = next(tmp_path.glob("grid-*.json"))
+        entry.write_text(json.dumps(mangle(json.loads(entry.read_text()))))
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "malformed sweep cache entry" in capsys.readouterr().err
 
     def test_custom_plan_factory_bypasses_cache(self, tmp_path):
         def factory(model, d, m):

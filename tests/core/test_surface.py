@@ -1,7 +1,9 @@
-"""Unit tests for cost-surface exploration and local-minima detection."""
+"""The cost surface at the paper's operating points: Table 1's optima and
+Section 6's local minima, on :func:`compute_cost_surface` curves."""
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -10,70 +12,36 @@ from repro import (
     MobilityParams,
     OneDimensionalModel,
     ParameterError,
-    compute_surface,
+    compute_cost_surface,
 )
-from repro.core.surface import CostCurve
 
 
-class TestCostCurve:
-    def test_global_minimum(self):
-        curve = CostCurve(delay_bound=1, values=[5.0, 3.0, 4.0, 2.0, 6.0])
-        assert curve.global_minimum == 3
-
-    def test_global_minimum_tie_prefers_smaller(self):
-        curve = CostCurve(delay_bound=1, values=[3.0, 2.0, 2.0, 4.0])
-        assert curve.global_minimum == 1
-
-    def test_local_minima_simple(self):
-        curve = CostCurve(delay_bound=1, values=[5.0, 3.0, 4.0, 2.0, 6.0])
-        assert curve.local_minima() == [1, 3]
-
-    def test_plateau_counts_once(self):
-        curve = CostCurve(delay_bound=1, values=[5.0, 2.0, 2.0, 2.0, 6.0])
-        assert curve.local_minima() == [1]
-
-    def test_endpoints_can_be_minima(self):
-        curve = CostCurve(delay_bound=1, values=[1.0, 2.0, 3.0])
-        assert curve.local_minima() == [0]
-        curve = CostCurve(delay_bound=1, values=[3.0, 2.0, 1.0])
-        assert curve.local_minima() == [2]
-
-    def test_multimodality(self):
-        unimodal = CostCurve(delay_bound=1, values=[3.0, 1.0, 2.0, 4.0])
-        assert not unimodal.is_multimodal()
-        multimodal = CostCurve(delay_bound=1, values=[3.0, 1.5, 4.0, 1.0, 5.0])
-        assert multimodal.is_multimodal()
-
-    def test_tied_basins_not_multimodal(self):
-        curve = CostCurve(delay_bound=1, values=[3.0, 1.0, 4.0, 1.0, 5.0])
-        assert not curve.is_multimodal()
-
-    def test_d_max(self):
-        assert CostCurve(delay_bound=1, values=[1.0] * 7).d_max == 6
+def trapping_minima(curve, tolerance=1e-9):
+    """Thresholds where greedy descent stops although the curve's global
+    minimum is lower by more than ``tolerance``."""
+    values = np.asarray(curve)
+    padded = np.concatenate(([np.inf], values, [np.inf]))
+    local = (padded[:-2] >= values - 1e-12) & (padded[2:] >= values - 1e-12)
+    return np.flatnonzero(local & (values > values.min() + tolerance)).tolist()
 
 
 class TestComputeSurface:
     @pytest.fixture
     def surface(self):
         model = OneDimensionalModel(MobilityParams(0.05, 0.01))
-        evaluator = CostEvaluator(model, CostParams(100.0, 10.0))
-        return compute_surface(evaluator, 20)
+        return compute_cost_surface(model, CostParams(100.0, 10.0), 20)
 
     def test_all_delays_present(self, surface):
-        assert set(surface.curves) == {1, 2, 3, math.inf}
+        assert surface.delays == (1, 2, 3, math.inf)
 
     def test_curve_values_match_evaluator(self, surface):
         model = OneDimensionalModel(MobilityParams(0.05, 0.01))
         evaluator = CostEvaluator(model, CostParams(100.0, 10.0))
-        assert surface.curve(2).values[5] == pytest.approx(evaluator.total_cost(5, 2))
+        assert surface.curve(2)[5] == pytest.approx(evaluator.total_cost(5, 2))
 
     def test_optimal_thresholds_match_table1(self, surface):
         # U=100 row of Table 1: d* = 3, 4, 5, 7 for delays 1, 2, 3, inf.
-        optima = surface.optimal_thresholds()
-        assert optima[1] == 3
-        assert optima[2] == 4
-        assert optima[3] == 5
-        assert optima[math.inf] == 7
+        assert surface.optimal_thresholds() == {1: 3, 2: 4, 3: 5, math.inf: 7}
 
     def test_unknown_delay_rejected(self, surface):
         with pytest.raises(ParameterError):
@@ -83,14 +51,23 @@ class TestComputeSurface:
         # Section 6: "the total cost curve may have local minimum".
         # The SDF partition changes discontinuously with d, creating
         # distinct basins at some operating points; sweep a parameter
-        # region and require at least one multimodal curve.
+        # region and require a curve where greedy descent can be
+        # trapped above the global optimum.
+        assert trapping_minima([3.0, 1.5, 4.0, 1.0, 5.0]) == [1]
+        assert trapping_minima([2.0, 3.0, 1.0]) == [0]  # an endpoint basin
+        assert trapping_minima([3.0, 1.0, 2.0, 4.0]) == []  # unimodal
+        assert trapping_minima([3.0, 1.0, 4.0, 1.0, 5.0]) == []  # tied basins
+        assert trapping_minima([5.0, 2.0, 2.0, 2.0, 6.0]) == []  # a plateau
         found = False
         for U in (50, 100, 200, 400, 800):
             for q in (0.05, 0.2, 0.4):
-                model = OneDimensionalModel(MobilityParams(q, 0.01))
-                evaluator = CostEvaluator(model, CostParams(float(U), 10.0))
-                surface = compute_surface(evaluator, 30, delays=(2, 3, 4, 5))
-                if surface.multimodal_delays():
+                surface = compute_cost_surface(
+                    OneDimensionalModel(MobilityParams(q, 0.01)),
+                    CostParams(float(U), 10.0),
+                    30,
+                    delays=(2, 3, 4, 5),
+                )
+                if any(trapping_minima(surface.curve(m)) for m in surface.delays):
                     found = True
                     break
             if found:

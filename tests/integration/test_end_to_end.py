@@ -61,6 +61,14 @@ class TestModelVsSimulation:
                 f"{outcome.comparison.measured_total:.4f}"
             )
 
+    def test_documented_campaign_agrees_in_every_case(self):
+        # The campaign results/validation.txt holds and EXPERIMENTS.md
+        # quotes (the library defaults).
+        outcomes = run_validation_campaign()
+        assert len(outcomes) == len(DEFAULT_CASES)
+        for outcome in outcomes:
+            assert outcome.ok, f"disagreement in case {outcome.case.label}"
+
     def test_simulated_optimum_location(self):
         # Simulate several thresholds around the analytic optimum; the
         # measured cost minimum must sit at (or adjacent to) it.

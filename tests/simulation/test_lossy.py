@@ -1,25 +1,32 @@
-"""Failure-injection tests: lost updates and recovery paging."""
+"""Lost location updates and recovery paging.
 
-import math
+The paper's fire-and-forget signaling (no acks, retries or re-pages)
+with one :class:`~repro.faults.UpdateLoss` fault: the terminal resets
+its center on every transmitted update, the register keeps the stale
+one when the message is lost, and recovery paging must still answer
+every call, at any loss rate.
+"""
 
 import pytest
 
 from repro import CostParams, MobilityParams, ParameterError
+from repro.faults import ResilientEngine, SignalingPolicy, UpdateLoss
 from repro.geometry import HexTopology, LineTopology
-from repro.simulation import LossyUpdateEngine, SimulationEngine
+from repro.simulation import SimulationEngine
 from repro.strategies import DistanceStrategy, TimerStrategy
 
 MOBILITY = MobilityParams(0.3, 0.03)
 COSTS = CostParams(30.0, 2.0)
 
 
-def make_engine(loss, topology=None, seed=0, d=2, m=2):
-    return LossyUpdateEngine(
+def make_engine(loss, topology=None, seed=0, d=2, m=2, strategy=None):
+    return ResilientEngine(
         topology=topology or LineTopology(),
-        strategy=DistanceStrategy(d, max_delay=m),
+        strategy=strategy or DistanceStrategy(d, max_delay=m),
         mobility=MOBILITY,
         costs=COSTS,
-        loss_probability=loss,
+        faults=[UpdateLoss(loss)],
+        signaling=SignalingPolicy.fire_and_forget(),
         seed=seed,
     )
 
@@ -33,17 +40,11 @@ class TestConstruction:
     def test_total_loss_is_valid(self):
         # The closed interval [0, 1]: a dead uplink is a legitimate
         # (and the most demanding) failure regime, not a config error.
-        assert make_engine(1.0).loss_probability == 1.0
+        assert make_engine(1.0).faults[0].probability == 1.0
 
     def test_requires_distance_strategy(self):
         with pytest.raises(ParameterError):
-            LossyUpdateEngine(
-                topology=LineTopology(),
-                strategy=TimerStrategy(5),
-                mobility=MOBILITY,
-                costs=COSTS,
-                loss_probability=0.1,
-            )
+            make_engine(0.1, strategy=TimerStrategy(5))
 
 
 class TestZeroLossEquivalence:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.validate import DEFAULT_CASES
 from repro.cli import build_parser, main
 
 
@@ -152,6 +153,21 @@ class TestFigureCommands:
         assert "figure5b" in out
         assert "(log x)" not in out
         assert csv_path.exists()
+
+
+class TestValidateCommand:
+    def test_small_campaign_renders_every_case(self, capsys):
+        code = main(["validate", "--slots", "3000", "--replications", "2"])
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert lines[0] == "Model-vs-simulation validation campaign"
+        assert "95% CI" in lines[1]
+        rows = lines[3:]
+        assert [row.split()[0] for row in rows] == [
+            case.label for case in DEFAULT_CASES
+        ]
+        # Exit 1 exactly when some case disagrees at this tiny budget.
+        assert code == (1 if any(row.split()[-1] == "NO" for row in rows) else 0)
 
 
 class TestSimulateCommand:

@@ -74,29 +74,38 @@ def test_examples_have_docstrings_and_main():
 
 class TestReproduceScript:
     def test_quick_run_produces_all_artifacts(self, tmp_path):
-        scripts_dir = EXAMPLES_DIR.parent / "scripts"
         result = subprocess.run(
-            [
-                sys.executable,
-                str(scripts_dir / "reproduce.py"),
-                "--quick",
-                "--outdir",
-                str(tmp_path),
-            ],
+            [sys.executable, "-m", "repro", "reproduce", "--quick",
+             "--outdir", str(tmp_path)],
             capture_output=True,
             text=True,
             timeout=600,
         )
         assert result.returncode == 0, result.stderr[-2000:]
-        for artifact in (
-            "table1.txt", "table1.csv", "table2.txt", "table2.csv",
-            "fig4a.txt", "fig4b.csv", "fig5a.csv", "fig5b.txt",
-            "validation.txt", "SUMMARY.txt",
-        ):
-            assert (tmp_path / artifact).exists(), f"missing {artifact}"
-        summary = (tmp_path / "SUMMARY.txt").read_text()
-        assert "threshold mismatches = 0" in summary
-        assert "8/8 cases agree" in summary
+        results_dir = EXAMPLES_DIR.parent / "results"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            p.name for p in results_dir.iterdir()
+        )
+        summary = (tmp_path / "SUMMARY.txt").read_text().splitlines()
+        assert result.stdout.startswith("\n".join(summary))
+        assert summary[:4] == [
+            "Table 1: worst |C_T - paper| = 0.0005; d* agrees in 112/112 cells",
+            "Table 2: worst |C_T - paper| = 0.0005, worst |C'_T - paper| = "
+            "0.0005; d* agrees in 84/84, d' in 84/84 cells",
+            "fig4a: shape violations = 0; ceiling = 0.399",
+            "fig4b: shape violations = 0; ceiling = 2.391",
+        ]
+        assert summary[4].startswith("fig5a: shape violations = 0; ceiling = 0.602; ")
+        assert "d* jumps along the sweep" in summary[4]
+        assert summary[5].startswith("fig5b: shape violations = 0; ceiling = 1.382; ")
+        assert "of the delay-1 gap" in summary[5]
+        assert summary[6].startswith(
+            "validation: 8/8 cases agree; worst relative error"
+        )
+        assert len(summary) == 7
+        validation = (tmp_path / "validation.txt").read_text().splitlines()
+        assert "95% CI" in validation[1]
+        assert len(validation) == 3 + 8
 
 
 class TestApiDocsGenerator:
