@@ -9,13 +9,14 @@ cache (:mod:`repro.analysis.sweep`), and fleet checkpoints
 directory, fsync, then :func:`os.replace` over the destination --
 readers only ever see the old payload or the complete new one.
 
-The error path is as important as the happy path.  Serialization can
-fail *after* the temporary file exists (a payload that is not
-JSON-representable, a full disk, an interrupt), and historically that
-orphaned ``*.tmp`` files next to every checkpoint and cache entry.
-This helper guarantees that on any failure the temporary file is
+The error path is as important as the happy path.  A write can fail
+*after* the temporary file exists (a full disk, an interrupt), and
+historically that orphaned ``*.tmp`` files next to every checkpoint
+and cache entry.  This helper encodes the payload before it creates
+the temporary file, so a payload that is not JSON-representable fails
+first, and guarantees that on any later failure the temporary file is
 unlinked and the file descriptor from :func:`tempfile.mkstemp` is
-closed, whether the failure happens in ``fdopen``, ``json.dump``,
+closed, whether the failure happens in ``fdopen``, the write,
 ``fsync``, or the final rename.
 
 All three files are read back through :func:`read_checkpoint`, the
@@ -48,8 +49,12 @@ def atomic_write_json(path: Union[str, Path], payload: object) -> Path:
     Write-to-temp + fsync + rename in ``path``'s own directory (rename
     is only atomic within a filesystem).  On *any* failure the
     temporary file is removed and the original file -- if one existed
-    -- is left untouched; the exception propagates unchanged.
+    -- is left untouched; the exception propagates unchanged.  The
+    payload is encoded before the temporary file exists (``json.dumps``
+    runs the C encoder; ``json.dump`` to a handle the Python one, for
+    the same text), so an unserializable payload never creates one.
     """
+    text = json.dumps(payload)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(
@@ -59,7 +64,7 @@ def atomic_write_json(path: Union[str, Path], payload: object) -> Path:
     try:
         with os.fdopen(fd, "w") as handle:
             fd_owned = False  # fdopen succeeded; the handle owns fd now
-            json.dump(payload, handle)
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

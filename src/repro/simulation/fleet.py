@@ -16,8 +16,9 @@ vectorized engine:
   arrays, hashed once per spec;
 * :class:`FleetShardEngine` -- the heterogeneous batched kernel: one
   contiguous shard of terminals stepped per slot with parameters held
-  as arrays rather than scalars, and per-terminal paging plans grouped
-  into ``(d, m)`` lookup classes;
+  as arrays rather than scalars, each terminal one int32 code that
+  packs its SDF plan row (one per distinct threshold) and its
+  center-relative cell;
 * :func:`run_fleet` -- partitions the fleet into contiguous shards,
   runs them in-process or on a :class:`ProcessPoolExecutor` (parameter
   columns shipped to workers as memory-mapped ``.npy`` spill files, so
@@ -51,14 +52,18 @@ Bounded memory
 --------------
 
 No per-terminal history is ever materialized: a shard holds its
-parameter columns and their integer event cuts, one position array,
-two per-terminal event counters (updates and polled cells, the two
-that feed per-terminal costs), and two hash buffers reused every slot
--- order 100 bytes per terminal.  Moves and calls are shard totals,
-and everything that leaves the shard is an O(1)
-:class:`ShardSnapshot` aggregate.  The fleet bench gate
-(``benchmarks/bench_throughput.py --fleet``) asserts the RSS bound at
-100k terminals in CI and 1M+ nightly.
+parameter columns and their integer event cuts, one int32 code per
+terminal (its plan row and center-relative cell), two per-terminal
+event counters (updates and polled cells, the two that feed
+per-terminal costs), and two hash buffers reused every slot -- order
+100 bytes per terminal.  Moves and calls are shard totals, and
+everything that leaves the shard is an O(1) :class:`ShardSnapshot`
+aggregate.  The code tables are two shared read-only int32 lookups of
+at most 2**22 entries (16 MiB) each; a :class:`FleetSpec` whose plan
+rows would need more is refused when it is built.  Two gates assert
+the RSS bound: ``benchmarks/bench_throughput.py --fleet-only`` at 100k
+terminals in CI, and ``test_fleet_million`` in the same file at 1M
+nightly.
 """
 
 from __future__ import annotations
@@ -82,6 +87,7 @@ from ..geometry.line import LineTopology
 from ..geometry.square import SquareTopology
 from ..geometry.topology import CellTopology
 from ..observability import context as _obs_context
+from ..paging import sdf_partition
 from ..parallel import Job, resolve_workers, run_jobs
 from ..persist import atomic_write_json, read_checkpoint
 from ..workload.profiles import Population
@@ -96,7 +102,7 @@ from .kernels import (
     terminal_keys as _terminal_keys,
     uniform_cuts as _uniform_cuts,
 )
-from .vectorized import _EVENT_MODES, _Z95, _column_kernel, _paging_tables
+from .vectorized import _EVENT_MODES, _Z95, _check_codes, _plan_tables
 
 __all__ = [
     "FleetSpec",
@@ -204,6 +210,8 @@ class FleetSpec:
             raise ParameterError("per-terminal costs must be >= 0")
         if np.any(self.threshold < 0):
             raise ParameterError("per-terminal thresholds must be >= 0")
+        # Whatever the shard layout, every shard's code tables fit.
+        _plan_rows(self.topology, self.threshold)
         if np.any(self.profile_index < 0) or np.any(
             self.profile_index >= len(self.profile_names)
         ):
@@ -335,6 +343,21 @@ class FleetSpec:
             population_seed=0,
             description=f"homogeneous:d={threshold}",
         )
+
+
+#: How a fleet gets under the code-table cap.
+_CAP_REMEDY = "give the fleet smaller or fewer distinct thresholds (a lower d_max)"
+
+
+def _plan_rows(topology: CellTopology, threshold: np.ndarray) -> Tuple[int, ...]:
+    """The distinct values of ``threshold``, ascending, once their plan
+    rows are known to fit the code tables (the largest is checked first,
+    which bounds the count)."""
+    threshold = np.asarray(threshold, dtype=np.int64)
+    _check_codes(topology, [int(threshold.max())], _CAP_REMEDY)
+    rows = tuple(np.flatnonzero(np.bincount(threshold)).tolist())
+    _check_codes(topology, rows, _CAP_REMEDY)
+    return rows
 
 
 # -- shard accounting ---------------------------------------------------
@@ -553,17 +576,19 @@ class FleetShardEngine:
 
     The :class:`VectorizedDistanceEngine` chain generalized to
     per-terminal parameter *arrays*: thresholds, mobilities, and costs
-    all vary terminal by terminal, with per-terminal SDF paging plans
-    grouped into one lookup row per distinct threshold.  Randomness is
-    the stateless counter hash keyed by each terminal's *global* fleet
-    index (``global_offset + local index``), which is what makes fleet
-    totals invariant under the shard layout -- see the module
-    docstring.  A slot compares every terminal's hash with integer
-    cuts, then touches only the callers and movers the compare lists.
+    all vary terminal by terminal, with one SDF paging plan row per
+    distinct threshold.  Randomness is the stateless counter hash keyed
+    by each terminal's *global* fleet index (``global_offset + local
+    index``), which is what makes fleet totals invariant under the
+    shard layout -- see the module docstring.  A slot compares every
+    terminal's hash with integer cuts, then touches only the callers
+    and movers the compare lists.
 
-    State is O(terminals): ``(dims, K)`` int32 positions (hex cells in
-    cube form), update and polled-cell counters, and shard-level
-    scalars.  Nothing per-slot is retained.
+    State is O(terminals): one int32 code per terminal packing its plan
+    row and center-relative cell (see
+    :func:`~repro.simulation.vectorized._plan_tables`), update and
+    polled-cell counters, and shard-level scalars.  Nothing per-slot is
+    retained.
     """
 
     def __init__(
@@ -591,47 +616,53 @@ class FleetShardEngine:
         self.seed = int(seed)
         self.global_offset = int(global_offset)
         q = np.asarray(q, dtype=np.float64)
-        # Integer cuts on the event and call draws.  Exclusive: one event
-        # draw calls below the call cut, else moves below the cut of the
-        # rounded q + c (raised to the call cut).  Independent: the event
-        # draw moves and a call-stream draw calls.
-        call_cut = _uniform_cuts(c)
-        if event_mode == "exclusive":
-            event_cut = np.maximum(_uniform_cuts(q + c), call_cut)
-        else:
-            event_cut = _uniform_cuts(q)
-        self._cuts = (event_cut, call_cut)
-        self._update_cost = np.ascontiguousarray(update_cost, dtype=np.float64)
-        self._poll_cost = np.ascontiguousarray(poll_cost, dtype=np.float64)
-        self._threshold = np.ascontiguousarray(threshold, dtype=np.int64)
-        self._profile = np.ascontiguousarray(profile_index, dtype=np.int64)
         self.terminals = K = int(q.shape[0])
         self.n_profiles = int(n_profiles)
         if K < 1:
             raise ParameterError("shard needs at least one terminal")
-        self._steps, self._ring_reduce = _column_kernel(topology)
-        self._degree = self._steps.shape[1] - 1
-        # One SDF paging plan per distinct threshold d: row _plan_of[d]
-        # of the lookup tables maps ring -> 0-based polling cycle, and
-        # cycle -> cumulative cells polled (w_j of eqn (64)).
-        distinct = np.flatnonzero(np.bincount(self._threshold))
-        self._plan_of = np.zeros(distinct[-1] + 1, dtype=np.intp)
-        self._plan_of[distinct] = np.arange(distinct.size)
-        tables = [_paging_tables(None, d, self.max_delay, topology)
-                  for d in distinct.tolist()]
-        self.max_cycles = max(plan.delay_bound for plan, _, _ in tables)
-        self._ring_to_cycle = np.zeros((len(tables), distinct[-1] + 1), np.int64)
-        self._cum_polled = np.zeros((len(tables), self.max_cycles), np.int64)
-        for row, (_, ring_to_cycle, cumulative) in enumerate(tables):
-            self._ring_to_cycle[row, : ring_to_cycle.size] = ring_to_cycle
-            # Pad: no plan pages past its delay bound; keep tails monotone.
-            self._cum_polled[row] = cumulative[-1]
-            self._cum_polled[row, : cumulative.size] = cumulative
-        # Keys of the *global* terminal indices, and slot scratch space.
-        self._idx_keys = _terminal_keys(self.global_offset, K)
+        self._update_cost = np.ascontiguousarray(update_cost, dtype=np.float64)
+        self._poll_cost = np.ascontiguousarray(poll_cost, dtype=np.float64)
+        for name, column in (
+            ("update_cost", self._update_cost), ("poll_cost", self._poll_cost)
+        ):
+            # A NaN makes min() NaN, which fails the comparison.
+            if not (column.min() >= 0.0 and column.max() < math.inf):
+                raise ParameterError(
+                    f"per-terminal {name} must be finite and >= 0"
+                )
+        self._profile = np.ascontiguousarray(profile_index, dtype=np.intp)
+        # The slot hash buffers; until the first slot, the second one is
+        # the scratch space of the cuts and the terminal keys.
         self._hash_buffers = (np.empty(K, np.uint64), np.empty(K, np.uint64))
+        scratch = self._hash_buffers[1].view(np.float64)
+        # Integer cuts on the event and call draws.  Exclusive: one event
+        # draw calls below the call cut, else moves below the cut of the
+        # rounded q + c (raised to the call cut).  Independent: the event
+        # draw moves and a call-stream draw calls.
+        call_cut = _uniform_cuts(c, np.empty(K, np.uint64), scratch)
+        if event_mode == "exclusive":
+            qc = np.add(q, c, out=scratch)
+            event_cut = _uniform_cuts(qc, np.empty(K, np.uint64), scratch)
+            np.maximum(event_cut, call_cut, out=event_cut)
+        else:
+            event_cut = _uniform_cuts(q, np.empty(K, np.uint64), scratch)
+        self._cuts = (event_cut, call_cut)
+        # Keys of the *global* terminal indices.
+        self._idx_keys = _terminal_keys(
+            self.global_offset, K, self._hash_buffers[1]
+        )
         self._hits = np.empty(K, dtype=bool)
-        self._pos = np.zeros((self._steps.shape[0], K), dtype=np.int32)
+        # One SDF plan row per distinct threshold; every terminal starts
+        # freshly fixed at the origin of its row.
+        threshold = np.ascontiguousarray(threshold, dtype=np.int64)
+        self._thresholds = _plan_rows(topology, threshold)
+        plans = tuple(sdf_partition(d, self.max_delay) for d in self._thresholds)
+        self._tables = _plan_tables(topology, plans)
+        self._degree = self._tables.step.size - 1
+        self.max_cycles = self._tables.polled.shape[1]
+        start = np.zeros(self._thresholds[-1] + 1, dtype=np.int32)
+        start[list(self._thresholds)] = self._tables.origins
+        self._code = start.take(threshold)
         self.slot = 0
         self.reset_meters()
 
@@ -645,7 +676,14 @@ class FleetShardEngine:
         self._updates = np.zeros(K, dtype=np.int64)
         self._polled = np.zeros(K, dtype=np.int64)
         self._cost_sum = self._cost_sq_sum = 0.0
-        self._delay_counts = np.zeros(self.max_cycles, dtype=np.int64)
+        # Calls per (plan row, polling cycle): the tables' pages.
+        self._delay_counts = np.zeros(self._tables.polled.size, dtype=np.int64)
+
+    @property
+    def _pos(self) -> np.ndarray:
+        """The ``(dims, K)`` center-relative native coordinates (axial on
+        the hex grid) the codes pack."""
+        return self._tables.decode(self._code)
 
     def _hash_bits(self, stream: int, slot: int, rows=None) -> np.ndarray:
         """Top 53 bits of the counter hash of ``(stream, slot)`` for every
@@ -656,9 +694,6 @@ class FleetShardEngine:
         _mix64_into(x, scratch)
         x >>= _S11
         return x
-
-    def _ring(self, pos: np.ndarray) -> np.ndarray:
-        return self._ring_reduce.reduce(np.abs(pos), axis=0)
 
     def run(self, slots: int) -> None:
         """Advance every terminal in the shard ``slots`` slots."""
@@ -679,36 +714,33 @@ class FleetShardEngine:
             movers = events
             bits = self._hash_bits(_STREAM_CALL, t)
             callers = np.flatnonzero(np.less(bits, call_cut, out=self._hits))
+        tables = self._tables
         slot_cost = 0.0
         # Calls first -- the same within-slot order as the per-cell and
         # vectorized engines.
         if callers.size:
-            plan = self._plan_of[self._threshold[callers]]
-            rings = self._ring(self._pos.take(callers, axis=1))
-            cycles = self._ring_to_cycle[plan, rings]
-            polled = self._cum_polled[plan, cycles]
+            code = self._code.take(callers)
+            pages = tables.page.take(code)
+            polled = tables.polled.take(pages)
             self._calls += callers.size
             self._polled[callers] += polled
-            self._delay_counts += np.bincount(cycles, minlength=self.max_cycles)
+            self._delay_counts += np.bincount(pages, minlength=tables.polled.size)
             slot_cost += float(self._poll_cost[callers] @ polled)
-            # Pinpointed terminals re-center: relative position resets.
-            for row in self._pos:
-                row[callers] = 0
+            # Pinpointed terminals re-center on their row's origin.
+            self._code[callers] = tables.row_origins(code)
         if movers.size:
             # Directions keep the float draw int(u * degree).
             bits = self._hash_bits(_STREAM_DIRECTION, t, movers)
             u = bits.astype(np.float64) * _INV53
             direction = (u * self._degree).astype(np.intp)
-            pos = self._pos.take(movers, axis=1)
-            pos += self._steps.take(direction, axis=1)
+            moved = self._code.take(movers)
+            moved += tables.step.take(direction)
             # Crossing the residing-area boundary triggers an update and
             # re-centers the terminal.
-            crossed = self._ring(pos) > self._threshold[movers]
-            pos[:, crossed] = 0
-            for row, values in zip(self._pos, pos):  # 1-D scatters beat one 2-D
-                row[movers] = values
+            folded = tables.fold.take(moved)
+            self._code[movers] = folded
             self._moves += movers.size
-            updating = movers[crossed]
+            updating = movers[folded != moved]
             if updating.size:
                 self._updates[updating] += 1
                 slot_cost += float(self._update_cost[updating].sum())
@@ -734,13 +766,17 @@ class FleetShardEngine:
             half = _Z95 * math.sqrt(var / slots)
         else:
             half = math.inf
+        delay_counts = self._delay_counts.reshape(self._tables.polled.shape).sum(axis=0)
         cycles = np.arange(1, self.max_cycles + 1, dtype=np.float64)
-        weighted = float(cycles @ self._delay_counts)
+        weighted = float(cycles @ delay_counts)
         delay = weighted / self._calls if self._calls else 0.0
         profile_terminals = np.bincount(self._profile, minlength=self.n_profiles)
+        # The terminals that never updated would add 0.0 (the costs are
+        # finite and >= 0), so the few that did give the same sums.
+        updated = np.flatnonzero(self._updates)
         profile_update = np.bincount(
-            self._profile,
-            weights=self._updates * self._update_cost,
+            self._profile[updated],
+            weights=self._updates[updated] * self._update_cost[updated],
             minlength=self.n_profiles,
         )
         profile_paging = np.bincount(
@@ -764,7 +800,7 @@ class FleetShardEngine:
             mean_paging_delay=delay,
             delay_histogram={
                 cycle + 1: int(count)
-                for cycle, count in enumerate(self._delay_counts)
+                for cycle, count in enumerate(delay_counts)
                 if count
             },
             profile_terminals=tuple(int(v) for v in profile_terminals),

@@ -12,12 +12,16 @@ engines replay the same trajectory for the same keys.
 :func:`mix64` allocates its result, which suits the small key grids the
 vectorized engine hashes; :func:`mix64_into` runs the same finalizer in
 place over a caller's buffer, so the fleet step hashes a whole shard's
-slot into two preallocated columns.  :func:`uniform_cuts` turns
-probabilities into integer cuts on the top 53 hash bits, so a shard
-classifies events without converting hashes to floats.
+slot into two preallocated columns, and :func:`terminal_keys` finalizes
+the keys in their own array.  :func:`uniform_cuts` turns probabilities
+into integer cuts on the top 53 hash bits, so a shard classifies events
+without converting hashes to floats; a shard computes them in its own
+buffers.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -84,9 +88,11 @@ def mix64_into(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return x
 
 
-def uniform_cuts(p: np.ndarray) -> np.ndarray:
-    """uint64 cuts with ``(h >> 11) < uniform_cuts(p)`` exactly when the
-    uniform ``(h >> 11) * 2**-53`` of :func:`key_uniforms` is below ``p``.
+def uniform_cuts(p: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """uint64 cuts with ``(h >> 11) < cut`` exactly when the uniform
+    ``(h >> 11) * 2**-53`` of :func:`key_uniforms` is below ``p``,
+    written into ``out``; ``scratch`` is a float64 buffer of ``p``'s
+    shape, and may be ``p`` itself.  Returns ``out``.
 
     Scaling by a power of two is exact, so ``k * 2**-53 < p`` is ``k <
     p * 2**53``, which for an integer ``k`` is ``k < ceil(p * 2**53)``.
@@ -94,8 +100,10 @@ def uniform_cuts(p: np.ndarray) -> np.ndarray:
     below, cuts at 0.
     """
     with np.errstate(over="ignore"):  # p >= 2**971 scales to inf: cut 2**53
-        scaled = np.ceil(np.asarray(p, dtype=np.float64) * _TWO53)
-    return np.fmin(np.fmax(scaled, 0.0), _TWO53).astype(np.uint64)
+        np.multiply(np.asarray(p, dtype=np.float64), _TWO53, out=scratch)
+    np.ceil(scratch, out=scratch)
+    np.fmax(scratch, 0.0, out=scratch)
+    return np.fmin(scratch, _TWO53, out=out, casting="unsafe")
 
 
 def slot_key(seed: int, stream: int, slot: int) -> np.uint64:
@@ -130,12 +138,15 @@ def slot_keys(seed: int, streams, first: int, count: int) -> np.ndarray:
     return mix64(np.array(base, dtype=np.uint64)[:, None] + steps)
 
 
-def terminal_keys(offset: int, count: int) -> np.ndarray:
-    """Hash keys of the global terminal indices ``offset .. offset+count``."""
-    return mix64(
-        (np.arange(offset, offset + count, dtype=np.uint64) + np.uint64(1))
-        * _GOLDEN_U64
-    )
+def terminal_keys(
+    offset: int, count: int, scratch: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Hash keys of the global terminal indices ``offset .. offset+count``,
+    finalized in place; ``scratch`` is an optional uint64 buffer of
+    ``count`` entries for :func:`mix64_into`."""
+    keys = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    keys *= _GOLDEN_U64
+    return mix64_into(keys, np.empty_like(keys) if scratch is None else scratch)
 
 
 def key_uniforms(keys: np.ndarray) -> np.ndarray:

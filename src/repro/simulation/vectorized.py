@@ -27,8 +27,8 @@ terminal's events in slot order: round ``r`` applies the ``r``-th event
 of every terminal, a call before the same slot's move.  A round is five
 NumPy calls on one int32 code per terminal: gather the codes, reset the
 callers and step (``code * keep + shift``), fold through a table, and
-scatter.  The rings at calls and the update flags come from a ring
-table once per block, after the last round.
+scatter.  The polling cycles and cells polled at calls and the update
+flags come from the tables once per block, after the last round.
 
 Drawing moves ahead of the strategy is exact because mobility never
 reads strategy state: calls and updates move the center, never a
@@ -44,12 +44,15 @@ the current center cell** (the cell of the last update or page hit),
 not by the paper's ring-aggregated ``p+(i)/p-(i)`` chain, so hex and
 square corner effects are exact.  Those coordinates (axial on the hex
 grid) never leave ``[-d-1, d+1]``, so each terminal's cell packs into
-one int32 code in base ``2d + 3``; read-only tables of ``(2d + 3)**dims``
-entries, built once per ``(topology, d)``, give every code's ring and
-fold the codes of ring ``d + 1`` -- an update -- back to the origin.
-A page hit also resets a terminal to the origin.  CTRW mobility
-(``walk=CTRWSpec(...)``) follows the timed slot semantics of
-:mod:`repro.mobility.ctrw`.
+one int32 code in base ``2d + 3``.  Two read-only int32 tables of
+``(2d + 3)**dims`` entries, built once per ``(topology, plan)``, give
+every code's polling cycle at a call and fold the codes of ring
+``d + 1`` -- an update -- back to the origin.  A page hit also resets
+a terminal to the origin.  :func:`_plan_tables` builds the tables for
+this engine as one plan row and for a fleet shard
+(:class:`~repro.simulation.fleet.FleetShardEngine`) as one row per
+distinct threshold.  CTRW mobility (``walk=CTRWSpec(...)``) follows
+the timed slot semantics of :mod:`repro.mobility.ctrw`.
 
 Each terminal has its own meter with :class:`CostMeter` accounting.
 ``run()`` returns a :class:`~repro.simulation.runner.ReplicatedResult`
@@ -111,19 +114,36 @@ _CTRW_STREAMS = (
 #: z-score matching CostMeter's 95% half-width.
 _Z95 = 1.96
 
-#: Most packed cell codes a lattice may need (two 16 MiB tables): d up
-#: to 1022 on the hex and square grids.
+#: Most packed codes one engine's or shard's tables may hold (two int32
+#: tables of 16 MiB each): d up to 1022 on the hex and square grids.
 _MAX_CODES = 2**22
 
 
-class _CodeTables(NamedTuple):
-    """See :func:`_code_tables`."""
+class _PlanTables(NamedTuple):
+    """See :func:`_plan_tables`."""
 
     step: np.ndarray
-    ring: np.ndarray
-    fold: np.ndarray
-    origin: np.int32
+    base: int
     powers: np.ndarray
+    origins: np.ndarray
+    fold: np.ndarray
+    page: np.ndarray
+    polled: np.ndarray
+
+    @property
+    def cells(self) -> int:
+        """Codes per plan row, ``base**dims``."""
+        return self.base**self.powers.size
+
+    def decode(self, codes: np.ndarray) -> np.ndarray:
+        """The ``(dims, K)`` center-relative native coordinates (axial on
+        the hex grid) that ``codes`` pack; the plan row drops out."""
+        return codes // self.powers[:, None] % self.base - self.base // 2
+
+    def row_origins(self, codes: np.ndarray) -> np.ndarray:
+        """The origin code of each code's plan row: a page hit's new
+        center."""
+        return self.origins.take(codes // self.cells)
 
 
 def _lattice_kernel(topology: CellTopology) -> Tuple[np.ndarray, callable]:
@@ -154,67 +174,101 @@ def _lattice_kernel(topology: CellTopology) -> Tuple[np.ndarray, callable]:
     )
 
 
-def _column_kernel(topology: CellTopology) -> Tuple[np.ndarray, np.ufunc]:
-    """``(dims, degree + 1)`` int32 step columns (the last is "no move";
-    coordinates stay in ``[-d-1, d+1]``) and the ring reduction over
-    ``(dims, K)`` coordinates, hex cells in cube form ``(q, r, -q-r)``:
-    the max of ``|coordinate|`` on the line and hex grids, else the sum.
-    """
-    dirs, _ = _lattice_kernel(topology)
-    if isinstance(topology, HexTopology):
-        dirs = np.column_stack([dirs, -dirs.sum(axis=1)])
-    steps = np.vstack([dirs, np.zeros_like(dirs[:1])]).T.astype(np.int32)
-    return steps, np.add if isinstance(topology, SquareTopology) else np.maximum
+def _check_codes(topology: CellTopology, thresholds, remedy: str) -> None:
+    """Refuse plan rows, one per threshold, whose tables would hold more
+    than ``_MAX_CODES`` codes: ``(2D + 3)**dims`` per row at the largest
+    threshold ``D``.  ``remedy`` ends the message."""
+    dims = _lattice_kernel(topology)[0].shape[1]
+    top = max(thresholds)
+    count = len(thresholds) * (2 * top + 3) ** dims
+    if count > _MAX_CODES:
+        raise ParameterError(
+            f"{len(thresholds)} plan row(s) up to threshold {top} need {count} "
+            f"packed cell codes on {topology!r}, more than {_MAX_CODES}; {remedy}"
+        )
 
 
 @functools.lru_cache(maxsize=32)
-def _code_tables(topology: CellTopology, threshold: int) -> _CodeTables:
-    """The read-only packed-code tables of ``topology`` at ``threshold``.
+def _plan_tables(
+    topology: CellTopology, plans: Tuple[PagingPlan, ...]
+) -> _PlanTables:
+    """The read-only packed-code tables of one row per paging plan.
 
-    Center-relative native lattice coordinates (axial on the hex grid)
-    stay in ``[-d-1, d+1]``, so each packs into one int32 code in base
-    ``b = 2d + 3``: ``sum_i (x_i + d + 1) * b**i``.  Adding
-    ``step[j]`` moves a code one cell in direction ``j``
-    (``step[degree] = 0`` is "no move"); ``ring`` maps every code to its
-    ring, and ``fold`` maps the codes past ring ``d`` to the origin and
-    every other code to itself.
+    A terminal's coordinates relative to its center (axial on the hex
+    grid) stay in ``[-D-1, D+1]``, ``D`` the largest threshold of
+    ``plans``, so its cell packs into ``c = sum_i (x_i + D + 1) * b**i``
+    in base ``b = 2D + 3``; a terminal paged by ``plans[r]`` holds the
+    int32 code ``r * cells + c``, ``cells = b**dims``, and ``origins[r]``
+    is row ``r``'s center.  Adding ``step[j]`` moves a code one cell in
+    direction ``j`` (``step[degree] = 0`` is "no move").  ``fold`` maps
+    a row's codes past its threshold to the row's origin (an update)
+    and every other code to itself.  At a call, ``page`` gives ``r * w +
+    j`` for the 0-based polling cycle ``j`` of the code's ring, and the
+    ``(rows, w)`` table ``polled`` the cumulative cells polled through
+    cycle ``j`` (the w_j of eqn (64)), ``w`` the largest delay bound.
+    Callers bound the rows with :func:`_check_codes`.
     """
     dirs, distance = _lattice_kernel(topology)
-    base = 2 * threshold + 3
-    dims = dirs.shape[1]
-    if base**dims > _MAX_CODES:
-        raise ParameterError(
-            f"threshold {threshold} needs {base**dims} packed cell codes on "
-            f"{topology!r}, more than {_MAX_CODES}; use SimulationEngine"
-        )
-    powers = base ** np.arange(dims, dtype=np.int32)
-    codes = np.arange(base**dims, dtype=np.int32)
-    ring = distance(codes[:, None] // powers % base - (threshold + 1))
-    origin = np.int32((threshold + 1) * powers.sum())
-    tables = _CodeTables(
+    top = max(plan.threshold for plan in plans)
+    base = 2 * top + 3
+    powers = base ** np.arange(dirs.shape[1], dtype=np.int32)
+    cells = base**powers.size
+    rows, width = len(plans), max(plan.delay_bound for plan in plans)
+    tables = _PlanTables(
         step=np.append(dirs @ powers, 0).astype(np.int32),
-        ring=ring,
-        fold=np.where(ring > threshold, origin, codes),
-        origin=origin,
+        base=base,
         powers=powers,
+        origins=(np.arange(0, rows * cells, cells, dtype=np.int32)
+                 + np.int32((top + 1) * powers.sum())),
+        fold=np.empty(rows * cells, dtype=np.int32),
+        page=np.empty(rows * cells, dtype=np.int32),
+        # int64 like the meters: np.add.at casts other dtypes slowly.
+        polled=np.empty((rows, width), dtype=np.int64),
     )
-    for array in (tables.step, tables.ring, tables.fold, tables.powers):
+    # Each row's ring -> page lookup.  Every ring of a code is below
+    # ``base``; those past the threshold only occur before the fold.
+    pages = []
+    for row, plan in enumerate(plans):
+        ring_to_cycle, cumulative = _paging_tables(plan, topology)
+        rings = np.minimum(np.arange(base), plan.threshold)
+        pages.append((ring_to_cycle[rings] + row * width).astype(np.int32))
+        # Pad: no plan pages past its delay bound.
+        tables.polled[row] = cumulative[-1]
+        tables.polled[row, : cumulative.size] = cumulative
+    # Codes in chunks: decoding a whole row at once would need several
+    # temporaries the size of a table.
+    for start in range(0, cells, 2**16):
+        codes = np.arange(start, min(start + 2**16, cells), dtype=np.int32)
+        ring = distance(tables.decode(codes).T)
+        for row, (plan, page) in enumerate(zip(plans, pages)):
+            at = slice(row * cells + start, row * cells + start + codes.size)
+            tables.fold[at] = np.where(
+                ring > plan.threshold, tables.origins[row], codes + row * cells
+            )
+            tables.page[at] = page[ring]
+    for array in (tables.step, tables.powers, tables.origins, tables.fold,
+                  tables.page, tables.polled):
         array.flags.writeable = False
     return tables
 
 
-def _paging_tables(plan, threshold: int, max_delay, topology: CellTopology):
-    """``(plan, ring -> 0-based polling cycle, cycle -> cumulative cells
-    polled)`` -- the w_j of eqn (64) -- for ``plan`` or the SDF default."""
+def _resolve_plan(plan: Optional[PagingPlan], threshold: int, max_delay) -> PagingPlan:
+    """``plan``, checked against ``threshold``, or the SDF default."""
     if plan is None:
-        plan = sdf_partition(threshold, max_delay)
-    elif plan.threshold != threshold:
+        return sdf_partition(threshold, max_delay)
+    if plan.threshold != threshold:
         raise ParameterError(f"plan is for threshold {plan.threshold}, not {threshold}")
-    ring_to_cycle = np.empty(threshold + 1, dtype=np.int64)
+    return plan
+
+
+def _paging_tables(plan: PagingPlan, topology: CellTopology):
+    """``(ring -> 0-based polling cycle, cycle -> cumulative cells
+    polled)`` -- the w_j of eqn (64) -- of ``plan`` on ``topology``."""
+    ring_to_cycle = np.empty(plan.threshold + 1, dtype=np.int64)
     for cycle, group in enumerate(plan.subareas):
         ring_to_cycle[list(group)] = cycle
     polled = np.asarray(plan.cumulative_polled(topology), dtype=np.int64)
-    return plan, ring_to_cycle, polled
+    return ring_to_cycle, polled
 
 
 def _block_length(terminals: int) -> int:
@@ -295,15 +349,14 @@ class VectorizedDistanceEngine:
             )
         self._seed = int(seed)
         self._idx_keys = terminal_keys(0, self.terminals)
-        self._tables = _code_tables(topology, self.threshold)
+        _check_codes(topology, [self.threshold], "use SimulationEngine")
+        self.plan = _resolve_plan(plan, self.threshold, max_delay)
+        self._tables = _plan_tables(topology, (self.plan,))
         self._degree = len(self._tables.step) - 1
         self._block = _block_length(self.terminals)
-        self.plan, self._ring_to_cycle, self._cumulative_polled = _paging_tables(
-            plan, self.threshold, max_delay, topology
-        )
         # Packed center-relative positions: the whole batch starts
         # freshly fixed at its (arbitrary) start cells.
-        self._code = np.full(self.terminals, self._tables.origin, dtype=np.int32)
+        self._code = np.full(self.terminals, self._tables.origins[0], dtype=np.int32)
         if walk is not None:
             if walk.drift_direction >= self._degree:
                 raise ParameterError(
@@ -482,9 +535,7 @@ class VectorizedDistanceEngine:
     def _pos(self) -> np.ndarray:
         """The ``(dims, K)`` center-relative native coordinates the
         codes pack (axial on the hex grid)."""
-        powers = self._tables.powers[:, None]
-        base = 2 * self.threshold + 3
-        return self._code // powers % base - (self.threshold + 1)
+        return self._tables.decode(self._code)
 
     # -- internals --------------------------------------------------------
 
@@ -571,7 +622,7 @@ class VectorizedDistanceEngine:
         # terminal's cell the new center (the origin), then it steps.
         keep = (~call).astype(np.int32)
         shift = self._tables.step.take(direction.ravel()[events])
-        shift += call * self._tables.origin
+        shift += call * self._tables.origins[0]
         before = np.empty(events.size, dtype=np.int32)
         after = np.empty(events.size, dtype=np.int32)
         code, fold = self._code, self._tables.fold
@@ -587,12 +638,14 @@ class VectorizedDistanceEngine:
             # and re-centers the terminal.
             code[t] = fold.take(moved_to)
             start = stop
-        ring_of = self._tables.ring
-        crossed = ring_of.take(after) > self.threshold
-        rings, callers = ring_of.take(before[call]), who[call]
-        cycles = self._ring_to_cycle[rings]
-        polled = self._cumulative_polled[cycles]
+        crossed = fold.take(after) != after
+        at_call, callers = before[call], who[call]
+        # One plan row: the page of a call is its polling cycle.
+        cycles = self._tables.page.take(at_call)
+        polled = self._tables.polled.take(cycles)
         if self._ring_hits is not None:
+            _, distance = _lattice_kernel(self.topology)
+            rings = distance(self._tables.decode(at_call).T)
             self._ring_hits += np.bincount(rings, minlength=self.threshold + 1)
         np.add.at(self._calls, callers, 1)
         np.add.at(self._polled_cells, callers, polled)
@@ -627,9 +680,8 @@ def replay_trace_meters(
     """
     threshold = validate_threshold(threshold)
     dirs, distance = _lattice_kernel(trace.topology)
-    plan, ring_to_cycle, cumulative_polled = _paging_tables(
-        plan, threshold, max_delay, trace.topology
-    )
+    plan = _resolve_plan(plan, threshold, max_delay)
+    ring_to_cycle, cumulative_polled = _paging_tables(plan, trace.topology)
 
     def coords(cell) -> np.ndarray:
         raw = cell if isinstance(cell, tuple) else (cell,)

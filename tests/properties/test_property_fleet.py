@@ -111,7 +111,7 @@ PROBABILITIES = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(k=st.integers(min_value=0, max_value=2**53 - 1), p=PROBABILITIES)
 def test_integer_cut_matches_the_float_uniform(k, p):
-    cut = int(uniform_cuts(np.array([p]))[0])
+    cut = int(uniform_cuts(np.array([p]), np.empty(1, np.uint64), np.empty(1))[0])
     assert 0 <= cut <= 2**53
     # k itself and the top-53-bit values on either side of the cut.
     edges = {bits for bits in (cut - 1, cut, cut + 1) if 0 <= bits < 2**53}

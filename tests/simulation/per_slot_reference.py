@@ -20,7 +20,7 @@ from repro.simulation.kernels import (
     drifted_directions,
     terminal_keys,
 )
-from repro.simulation.vectorized import _lattice_kernel
+from repro.simulation.vectorized import _lattice_kernel, _paging_tables
 
 
 class PerSlotReference:
@@ -36,8 +36,9 @@ class PerSlotReference:
         self.seed = engine._seed
         self.keys = terminal_keys(0, K)
         self.dirs, self.distance = _lattice_kernel(engine.topology)
-        self.ring_to_cycle = engine._ring_to_cycle
-        self.cumulative_polled = engine._cumulative_polled
+        self.ring_to_cycle, self.cumulative_polled = _paging_tables(
+            engine.plan, engine.topology
+        )
         self.pos = np.zeros((K, self.dirs.shape[1]), dtype=np.int64)
         self.slot = 0
         spec = engine.walk_spec

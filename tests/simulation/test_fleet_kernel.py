@@ -1,9 +1,11 @@
-"""The index-list fleet step is bit-identical to the boolean-mask step.
+"""The packed-code fleet step is bit-identical to the boolean-mask step.
 
 A :class:`FleetShardEngine` and a :class:`FleetReference` built on the
 same columns must report equal ``snapshot().to_dict()`` -- event
 totals, float cost sums, per-profile costs and delay histogram -- and
-hold the same center-relative positions after every ``run()``.
+hold the same center-relative positions after every ``run()``.  Code
+tables past their cap and cost columns the per-profile sums cannot
+skip are refused.
 """
 
 import math
@@ -12,10 +14,12 @@ import numpy as np
 import pytest
 
 from repro.core.parameters import CostParams, MobilityParams
+from repro.exceptions import ParameterError
 from repro.geometry import HexTopology, LineTopology, SquareTopology
 from repro.geometry.hex import AXIAL_DIRECTIONS
 from repro.simulation.fleet import FleetShardEngine, FleetSpec
 from repro.simulation.kernels import (
+    _GOLDEN_U64,
     _MIX_A,
     _MIX_B,
     _S27,
@@ -24,7 +28,10 @@ from repro.simulation.kernels import (
     STREAM_DIRECTION,
     mix64,
     slot_key,
+    terminal_keys,
+    uniform_cuts,
 )
+from repro.simulation.vectorized import _check_codes
 from repro.workload import DEFAULT_MIX, Population
 
 from .fleet_reference import FleetReference
@@ -54,13 +61,9 @@ def spec_columns(spec):
 
 
 def axial_positions(engine):
-    """The engine's ``(dims, K)`` positions as the reference's ``(K, dims)``
-    native coordinates: hex cells drop the cube form's third coordinate."""
-    pos = engine._pos
-    if isinstance(engine.topology, HexTopology):
-        assert (pos.sum(axis=0) == 0).all(), "hex positions left cube form"
-        pos = pos[:2]
-    return pos.T
+    """The engine's packed codes, decoded to ``(dims, K)`` native
+    coordinates (axial on the hex grid), as the reference's ``(K, dims)``."""
+    return engine._pos.T
 
 
 def assert_identical(columns, event_mode, seed=5, global_offset=1_000):
@@ -200,3 +203,94 @@ def test_direction_keeps_the_float_draw_at_a_rounding_boundary():
     reference.run(1)
     assert tuple(reference._pos[0]) == AXIAL_DIRECTIONS[4]
     np.testing.assert_array_equal(axial_positions(engine), reference._pos)
+
+
+def thresholds_fields(topology, thresholds, count):
+    """FleetSpec fields of ``count`` terminals cycling through ``thresholds``."""
+    rows = np.arange(count)
+    return dict(
+        topology=topology,
+        q=np.full(count, 0.3),
+        c=np.full(count, 0.05),
+        update_cost=np.full(count, 13.7),
+        poll_cost=np.full(count, 0.31),
+        threshold=np.asarray(thresholds, dtype=np.int64)[rows % len(thresholds)],
+        profile_index=np.zeros(count, dtype=np.int32),
+        profile_names=("only",),
+        max_delay=2,
+        population_seed=0,
+    )
+
+
+@pytest.mark.parametrize(
+    "topology, thresholds",
+    [
+        # One row past 2**22 codes: (2 * 1023 + 3)**2 = 4,198,401.
+        (HexTopology(), [1023]),
+        (SquareTopology(), [2, 1023]),
+        # Rows that fit alone but not together: 3 * 1403**2 codes.
+        (HexTopology(), [0, 1, 700]),
+        (LineTopology(), list(range(30)) + [100_000]),
+    ],
+    ids=["hex-one-row", "square-one-row", "hex-three-rows", "line-31-rows"],
+)
+def test_code_tables_past_the_cap_are_refused(topology, thresholds):
+    fields = thresholds_fields(topology, thresholds, count=2 * len(thresholds))
+    # The fleet's own remedy, not the vectorized engine's.
+    refusal = "packed cell codes .*; give the fleet smaller or fewer distinct thresholds"
+    # Refused when the spec is built, so no run_fleet layout gets one.
+    with pytest.raises(ParameterError, match=refusal):
+        FleetSpec(**fields)
+    del fields["profile_names"], fields["population_seed"]
+    with pytest.raises(ParameterError, match=refusal):
+        FleetShardEngine(**fields, n_profiles=1)
+
+
+def test_the_cap_counts_every_row():
+    # Counted, not built: a table at the cap holds 16 MiB per column.
+    hexgrid = HexTopology()
+    _check_codes(hexgrid, [1022], "remedy")  # 2047**2 codes
+    _check_codes(hexgrid, [0, 700], "remedy")  # 2 * 1403**2 codes
+    for thresholds in ([1023], [0, 1, 700], [2, 1022]):
+        with pytest.raises(ParameterError, match="packed cell codes .*; remedy$"):
+            _check_codes(hexgrid, thresholds, "remedy")
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [
+        ("update_cost", math.nan),
+        ("update_cost", math.inf),
+        ("update_cost", -1.0),
+        ("poll_cost", math.nan),
+        ("poll_cost", -math.inf),
+        ("poll_cost", -0.5),
+    ],
+)
+def test_cost_columns_must_be_finite_and_non_negative(column, value):
+    # The per-profile update sums skip terminals that never updated,
+    # which only holds for finite costs >= 0.
+    spec = FleetSpec.homogeneous(
+        HexTopology(), 2, MobilityParams(0.3, 0.05), COSTS, 2, 10
+    )
+    columns = spec_columns(spec)
+    columns[column] = columns[column].copy()
+    columns[column][3] = value
+    with pytest.raises(ParameterError, match=f"per-terminal {column}"):
+        FleetShardEngine(**columns)
+
+
+def test_keys_and_cuts_in_a_shards_buffers():
+    indices = np.arange(1_000, 1_700, dtype=np.uint64)
+    keys = mix64((indices + np.uint64(1)) * _GOLDEN_U64)
+    np.testing.assert_array_equal(terminal_keys(1_000, 700), keys)
+    np.testing.assert_array_equal(
+        terminal_keys(1_000, 700, np.empty(700, np.uint64)), keys
+    )
+    p = np.array([math.nan, -0.5, 0.0, 2.0**-53, 0.3, 1.0, 1.5, 1e300])
+    expected = [0, 0, 0, 1, math.ceil(0.3 * 2**53), 2**53, 2**53, 2**53]
+    out = np.empty(p.size, np.uint64)
+    assert uniform_cuts(p, out, np.empty(p.size)) is out
+    assert out.tolist() == expected
+    # The scratch may be the probabilities themselves.
+    assert uniform_cuts(p, out, p).tolist() == expected

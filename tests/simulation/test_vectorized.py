@@ -3,6 +3,7 @@ its columnar pooled results."""
 
 import math
 import struct
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -10,11 +11,13 @@ import pytest
 
 from repro import CostParams, MobilityParams, ParameterError
 from repro.geometry import HexTopology, LineTopology, SquareTopology
+from repro.paging import sdf_partition
 from repro.simulation import (
     SimulationEngine,
     VectorizedDistanceEngine,
     run_replicated,
 )
+from repro.simulation.vectorized import _plan_tables
 from repro.strategies import DistanceStrategy
 
 MOBILITY = MobilityParams(0.3, 0.02)
@@ -243,6 +246,20 @@ class TestValidation:
             LineTopology(), 100_000, MOBILITY, COSTS, terminals=2
         )
         assert engine.run(10).replications == 2
+
+    def test_tables_at_the_cap_build_without_table_sized_temporaries(self):
+        # Two int32 tables of 2047**2 codes hold 32 MiB; decoding the
+        # codes in chunks keeps the build within a few MiB of that.
+        plans = (sdf_partition(1022, 2),)
+        tracemalloc.start()
+        try:
+            tables = _plan_tables.__wrapped__(HexTopology(), plans)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tables.fold.size == tables.page.size == 2047**2
+        assert retained < 33 * 2**20
+        assert peak < 40 * 2**20
 
     def test_bad_event_mode_rejected(self):
         with pytest.raises(ParameterError):

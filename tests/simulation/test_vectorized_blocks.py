@@ -113,12 +113,13 @@ class TestBlockWidths:
 
     @pytest.mark.parametrize("walk_name", ["uniform", "ctrw-exp", "persistent"])
     def test_one_slot_blocks(self, walk_name):
-        # K = 40000 steps one slot at a time.
-        assert_identical(
-            build(terminals=40000, walk_name=walk_name, event_mode="independent"),
-            schedule=(0, 1, 2, 3),
-            reset_after=1,
-        )
+        # K = 40000 steps one slot at a time: one round per block.
+        for event_mode in ("independent", "exclusive"):
+            assert_identical(
+                build(terminals=40000, walk_name=walk_name, event_mode=event_mode),
+                schedule=(0, 1, 2, 3),
+                reset_after=1,
+            )
 
 
 def test_snapshots_match_per_terminal_meters():

@@ -250,6 +250,18 @@ class TestFleetCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_thresholds_past_the_code_tables_exit_2(self, capsys):
+        # Costs this lopsided drive the profiles' optimal thresholds to
+        # 188, 960 and 1100: plan rows of 2203**2 packed codes each.
+        code = main(self.BASE + [
+            "--update-cost", "1e300", "--poll-cost", "1e-300", "--d-max", "1100",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "packed cell codes" in err
+        assert "give the fleet smaller or fewer distinct thresholds" in err
+        assert "SimulationEngine" not in err
+
 
 class TestSpeedCommand:
     def test_reports_throughput_and_json(self, capsys, tmp_path):

@@ -9,12 +9,21 @@ whose contract is: on *any* failure the target file is untouched and
 no ``*.tmp`` litter remains.
 """
 
+import importlib
+import io
 import json
+import math
 import os
 
 import pytest
 
+from repro import CostParams, MobilityParams
+from repro.geometry import HexTopology
 from repro.persist import atomic_write_json
+from repro.simulation import fleet as fleet_module
+
+# The package re-exports a function named ``sweep`` over the module name.
+sweep_module = importlib.import_module("repro.analysis.sweep")
 
 
 class Unserializable:
@@ -44,6 +53,16 @@ class TestAtomicWriteJson:
             atomic_write_json(path, {"bad": Unserializable()})
         assert not path.exists()
         assert tmp_litter(tmp_path) == []
+
+    def test_unserializable_payload_is_refused_before_the_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        def no_mkstemp(*args, **kwargs):
+            raise AssertionError("a temporary file was created")
+
+        monkeypatch.setattr("repro.persist.tempfile.mkstemp", no_mkstemp)
+        with pytest.raises(TypeError):
+            atomic_write_json(tmp_path / "out.json", {"bad": Unserializable()})
 
     def test_failure_preserves_previous_content(self, tmp_path):
         path = tmp_path / "out.json"
@@ -111,3 +130,68 @@ class TestCallSitesStayClean:
             _write_fleet_checkpoint(path, {"bad": Unserializable()}, {})
         assert not path.exists()
         assert tmp_litter(tmp_path) == []
+
+
+def small_fleet():
+    return fleet_module.FleetSpec.homogeneous(
+        HexTopology(), 2, MobilityParams(0.3, 0.05), CostParams(13.7, 0.31), 2, 40
+    )
+
+
+class TestEncoding:
+    """A file holds ``json.dumps(payload)``: the C encoder's text, which
+    is also what ``json.dump`` to a handle writes."""
+
+    @staticmethod
+    def recorded(monkeypatch, module):
+        payloads = []
+
+        def record(path, payload):
+            payloads.append(payload)
+            return atomic_write_json(path, payload)
+
+        monkeypatch.setattr(module, "atomic_write_json", record)
+        return payloads
+
+    @staticmethod
+    def assert_encoded(path, payload):
+        text = path.read_text()
+        assert text == json.dumps(payload)
+        handle = io.StringIO()
+        json.dump(payload, handle)
+        assert text == handle.getvalue()
+
+    def test_fleet_checkpoint(self, tmp_path, monkeypatch):
+        payloads = self.recorded(monkeypatch, fleet_module)
+        path = tmp_path / "fleet.ckpt.json"
+        fleet_module.run_fleet(small_fleet(), slots=1, shards=2, checkpoint=path)
+        # One slot: the half-widths are inf.
+        assert "Infinity" in path.read_text()
+        self.assert_encoded(path, payloads[-1])
+
+    def test_sweep_cache_entry(self, tmp_path, monkeypatch):
+        payloads = self.recorded(monkeypatch, sweep_module)
+        point = sweep_module.SweepPoint(
+            q=0.1, c=0.01, update_cost=100.0, poll_cost=10.0, max_delay=math.inf,
+            optimal_d=3, total_cost=math.nan, update_component=math.inf,
+            paging_component=-math.inf, expected_delay=1.25,
+        )
+        path = tmp_path / "grid-cache.json"
+        sweep_module._store_cached_points(path, {"version": 1}, [point])
+        text = path.read_text()
+        assert "NaN" in text and "-Infinity" in text
+        self.assert_encoded(path, payloads[-1])
+
+    def test_checkpoint_written_with_json_dump_resumes(self, tmp_path):
+        # Earlier releases wrote checkpoints with json.dump to the handle.
+        spec = small_fleet()
+        path = tmp_path / "fleet.ckpt.json"
+        full = fleet_module.run_fleet(spec, slots=3, shards=3, checkpoint=path)
+        full_text = path.read_text()
+        payload = json.loads(full_text)
+        payload["shards"] = payload["shards"][:1]
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        resumed = fleet_module.run_fleet(spec, slots=3, shards=3, checkpoint=path)
+        assert resumed == full
+        assert path.read_text() == full_text
