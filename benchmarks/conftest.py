@@ -7,11 +7,11 @@ stdout, and every bench also writes its rendering into
 ``benchmarks/out/``.  The paper's own tables and figures are not
 benches: ``repro-lm reproduce`` writes them into ``results/``.
 
-Every artifact written here is provenance-stamped with the same
-schema the observability exporter uses (git revision, library version,
-parameter fingerprint), so a committed ``benchmarks/out/`` file can
-always be traced to the commit and inputs that produced it -- the
-fix for the historical drift where out/ carried anonymous snapshots.
+A text report is written as ``<name>.txt`` alone.  A structured
+payload (:func:`emit_json`) is provenance-stamped with the same schema
+the observability exporter uses (git revision, library version,
+parameter fingerprint), so a committed ``benchmarks/out/`` JSON file
+can always be traced to the commit and inputs that produced it.
 """
 
 import json
@@ -34,24 +34,11 @@ def _provenance(name: str, params: dict) -> dict:
     return build_provenance(f"bench:{name}", params, seed=params.get("seed"))
 
 
-def emit(out_dir: Path, name: str, text: str, **params) -> None:
-    """Print a bench's report and persist it under benchmarks/out/.
-
-    Alongside the human-readable ``<name>.txt`` this writes a stamped
-    ``<name>.json`` twin carrying the provenance block and the rendered
-    report, so even text-only benches leave a traceable artifact.
-    """
+def emit(out_dir: Path, name: str, text: str) -> None:
+    """Print a bench's report and write it to ``benchmarks/out/<name>.txt``."""
     print()
     print(text)
     (out_dir / f"{name}.txt").write_text(text + "\n")
-    (out_dir / f"{name}.json").write_text(
-        json.dumps(
-            {"provenance": _provenance(name, params), "report": text},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
 
 
 def emit_json(out_dir: Path, name: str, payload: dict, **params) -> None:

@@ -22,7 +22,6 @@ fleet-sharded-vs-single         ``run_fleet`` sharded vs one shard
 fleet-pooled-vs-inprocess       ``run_fleet`` process pool vs in-process
 steady-banded-vs-recursive      banded tridiagonal LU vs Section-4.1 recursion
 surface-prefix-vs-banded        prefix-sum surface vs per-threshold banded rows
-vectorized-counter-vs-fleet     vectorized engine vs homogeneous fleet
 ==============================  =============================================
 
 Analytic oracles are exact up to float accumulation (tolerances around
@@ -42,10 +41,7 @@ randomness makes event totals *exactly* invariant, so the tolerance is
 float-accumulation-sized rather than statistical;
 ``fleet-pooled-vs-inprocess`` demands bit-identical shard snapshots
 between the process-pool and in-process executors (the fleet analogue
-of ``serial-vs-pooled``); ``vectorized-counter-vs-fleet`` demands that
-a homogeneous one-shard fleet and the separately implemented
-vectorized engine, hashing the same counter-RNG keys, produce the same
-trajectory exactly.
+of ``serial-vs-pooled``).
 
 The comparison helpers (:func:`replicated_agreement`,
 :func:`bitwise_agreement`) are module-level so the conformance tests
@@ -364,8 +360,8 @@ def _serial_vs_pooled(config: ConformanceConfig) -> Deviation:
     return bitwise_agreement(serial, pooled)
 
 
-#: Fleet-oracle budgets: shard and replay contracts are exact, so a
-#: short run is as conclusive as a long one.
+#: Fleet-oracle budgets: the shard contracts are exact, so a short run
+#: is as conclusive as a long one.
 _FLEET_TERMINALS = 256
 _FLEET_EXACT_SLOTS = 400
 
@@ -444,7 +440,7 @@ def _fleet_pooled_vs_inprocess(config: ConformanceConfig) -> Deviation:
     return Deviation(float(gap), f"total cost gap {float(gap):.3g}")
 
 
-# -- banded solver and cross-engine replay ------------------------------
+# -- banded solver -------------------------------------------------------
 
 
 @REGISTRY.oracle(
@@ -491,58 +487,4 @@ def _surface_prefix_vs_banded(config: ConformanceConfig) -> Deviation:
         gaps[worst_field],
         f"worst field {worst_field!r}: gap {gaps[worst_field]:.3g} "
         f"over d<=:{config.d_max}",
-    )
-
-
-@REGISTRY.oracle(
-    "vectorized-counter-vs-fleet",
-    tolerance=0.0,
-    paper_ref="Section 6",
-    description="vectorized engine replays the fleet trajectory exactly",
-    applies=lambda config: config.sim_slots > 0,
-)
-def _vectorized_counter_vs_fleet(config: ConformanceConfig) -> Deviation:
-    """The strongest cross-engine check in the suite.
-
-    A homogeneous single-shard fleet (global offset 0) and the
-    vectorized engine hash the *same* ``(seed, stream, slot,
-    terminal)`` keys with the same within-slot semantics, so two
-    independently implemented step kernels must produce identical
-    trajectories -- event totals equal as integers, cost totals equal
-    as the same integer-weighted dot products.
-    """
-    from ..simulation.fleet import run_fleet  # deferred: heavy
-    from ..simulation.vectorized import VectorizedDistanceEngine  # deferred
-
-    spec = _fleet_spec(config)
-    slots = min(config.sim_slots, _FLEET_EXACT_SLOTS)
-    fleet = run_fleet(spec, slots=slots, shards=1, seed=config.seed)
-    engine = VectorizedDistanceEngine(
-        topology=spec.topology,
-        threshold=config.d,
-        mobility=config.mobility(),
-        costs=config.costs(),
-        max_delay=config.m,
-        terminals=_FLEET_TERMINALS,
-        seed=config.seed,
-    )
-    engine.run(slots)
-    costs = config.costs()
-    gaps = {
-        "moves": abs(int(engine._moves.sum()) - fleet.moves),
-        "updates": abs(int(engine._updates.sum()) - fleet.updates),
-        "calls": abs(int(engine._calls.sum()) - fleet.calls),
-        "polled": abs(int(engine._polled_cells.sum()) - fleet.polled_cells),
-        "update_cost": abs(
-            int(engine._updates.sum()) * costs.update_cost - fleet.update_cost
-        ),
-        "paging_cost": abs(
-            int(engine._polled_cells.sum()) * costs.poll_cost
-            - fleet.paging_cost
-        ),
-    }
-    worst_field = max(gaps, key=gaps.get)
-    return Deviation(
-        float(gaps[worst_field]),
-        f"worst field {worst_field!r}: gap {float(gaps[worst_field]):.3g}",
     )

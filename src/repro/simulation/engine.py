@@ -60,6 +60,11 @@ __all__ = ["SimulationEngine"]
 _EVENT_MODES = ("exclusive", "independent")
 
 
+def _check_event_mode(event_mode: str) -> None:
+    if event_mode not in _EVENT_MODES:
+        raise ParameterError(f"event_mode must be one of {_EVENT_MODES}, got {event_mode!r}")
+
+
 def strategy_labels(strategy: UpdateStrategy) -> dict:
     """Metric labels identifying a strategy: ``{strategy: ..., d: ...}``.
 
@@ -185,10 +190,7 @@ class SimulationEngine:
         arrivals=None,
         walker_factory=None,
     ) -> None:
-        if event_mode not in _EVENT_MODES:
-            raise ParameterError(
-                f"event_mode must be one of {_EVENT_MODES}, got {event_mode!r}"
-            )
+        _check_event_mode(event_mode)
         self.topology = topology
         self.strategy = strategy
         self.mobility = mobility

@@ -14,11 +14,10 @@ vectorized engine:
   :class:`repro.workload.Population` distributions, with per-profile
   optimal thresholds), carrying a SHA-256 fingerprint of the realized
   arrays, hashed once per spec;
-* :class:`FleetShardEngine` -- the heterogeneous batched kernel: one
-  contiguous shard of terminals stepped per slot with parameters held
-  as arrays rather than scalars, each terminal one int32 code that
-  packs its SDF plan row (one per distinct threshold) and its
-  center-relative cell;
+* :class:`FleetShardEngine` -- one contiguous shard, stepped by the
+  block step of :mod:`repro.simulation.vectorized` over per-terminal
+  columns (each terminal's SDF plan row is one of the fleet's distinct
+  thresholds) and booked into O(1) shard aggregates;
 * :func:`run_fleet` -- partitions the fleet into contiguous shards,
   runs them in-process or on a :class:`ProcessPoolExecutor` (parameter
   columns shipped to workers as memory-mapped ``.npy`` spill files, so
@@ -44,9 +43,7 @@ executor, exactly invariant across layouts whenever the costs are
 integer-valued, and equal to ~1e-12 relative otherwise (float
 summation order is the only difference).  The conformance suite pins
 both contracts (``fleet-pooled-vs-inprocess`` bit identity,
-``fleet-sharded-vs-single`` near-exact) and the cross-engine replay
-(``vectorized-counter-vs-fleet``: a homogeneous one-shard fleet and the
-vectorized engine produce the same trajectory exactly).
+``fleet-sharded-vs-single`` near-exact).
 
 Bounded memory
 --------------
@@ -55,15 +52,16 @@ No per-terminal history is ever materialized: a shard holds its
 parameter columns and their integer event cuts, one int32 code per
 terminal (its plan row and center-relative cell), two per-terminal
 event counters (updates and polled cells, the two that feed
-per-terminal costs), and two hash buffers reused every slot -- order
+per-terminal costs), and two hash buffers reused every block -- order
 100 bytes per terminal.  Moves and calls are shard totals, and
 everything that leaves the shard is an O(1) :class:`ShardSnapshot`
-aggregate.  The code tables are two shared read-only int32 lookups of
-at most 2**22 entries (16 MiB) each; a :class:`FleetSpec` whose plan
-rows would need more is refused when it is built.  Two gates assert
-the RSS bound: ``benchmarks/bench_throughput.py --fleet-only`` at 100k
-terminals in CI, and ``test_fleet_million`` in the same file at 1M
-nightly.
+aggregate (the vectorized engine's per-terminal meters would add 48
+bytes and an ``np.add.at`` per meter and block).  The code tables are
+two shared read-only int32 lookups of at most 2**22 entries (16 MiB)
+each; a :class:`FleetSpec` whose plan rows would need more is refused
+when it is built.  Two gates assert the RSS bound:
+``benchmarks/bench_throughput.py --fleet-only`` at 100k terminals in
+CI, and ``test_fleet_million`` in the same file at 1M nightly.
 """
 
 from __future__ import annotations
@@ -73,7 +71,7 @@ import math
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -91,18 +89,16 @@ from ..paging import sdf_partition
 from ..parallel import Job, resolve_workers, run_jobs
 from ..persist import atomic_write_json, read_checkpoint
 from ..workload.profiles import Population
-from .kernels import (
-    _INV53,
-    _S11,
-    STREAM_CALL as _STREAM_CALL,
-    STREAM_DIRECTION as _STREAM_DIRECTION,
-    STREAM_EVENT as _STREAM_EVENT,
-    mix64_into as _mix64_into,
-    slot_key as _slot_key,
-    terminal_keys as _terminal_keys,
-    uniform_cuts as _uniform_cuts,
+from .engine import _check_event_mode
+from .metrics import snapshot_from_dict, snapshot_to_dict
+from .vectorized import (
+    _Z95,
+    _BlockStep,
+    _Events,
+    _check_codes,
+    _event_instruments,
+    _plan_tables,
 )
-from .vectorized import _EVENT_MODES, _Z95, _check_codes, _plan_tables
 
 __all__ = [
     "FleetSpec",
@@ -119,11 +115,6 @@ __all__ = [
 #: the fleet fingerprint additionally pins the *population* (realized
 #: per-terminal arrays) and the shard layout.
 _FLEET_CHECKPOINT_VERSION = 1
-
-# The stateless counter-based randomness primitives (SplitMix64
-# finalizer, slot keys, terminal keys) live in
-# :mod:`repro.simulation.kernels`, shared with the vectorized engine,
-# and are imported above under their historical private names.
 
 
 # -- the fleet specification -------------------------------------------
@@ -171,7 +162,9 @@ class FleetSpec:
     precisely so this spec can be re-derived), and
     :meth:`fingerprint` digests the realized arrays for checkpoint
     identity.  Construction marks the columns read-only, so the digest
-    is computed once per spec.
+    is computed once per spec, and finds ``plan_rows``, the distinct
+    thresholds ascending: every shard's tables hold one SDF plan row
+    for each.
     """
 
     topology: CellTopology
@@ -185,6 +178,7 @@ class FleetSpec:
     max_delay: float
     population_seed: int
     description: str = "custom"
+    plan_rows: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         validate_delay(self.max_delay)
@@ -198,6 +192,12 @@ class FleetSpec:
                     f"FleetSpec column {name!r} has shape {column.shape}, "
                     f"expected ({count},)"
                 )
+        if not np.issubdtype(self.threshold.dtype, np.integer):
+            # A cast would run 2.9 as 2, under another fingerprint.
+            raise ParameterError(
+                f"FleetSpec column 'threshold' needs an integer dtype, got "
+                f"{self.threshold.dtype}"
+            )
         for name in _SPEC_COLUMNS:
             if not np.isfinite(getattr(self, name)).all():
                 raise ParameterError(f"FleetSpec column {name!r} is not finite")
@@ -210,8 +210,13 @@ class FleetSpec:
             raise ParameterError("per-terminal costs must be >= 0")
         if np.any(self.threshold < 0):
             raise ParameterError("per-terminal thresholds must be >= 0")
-        # Whatever the shard layout, every shard's code tables fit.
-        _plan_rows(self.topology, self.threshold)
+        # Whatever the shard layout, every shard's code tables fit: the
+        # largest threshold is checked first, which bounds the count.
+        _check_codes(self.topology, [int(self.threshold.max())], _CAP_REMEDY)
+        counts = np.bincount(self.threshold.astype(np.int64, copy=False))
+        rows = tuple(np.flatnonzero(counts).tolist())
+        _check_codes(self.topology, rows, _CAP_REMEDY)
+        object.__setattr__(self, "plan_rows", rows)
         if np.any(self.profile_index < 0) or np.any(
             self.profile_index >= len(self.profile_names)
         ):
@@ -324,10 +329,9 @@ class FleetSpec:
         max_delay,
         count: int,
     ) -> "FleetSpec":
-        """Every terminal identical -- the cross-check configuration the
-        ``vectorized-counter-vs-fleet`` conformance oracle replays on
-        :class:`~repro.simulation.vectorized.VectorizedDistanceEngine`.
-        """
+        """Every terminal identical: the fleet of one operating point, as
+        :class:`~repro.simulation.vectorized.VectorizedDistanceEngine`
+        batches it."""
         if count < 1:
             raise ParameterError(f"count must be >= 1, got {count}")
         return cls(
@@ -347,17 +351,6 @@ class FleetSpec:
 
 #: How a fleet gets under the code-table cap.
 _CAP_REMEDY = "give the fleet smaller or fewer distinct thresholds (a lower d_max)"
-
-
-def _plan_rows(topology: CellTopology, threshold: np.ndarray) -> Tuple[int, ...]:
-    """The distinct values of ``threshold``, ascending, once their plan
-    rows are known to fit the code tables (the largest is checked first,
-    which bounds the count)."""
-    threshold = np.asarray(threshold, dtype=np.int64)
-    _check_codes(topology, [int(threshold.max())], _CAP_REMEDY)
-    rows = tuple(np.flatnonzero(np.bincount(threshold)).tolist())
-    _check_codes(topology, rows, _CAP_REMEDY)
-    return rows
 
 
 # -- shard accounting ---------------------------------------------------
@@ -402,64 +395,11 @@ class ShardSnapshot:
         return self.update_cost + self.paging_cost
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "index": self.index,
-            "start": self.start,
-            "stop": self.stop,
-            "slots": self.slots,
-            "moves": self.moves,
-            "updates": self.updates,
-            "calls": self.calls,
-            "polled_cells": self.polled_cells,
-            "update_cost": self.update_cost,
-            "paging_cost": self.paging_cost,
-            "mean_total_cost": self.mean_total_cost,
-            "total_cost_half_width_95": self.total_cost_half_width_95,
-            "mean_paging_delay": self.mean_paging_delay,
-            "delay_histogram": {
-                str(cycles): count
-                for cycles, count in sorted(self.delay_histogram.items())
-            },
-            "profile_terminals": list(self.profile_terminals),
-            "profile_update_cost": list(self.profile_update_cost),
-            "profile_paging_cost": list(self.profile_paging_cost),
-        }
+        return snapshot_to_dict(self)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "ShardSnapshot":
-        try:
-            return cls(
-                index=int(payload["index"]),
-                start=int(payload["start"]),
-                stop=int(payload["stop"]),
-                slots=int(payload["slots"]),
-                moves=int(payload["moves"]),
-                updates=int(payload["updates"]),
-                calls=int(payload["calls"]),
-                polled_cells=int(payload["polled_cells"]),
-                update_cost=float(payload["update_cost"]),
-                paging_cost=float(payload["paging_cost"]),
-                mean_total_cost=float(payload["mean_total_cost"]),
-                total_cost_half_width_95=float(
-                    payload["total_cost_half_width_95"]
-                ),
-                mean_paging_delay=float(payload["mean_paging_delay"]),
-                delay_histogram={
-                    int(cycles): int(count)
-                    for cycles, count in dict(payload["delay_histogram"]).items()
-                },
-                profile_terminals=tuple(
-                    int(v) for v in payload["profile_terminals"]
-                ),
-                profile_update_cost=tuple(
-                    float(v) for v in payload["profile_update_cost"]
-                ),
-                profile_paging_cost=tuple(
-                    float(v) for v in payload["profile_paging_cost"]
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParameterError(f"malformed shard snapshot payload: {exc}") from exc
+        return snapshot_from_dict(cls, payload, "shard snapshot")
 
 
 @dataclass(frozen=True)
@@ -571,24 +511,18 @@ class FleetResult:
 # -- the heterogeneous shard kernel ------------------------------------
 
 
-class FleetShardEngine:
-    """Batched kernel over one contiguous shard of a heterogeneous fleet.
+class FleetShardEngine(_BlockStep):
+    """One contiguous shard of a heterogeneous fleet.
 
-    The :class:`VectorizedDistanceEngine` chain generalized to
+    The block step of :mod:`repro.simulation.vectorized` over
     per-terminal parameter *arrays*: thresholds, mobilities, and costs
     all vary terminal by terminal, with one SDF paging plan row per
-    distinct threshold.  Randomness is the stateless counter hash keyed
-    by each terminal's *global* fleet index (``global_offset + local
-    index``), which is what makes fleet totals invariant under the
-    shard layout -- see the module docstring.  A slot compares every
-    terminal's hash with integer cuts, then touches only the callers
-    and movers the compare lists.
-
-    State is O(terminals): one int32 code per terminal packing its plan
-    row and center-relative cell (see
-    :func:`~repro.simulation.vectorized._plan_tables`), update and
-    polled-cell counters, and shard-level scalars.  Nothing per-slot is
-    retained.
+    threshold in ``plan_rows`` (the fleet's :attr:`FleetSpec.plan_rows`,
+    so a shard's tables may hold rows none of its terminals use).
+    Draws are keyed by each terminal's *global* fleet index
+    (``global_offset + local index``), which makes fleet totals
+    invariant under the shard layout.  State is O(terminals); nothing
+    per-slot is retained.
     """
 
     def __init__(
@@ -602,23 +536,17 @@ class FleetShardEngine:
         profile_index: np.ndarray,
         n_profiles: int,
         max_delay,
+        plan_rows: Sequence[int],
         global_offset: int = 0,
         seed: int = 0,
         event_mode: str = "exclusive",
     ) -> None:
-        if event_mode not in _EVENT_MODES:
-            raise ParameterError(
-                f"event_mode must be one of {_EVENT_MODES}, got {event_mode!r}"
-            )
         self.topology = topology
         self.max_delay = validate_delay(max_delay)
-        self.event_mode = event_mode
-        self.seed = int(seed)
         self.global_offset = int(global_offset)
-        q = np.asarray(q, dtype=np.float64)
-        self.terminals = K = int(q.shape[0])
         self.n_profiles = int(n_profiles)
-        if K < 1:
+        threshold = np.asarray(threshold)
+        if threshold.size < 1:
             raise ParameterError("shard needs at least one terminal")
         self._update_cost = np.ascontiguousarray(update_cost, dtype=np.float64)
         self._poll_cost = np.ascontiguousarray(poll_cost, dtype=np.float64)
@@ -631,39 +559,21 @@ class FleetShardEngine:
                     f"per-terminal {name} must be finite and >= 0"
                 )
         self._profile = np.ascontiguousarray(profile_index, dtype=np.intp)
-        # The slot hash buffers; until the first slot, the second one is
-        # the scratch space of the cuts and the terminal keys.
-        self._hash_buffers = (np.empty(K, np.uint64), np.empty(K, np.uint64))
-        scratch = self._hash_buffers[1].view(np.float64)
-        # Integer cuts on the event and call draws.  Exclusive: one event
-        # draw calls below the call cut, else moves below the cut of the
-        # rounded q + c (raised to the call cut).  Independent: the event
-        # draw moves and a call-stream draw calls.
-        call_cut = _uniform_cuts(c, np.empty(K, np.uint64), scratch)
-        if event_mode == "exclusive":
-            qc = np.add(q, c, out=scratch)
-            event_cut = _uniform_cuts(qc, np.empty(K, np.uint64), scratch)
-            np.maximum(event_cut, call_cut, out=event_cut)
-        else:
-            event_cut = _uniform_cuts(q, np.empty(K, np.uint64), scratch)
-        self._cuts = (event_cut, call_cut)
-        # Keys of the *global* terminal indices.
-        self._idx_keys = _terminal_keys(
-            self.global_offset, K, self._hash_buffers[1]
+        # Every terminal starts freshly fixed at the origin of its row.
+        self.plan_rows = tuple(int(d) for d in plan_rows)
+        _check_codes(topology, self.plan_rows, _CAP_REMEDY)
+        tables = _plan_tables(
+            topology, tuple(sdf_partition(d, self.max_delay) for d in self.plan_rows)
         )
-        self._hits = np.empty(K, dtype=bool)
-        # One SDF plan row per distinct threshold; every terminal starts
-        # freshly fixed at the origin of its row.
-        threshold = np.ascontiguousarray(threshold, dtype=np.int64)
-        self._thresholds = _plan_rows(topology, threshold)
-        plans = tuple(sdf_partition(d, self.max_delay) for d in self._thresholds)
-        self._tables = _plan_tables(topology, plans)
-        self._degree = self._tables.step.size - 1
-        self.max_cycles = self._tables.polled.shape[1]
-        start = np.zeros(self._thresholds[-1] + 1, dtype=np.int32)
-        start[list(self._thresholds)] = self._tables.origins
-        self._code = start.take(threshold)
-        self.slot = 0
+        start = np.full(max(self.plan_rows) + 1, -1, dtype=np.int32)
+        start[list(self.plan_rows)] = tables.origins
+        codes = start.take(threshold, mode="clip")
+        if threshold.min() < 0 or threshold.max() >= start.size or codes.min() < 0:
+            raise ParameterError(
+                f"every terminal's threshold needs a plan row; plan_rows are "
+                f"{self.plan_rows}"
+            )
+        self._setup(tables, codes, q, c, self.global_offset, int(seed), event_mode)
         self.reset_meters()
 
     # ------------------------------------------------------------------
@@ -679,75 +589,40 @@ class FleetShardEngine:
         # Calls per (plan row, polling cycle): the tables' pages.
         self._delay_counts = np.zeros(self._tables.polled.size, dtype=np.int64)
 
-    @property
-    def _pos(self) -> np.ndarray:
-        """The ``(dims, K)`` center-relative native coordinates (axial on
-        the hex grid) the codes pack."""
-        return self._tables.decode(self._code)
-
-    def _hash_bits(self, stream: int, slot: int, rows=None) -> np.ndarray:
-        """Top 53 bits of the counter hash of ``(stream, slot)`` for every
-        terminal, or for ``rows``, written into the shard's buffer."""
-        keys = self._idx_keys if rows is None else self._idx_keys[rows]
-        x, scratch = (buffer[: keys.size] for buffer in self._hash_buffers)
-        np.bitwise_xor(keys, _slot_key(self.seed, stream, slot), out=x)
-        _mix64_into(x, scratch)
-        x >>= _S11
-        return x
-
     def run(self, slots: int) -> None:
         """Advance every terminal in the shard ``slots`` slots."""
-        if slots < 0:
-            raise ParameterError(f"slots must be >= 0, got {slots}")
-        for _ in range(slots):
-            self._step()
+        self._advance(slots)
 
-    def _step(self) -> None:
-        t = self.slot
-        event_cut, call_cut = self._cuts
-        bits = self._hash_bits(_STREAM_EVENT, t)
-        events = np.flatnonzero(np.less(bits, event_cut, out=self._hits))
-        if self.event_mode == "exclusive":
-            called = bits[events] < call_cut[events]
-            callers, movers = events[called], events[~called]
-        else:
-            movers = events
-            bits = self._hash_bits(_STREAM_CALL, t)
-            callers = np.flatnonzero(np.less(bits, call_cut, out=self._hits))
-        tables = self._tables
-        slot_cost = 0.0
-        # Calls first -- the same within-slot order as the per-cell and
-        # vectorized engines.
-        if callers.size:
-            code = self._code.take(callers)
-            pages = tables.page.take(code)
-            polled = tables.polled.take(pages)
-            self._calls += callers.size
-            self._polled[callers] += polled
-            self._delay_counts += np.bincount(pages, minlength=tables.polled.size)
-            slot_cost += float(self._poll_cost[callers] @ polled)
-            # Pinpointed terminals re-center on their row's origin.
-            self._code[callers] = tables.row_origins(code)
-        if movers.size:
-            # Directions keep the float draw int(u * degree).
-            bits = self._hash_bits(_STREAM_DIRECTION, t, movers)
-            u = bits.astype(np.float64) * _INV53
-            direction = (u * self._degree).astype(np.intp)
-            moved = self._code.take(movers)
-            moved += tables.step.take(direction)
-            # Crossing the residing-area boundary triggers an update and
-            # re-centers the terminal.
-            folded = tables.fold.take(moved)
-            self._code[movers] = folded
-            self._moves += movers.size
-            updating = movers[folded != moved]
-            if updating.size:
-                self._updates[updating] += 1
-                slot_cost += float(self._update_cost[updating].sum())
-        self._cost_sum += slot_cost
-        self._cost_sq_sum += slot_cost * slot_cost
-        self._metered_slots += 1
-        self.slot += 1
+    def _book(self, width: int, events: _Events) -> None:
+        """Fold a block's events into the shard's aggregates; a slot's cost
+        is its callers' paging costs (a dot product) plus its updaters'
+        update costs, each in terminal order as the per-slot step had."""
+        callers, polled = events.callers, events.polled
+        updaters = events.who.take(events.updates)
+        self._moves += int(np.count_nonzero(events.moved))
+        self._calls += callers.size
+        np.add.at(self._polled, callers, polled)
+        np.add.at(self._updates, updaters, 1)
+        self._delay_counts += np.bincount(events.pages, minlength=self._delay_counts.size)
+        call_stops, update_stops = [callers.size], [updaters.size]
+        if width > 1:
+            # Replay order is rank-major; the sums run slot by slot.
+            call_slot = events.events.take(events.calls) % width
+            by_slot = np.lexsort((callers, call_slot))
+            callers, polled = callers[by_slot], polled[by_slot]
+            call_stops = np.cumsum(np.bincount(call_slot, minlength=width)).tolist()
+            update_slot = events.events.take(events.updates) % width
+            updaters = updaters[np.lexsort((updaters, update_slot))]
+            update_stops = np.cumsum(np.bincount(update_slot, minlength=width)).tolist()
+        poll_cost = self._poll_cost.take(callers)
+        update_cost = self._update_cost.take(updaters)
+        c0 = u0 = 0
+        for c1, u1 in zip(call_stops, update_stops):
+            slot_cost = float(poll_cost[c0:c1] @ polled[c0:c1])
+            slot_cost += float(update_cost[u0:u1].sum())
+            self._cost_sum += slot_cost
+            self._cost_sq_sum += slot_cost * slot_cost
+            c0, u0 = c1, u1
 
     # ------------------------------------------------------------------
 
@@ -767,7 +642,7 @@ class FleetShardEngine:
         else:
             half = math.inf
         delay_counts = self._delay_counts.reshape(self._tables.polled.shape).sum(axis=0)
-        cycles = np.arange(1, self.max_cycles + 1, dtype=np.float64)
+        cycles = np.arange(1, delay_counts.size + 1, dtype=np.float64)
         weighted = float(cycles @ delay_counts)
         delay = weighted / self._calls if self._calls else 0.0
         profile_terminals = np.bincount(self._profile, minlength=self.n_profiles)
@@ -868,6 +743,7 @@ def _run_shard(
     topology: CellTopology,
     n_profiles: int,
     max_delay,
+    plan_rows: Tuple[int, ...],
     slots: int,
     seed: int,
     event_mode: str,
@@ -883,6 +759,7 @@ def _run_shard(
         topology=topology,
         n_profiles=n_profiles,
         max_delay=max_delay,
+        plan_rows=plan_rows,
         global_offset=lo,
         seed=seed,
         event_mode=event_mode,
@@ -992,10 +869,7 @@ def run_fleet(
     """
     if slots < 1:
         raise ParameterError(f"slots must be >= 1, got {slots}")
-    if event_mode not in _EVENT_MODES:
-        raise ParameterError(
-            f"event_mode must be one of {_EVENT_MODES}, got {event_mode!r}"
-        )
+    _check_event_mode(event_mode)
     bounds = shard_bounds(spec.count, shards)
     pool_size = resolve_workers(workers)
     parent_obs = _obs_context.current()
@@ -1016,7 +890,7 @@ def run_fleet(
         for index in pending:
             lo, hi = bounds[index]
             args = (index, lo, hi, source, spec.topology, len(spec.profile_names),
-                    spec.max_delay, slots, seed, event_mode)
+                    spec.max_delay, spec.plan_rows, slots, seed, event_mode)
             jobs.append((index, args, {"shard": index, "terminals": hi - lo,
                                        "slots": slots}))
         return jobs
@@ -1048,20 +922,7 @@ def run_fleet(
             # per shard from its snapshot, in shard-index order, so the
             # exported totals are bit-equal to summing the snapshot
             # columns regardless of the executor.
-            registry = parent_obs.registry
-            labels = {"engine": "fleet"}
-            instruments = {
-                "slots": registry.counter("slots_total", **labels),
-                "moves": registry.counter("moves_total", **labels),
-                "updates": registry.counter(
-                    "updates_total", trigger="distance", **labels
-                ),
-                "calls": registry.counter("calls_total", **labels),
-                "polled": registry.counter("polled_cells_total", **labels),
-                "update_cost": registry.counter("update_cost_total", **labels),
-                "paging_cost": registry.counter("paging_cost_total", **labels),
-            }
-            delay = registry.histogram("paging_delay_cycles", **labels)
+            instruments = _event_instruments(parent_obs.registry, engine="fleet")
             for index in sorted(completed):
                 snapshot = completed[index]
                 instruments["slots"].inc(snapshot.slots * snapshot.terminals)
@@ -1072,7 +933,7 @@ def run_fleet(
                 instruments["update_cost"].inc(snapshot.update_cost)
                 instruments["paging_cost"].inc(snapshot.paging_cost)
                 for cycles, count in sorted(snapshot.delay_histogram.items()):
-                    delay.observe(cycles, count)
+                    instruments["delay"].observe(cycles, count)
     return FleetResult(
         spec_fingerprint=fingerprint["population"],
         profile_names=spec.profile_names,

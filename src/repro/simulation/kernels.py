@@ -1,22 +1,17 @@
-"""Shared counter-RNG primitives of the batched engines.
+"""Shared counter-RNG primitives of the array engines' block step.
 
 This module is the single home of the stateless SplitMix64 counter
-randomness that both batched engines draw from -- the homogeneous
-:class:`~repro.simulation.vectorized.VectorizedDistanceEngine` and the
-heterogeneous :class:`~repro.simulation.fleet.FleetShardEngine` (which
-re-exports the old names).  Every uniform is a hash of ``(seed,
-stream, slot, global terminal index)``, so a terminal's trajectory
-does not depend on the batch or shard it is stepped in, and the two
-engines replay the same trajectory for the same keys.
+randomness of :class:`~repro.simulation.vectorized.VectorizedDistanceEngine`
+and the fleet shards.  Every uniform is a hash of ``(seed, stream,
+slot, global terminal index)``, so a terminal's trajectory does not
+depend on the batch or shard it is stepped in.
 
-:func:`mix64` allocates its result, which suits the small key grids the
-vectorized engine hashes; :func:`mix64_into` runs the same finalizer in
-place over a caller's buffer, so the fleet step hashes a whole shard's
-slot into two preallocated columns, and :func:`terminal_keys` finalizes
-the keys in their own array.  :func:`uniform_cuts` turns probabilities
-into integer cuts on the top 53 hash bits, so a shard classifies events
-without converting hashes to floats; a shard computes them in its own
-buffers.
+:func:`mix64` allocates its result; :func:`mix64_into` runs the same
+finalizer in place, so the block step hashes each block's key grid in
+two reused buffers, and :func:`terminal_keys` finalizes the keys in
+their own array.  :func:`uniform_cuts` turns probabilities into integer
+cuts on the top 53 hash bits, so events are classified without
+converting hashes to floats.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +29,40 @@ import numpy as np
 from ..exceptions import ParameterError, SimulationError
 
 __all__ = ["CostMeter", "MeterColumns", "MeterSnapshot", "z_score"]
+
+#: How each annotated snapshot field type reads back from JSON.
+_FROM_JSON = {
+    "int": int,
+    "float": float,
+    "Dict[int, int]": lambda value: {int(k): int(n) for k, n in dict(value).items()},
+    "Tuple[int, ...]": lambda value: tuple(int(v) for v in value),
+    "Tuple[float, ...]": lambda value: tuple(float(v) for v in value),
+}
+
+
+def snapshot_to_dict(snapshot) -> Dict[str, object]:
+    """A snapshot dataclass's fields, in order, as JSON values: tuples
+    become lists, and a histogram's integer keys sorted strings (JSON
+    objects cannot have integer keys)."""
+    payload = {}
+    for field in fields(snapshot):
+        value = getattr(snapshot, field.name)
+        if isinstance(value, dict):
+            value = {str(key): count for key, count in sorted(value.items())}
+        payload[field.name] = list(value) if isinstance(value, tuple) else value
+    return payload
+
+
+def snapshot_from_dict(cls, payload: Dict[str, object], label: str):
+    """Inverse of :func:`snapshot_to_dict`; a malformed payload raises a
+    ParameterError naming ``label``."""
+    try:
+        return cls(**{
+            field.name: _FROM_JSON[field.type](payload[field.name])
+            for field in fields(cls)
+        })
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed {label} payload: {exc}") from exc
 
 #: Two-sided z-scores for the common confidence levels, kept as a fast
 #: path; any other level in (0, 1) is computed exactly via the normal
@@ -88,50 +122,14 @@ class MeterSnapshot:
         return self.paging_cost / self.slots if self.slots else 0.0
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (checkpoints, machine-readable benches).
-
-        ``delay_histogram`` keys become strings (JSON objects cannot
-        have integer keys); :meth:`from_dict` restores them.
-        """
-        return {
-            "slots": self.slots,
-            "moves": self.moves,
-            "updates": self.updates,
-            "calls": self.calls,
-            "polled_cells": self.polled_cells,
-            "update_cost": self.update_cost,
-            "paging_cost": self.paging_cost,
-            "mean_total_cost": self.mean_total_cost,
-            "total_cost_half_width_95": self.total_cost_half_width_95,
-            "mean_paging_delay": self.mean_paging_delay,
-            "delay_histogram": {
-                str(cycles): count
-                for cycles, count in sorted(self.delay_histogram.items())
-            },
-        }
+        """JSON-serializable form (checkpoints, machine-readable benches);
+        :meth:`from_dict` restores it."""
+        return snapshot_to_dict(self)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "MeterSnapshot":
         """Inverse of :meth:`to_dict`; raises on malformed payloads."""
-        try:
-            return cls(
-                slots=int(payload["slots"]),
-                moves=int(payload["moves"]),
-                updates=int(payload["updates"]),
-                calls=int(payload["calls"]),
-                polled_cells=int(payload["polled_cells"]),
-                update_cost=float(payload["update_cost"]),
-                paging_cost=float(payload["paging_cost"]),
-                mean_total_cost=float(payload["mean_total_cost"]),
-                total_cost_half_width_95=float(payload["total_cost_half_width_95"]),
-                mean_paging_delay=float(payload["mean_paging_delay"]),
-                delay_histogram={
-                    int(cycles): int(count)
-                    for cycles, count in dict(payload["delay_histogram"]).items()
-                },
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParameterError(f"malformed snapshot payload: {exc}") from exc
+        return snapshot_from_dict(cls, payload, "snapshot")
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,32 +3,40 @@
 :class:`VectorizedDistanceEngine` simulates ``K`` independent terminals
 of the distance-based scheme as one batched ring-distance chain.  Every
 draw is a hash of ``(seed, stream, slot, terminal index)`` from the
-stateless SplitMix64 counter RNG of :mod:`repro.simulation.kernels`;
-threshold tests, resets, and cost accumulation are NumPy array
-operations.  That is two to three orders of magnitude more
-terminal-slots per second than stepping
+stateless SplitMix64 counter RNG of :mod:`repro.simulation.kernels`, so
+terminal ``k`` follows the trajectory of terminal ``k`` of a one-shard
+fleet with the same seed.  That is two to three orders of magnitude
+more terminal-slots per second than stepping
 :class:`~repro.simulation.engine.SimulationEngine` one cell at a time.
 
-Block stepping
+The block step
 --------------
 
-The engine advances ``B = min(64, 2**16 // K)`` slots per block, a
-length computed from the batch width, and one slot when that is fewer
-than 8 (K > 8192): small batches amortize Python dispatch over up to 64
-slots, while a block of 2-7 slots does not pay back its fixed cost.
-A block's mobility is drawn before the
-strategy sees it: one ``mix64`` call over the ``(K, B)`` key grid draws
-every call (and uniform-walk event) uniform; the uniform walk's movers
-come from the event draw, and a CTRW's residence clocks advance in
-rounds, each hashing the direction and re-arm draws of every
-terminal's next expiry inside the block.  Only movers are hashed for
-direction and residence.  The strategy pass then replays each
-terminal's events in slot order: round ``r`` applies the ``r``-th event
-of every terminal, a call before the same slot's move.  A round is five
-NumPy calls on one int32 code per terminal: gather the codes, reset the
-callers and step (``code * keep + shift``), fold through a table, and
-scatter.  The polling cycles and cells polled at calls and the update
-flags come from the tables once per block, after the last round.
+This engine and the fleet shards of :mod:`repro.simulation.fleet` run
+one step, :class:`_BlockStep`, over per-terminal columns; a homogeneous
+batch is the case where every terminal has the same cuts and plan row.
+It advances ``B = min(64, 2**16 // K)`` slots per block, and one slot
+when that is fewer than 8 (K > 8192): small batches amortize Python
+dispatch over up to 64 slots, while a block of 2-7 slots does not pay
+back its fixed cost.
+
+1. *Draw.*  The block's ``(K, B)`` grid of terminal keys XOR slot keys
+   is hashed in place in two buffers reused every block, and its top
+   53 bits are compared with per-terminal integer cuts of the event and
+   call probabilities, which is exactly the float test ``u < p``.
+   Each event hashes a direction, the float draw ``int(u * degree)``.
+   A CTRW's residence clocks instead advance in rounds, each hashing
+   the direction and re-arm draws of every terminal's next expiry
+   inside the block.
+2. *Replay.*  Round ``r`` applies the ``r``-th event of every terminal,
+   a call before the same slot's move.  A round is five NumPy calls on
+   one int32 code per terminal: gather the codes, reset the callers
+   and step (``code * keep + shift``; a page hit re-centers on the
+   origin of the terminal's plan row), fold through a table, and
+   scatter.  A one-slot block is one round, without the rank sort.
+3. *Ledger.*  Each engine books the events in its own ledger: this
+   engine in per-terminal :class:`CostMeter` columns, a fleet shard in
+   O(1) aggregates.
 
 Drawing moves ahead of the strategy is exact because mobility never
 reads strategy state: calls and updates move the center, never a
@@ -44,20 +52,16 @@ the current center cell** (the cell of the last update or page hit),
 not by the paper's ring-aggregated ``p+(i)/p-(i)`` chain, so hex and
 square corner effects are exact.  Those coordinates (axial on the hex
 grid) never leave ``[-d-1, d+1]``, so each terminal's cell packs into
-one int32 code in base ``2d + 3``.  Two read-only int32 tables of
-``(2d + 3)**dims`` entries, built once per ``(topology, plan)``, give
-every code's polling cycle at a call and fold the codes of ring
-``d + 1`` -- an update -- back to the origin.  A page hit also resets
-a terminal to the origin.  :func:`_plan_tables` builds the tables for
-this engine as one plan row and for a fleet shard
-(:class:`~repro.simulation.fleet.FleetShardEngine`) as one row per
-distinct threshold.  CTRW mobility (``walk=CTRWSpec(...)``) follows
+one int32 code in base ``2d + 3``.  :func:`_plan_tables` builds, once
+per ``(topology, plans)``, two read-only int32 tables of ``(2d +
+3)**dims`` entries per plan row that give every code's page at a call
+and fold the codes of ring ``d + 1`` -- an update -- back to the
+origin.  This engine is the one-row case; a fleet shard has one row
+per distinct threshold.  CTRW mobility (``walk=CTRWSpec(...)``) follows
 the timed slot semantics of :mod:`repro.mobility.ctrw`.
 
-Each terminal has its own meter with :class:`CostMeter` accounting.
 ``run()`` returns a :class:`~repro.simulation.runner.ReplicatedResult`
-over a frozen copy of the per-terminal meter columns: its pooled
-statistics are array reductions, and its per-terminal
+over a frozen copy of the per-terminal meter columns; its
 :class:`MeterSnapshot` list is built only when first read.  Event logs,
 fault models, arbitrary walkers or arrival processes, and non-distance
 strategies need :class:`~repro.simulation.engine.SimulationEngine`.
@@ -68,11 +72,13 @@ from __future__ import annotations
 import functools
 import math
 import time
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..core.parameters import CostParams, MobilityParams
+from ..core.parameters import (
+    CostParams, MobilityParams, validate_delay, validate_threshold,
+)
 from ..exceptions import ParameterError
 from ..geometry.hex import AXIAL_DIRECTIONS, HexTopology
 from ..geometry.line import LineTopology
@@ -80,9 +86,10 @@ from ..geometry.square import SQUARE_DIRECTIONS, SquareTopology
 from ..geometry.topology import CellTopology
 from ..observability.context import current as _observability
 from ..paging import PagingPlan, sdf_partition
-from ..core.parameters import validate_delay, validate_threshold
 from ..mobility.ctrw import CTRWSpec
 from .kernels import (
+    _INV53,
+    _S11,
     STREAM_CALL,
     STREAM_DIRECTION,
     STREAM_EVENT,
@@ -91,9 +98,12 @@ from .kernels import (
     counter_uniforms,
     drifted_directions,
     key_uniforms,
+    mix64_into,
     slot_keys,
     terminal_keys,
+    uniform_cuts,
 )
+from .engine import _check_event_mode
 from .metrics import MeterColumns, MeterSnapshot
 from .runner import ReplicatedResult
 
@@ -102,8 +112,6 @@ __all__ = [
     "replay_trace_meters",
     "throughput_report",
 ]
-
-_EVENT_MODES = ("exclusive", "independent")
 
 #: Slot-key streams of a block; a CTRW's last three draw each expiry.
 _UNIFORM_STREAMS = (STREAM_EVENT, STREAM_CALL, STREAM_DIRECTION)
@@ -129,6 +137,7 @@ class _PlanTables(NamedTuple):
     fold: np.ndarray
     page: np.ndarray
     polled: np.ndarray
+    norm: Callable[[np.ndarray], np.ndarray]
 
     @property
     def cells(self) -> int:
@@ -140,35 +149,31 @@ class _PlanTables(NamedTuple):
         the hex grid) that ``codes`` pack; the plan row drops out."""
         return codes // self.powers[:, None] % self.base - self.base // 2
 
+    def rings(self, codes: np.ndarray) -> np.ndarray:
+        """The ring of each code's cell around its center."""
+        return self.norm(self.decode(codes))
+
     def row_origins(self, codes: np.ndarray) -> np.ndarray:
         """The origin code of each code's plan row: a page hit's new
         center."""
         return self.origins.take(codes // self.cells)
 
 
-def _lattice_kernel(topology: CellTopology) -> Tuple[np.ndarray, callable]:
-    """Direction vectors and a vectorized ring-distance function.
-
-    Returns ``(directions, distance)`` where ``directions`` has shape
-    ``(degree, dims)`` and ``distance`` maps an ``(K, dims)`` array of
-    center-relative coordinates to ``(K,)`` ring distances.
-    """
+def _lattice_kernel(topology: CellTopology):
+    """``(directions, norm)`` of a lattice the array engines step: the
+    ``(degree, dims)`` direction vectors, in the order seeded walks
+    index them, and the ring distance of ``(dims, K)`` center-relative
+    coordinates."""
     if isinstance(topology, LineTopology):
-        dirs = np.array([[-1], [1]], dtype=np.int64)
-        return dirs, lambda pos: np.abs(pos[:, 0])
+        return np.array([[-1], [1]]), lambda x: np.abs(x[0])
     if isinstance(topology, HexTopology):
-        dirs = np.array(AXIAL_DIRECTIONS, dtype=np.int64)
-
-        def hex_distance(pos: np.ndarray) -> np.ndarray:
-            q, r = pos[:, 0], pos[:, 1]
-            return (np.abs(q) + np.abs(r) + np.abs(q + r)) // 2
-
-        return dirs, hex_distance
+        return np.array(AXIAL_DIRECTIONS), lambda x: (
+            np.abs(x[0]) + np.abs(x[1]) + np.abs(x[0] + x[1])
+        ) // 2
     if isinstance(topology, SquareTopology):
-        dirs = np.array(SQUARE_DIRECTIONS, dtype=np.int64)
-        return dirs, lambda pos: np.abs(pos[:, 0]) + np.abs(pos[:, 1])
+        return np.array(SQUARE_DIRECTIONS), lambda x: np.abs(x[0]) + np.abs(x[1])
     raise ParameterError(
-        f"VectorizedDistanceEngine supports LineTopology, HexTopology, and "
+        f"the array engines support LineTopology, HexTopology, and "
         f"SquareTopology; got {topology!r} -- use SimulationEngine for "
         "other geometries"
     )
@@ -200,15 +205,17 @@ def _plan_tables(
     in base ``b = 2D + 3``; a terminal paged by ``plans[r]`` holds the
     int32 code ``r * cells + c``, ``cells = b**dims``, and ``origins[r]``
     is row ``r``'s center.  Adding ``step[j]`` moves a code one cell in
-    direction ``j`` (``step[degree] = 0`` is "no move").  ``fold`` maps
-    a row's codes past its threshold to the row's origin (an update)
-    and every other code to itself.  At a call, ``page`` gives ``r * w +
-    j`` for the 0-based polling cycle ``j`` of the code's ring, and the
-    ``(rows, w)`` table ``polled`` the cumulative cells polled through
-    cycle ``j`` (the w_j of eqn (64)), ``w`` the largest delay bound.
-    Callers bound the rows with :func:`_check_codes`.
+    direction ``j`` of the lattice (``step[degree] = 0`` is "no move"),
+    and ``norm`` is the ring distance of decoded coordinates (see
+    :func:`_lattice_kernel`, which the table builder alone reads).  ``fold``
+    maps a row's codes past its threshold to the row's origin (an
+    update) and every other code to itself.  At a call, ``page`` gives
+    ``r * w + j`` for the 0-based polling cycle ``j`` of the code's
+    ring, and the ``(rows, w)`` table ``polled`` the cumulative cells
+    polled through cycle ``j`` (the w_j of eqn (64)), ``w`` the largest
+    delay bound.  Callers bound the rows with :func:`_check_codes`.
     """
-    dirs, distance = _lattice_kernel(topology)
+    dirs, norm = _lattice_kernel(topology)
     top = max(plan.threshold for plan in plans)
     base = 2 * top + 3
     powers = base ** np.arange(dirs.shape[1], dtype=np.int32)
@@ -224,6 +231,7 @@ def _plan_tables(
         page=np.empty(rows * cells, dtype=np.int32),
         # int64 like the meters: np.add.at casts other dtypes slowly.
         polled=np.empty((rows, width), dtype=np.int64),
+        norm=norm,
     )
     # Each row's ring -> page lookup.  Every ring of a code is below
     # ``base``; those past the threshold only occur before the fold.
@@ -239,7 +247,7 @@ def _plan_tables(
     # temporaries the size of a table.
     for start in range(0, cells, 2**16):
         codes = np.arange(start, min(start + 2**16, cells), dtype=np.int32)
-        ring = distance(tables.decode(codes).T)
+        ring = tables.rings(codes)
         for row, (plan, page) in enumerate(zip(plans, pages)):
             at = slice(row * cells + start, row * cells + start + codes.size)
             tables.fold[at] = np.where(
@@ -271,6 +279,20 @@ def _paging_tables(plan: PagingPlan, topology: CellTopology):
     return ring_to_cycle, polled
 
 
+def _event_instruments(registry, **labels) -> dict:
+    """The counters and delay histogram both array engines report into."""
+    return {
+        "slots": registry.counter("slots_total", **labels),
+        "moves": registry.counter("moves_total", **labels),
+        "updates": registry.counter("updates_total", trigger="distance", **labels),
+        "calls": registry.counter("calls_total", **labels),
+        "polled": registry.counter("polled_cells_total", **labels),
+        "delay": registry.histogram("paging_delay_cycles", **labels),
+        "update_cost": registry.counter("update_cost_total", **labels),
+        "paging_cost": registry.counter("paging_cost_total", **labels),
+    }
+
+
 def _block_length(terminals: int) -> int:
     """Slots per block: ~2**16 terminal-slots of draws, at most 64; one
     when under 8, which does not pay back a block's fixed cost."""
@@ -278,7 +300,208 @@ def _block_length(terminals: int) -> int:
     return min(64, width) if width >= 8 else 1
 
 
-class VectorizedDistanceEngine:
+class _Events(NamedTuple):
+    """One block's events after the replay, in replay order."""
+
+    events: np.ndarray  # flat (terminal, slot in the block) index
+    who: np.ndarray  # the terminal
+    moved: np.ndarray  # stepped (bool)
+    calls: np.ndarray  # positions of the calls
+    callers: np.ndarray  # their terminals
+    updates: np.ndarray  # positions of the updates
+    at_call: np.ndarray  # each caller's code when paged
+    pages: np.ndarray  # each caller's page, row * w + cycle
+    polled: np.ndarray  # each caller's cells polled
+
+
+class _BlockStep:
+    """The block step both array engines run (see the module docstring);
+    a subclass books each block's events in ``_book(width, events)``."""
+
+    #: A CTRW walk, or None for the uniform walk.
+    walk_spec: Optional[CTRWSpec] = None
+
+    def _setup(self, tables: _PlanTables, codes: np.ndarray, q, c, offset: int,
+               seed: int, event_mode: str) -> None:
+        """Step ``codes`` through ``tables`` with move and call
+        probabilities ``q`` and ``c`` (columns or scalars), keyed by the
+        global terminal indices ``offset ..``."""
+        _check_event_mode(event_mode)
+        self.event_mode = event_mode
+        self._seed = seed
+        self._tables = tables
+        self._degree = tables.step.size - 1
+        self._code = codes
+        self.terminals = K = codes.size
+        self._block = _block_length(K)
+        # One block's hash buffers and hit flags; until the first block,
+        # the second buffer is the scratch space of the cuts and keys.
+        size = K * self._block
+        self._hash_buffers = (np.empty(size, np.uint64), np.empty(size, np.uint64))
+        self._hits = np.empty(size, dtype=bool)
+        scratch = self._hash_buffers[1][:K].view(np.float64)
+        # Integer cuts on the event and call draws.  Exclusive: one event
+        # draw calls below the call cut, else moves below the cut of the
+        # rounded q + c (raised to the call cut).  Independent: the event
+        # draw moves and a call-stream draw calls.
+        call_cut = uniform_cuts(c, np.empty(K, np.uint64), scratch)
+        if event_mode == "exclusive":
+            event_cut = uniform_cuts(np.add(q, c, out=scratch), np.empty(K, np.uint64), scratch)
+            np.maximum(event_cut, call_cut, out=event_cut)
+        else:
+            event_cut = uniform_cuts(q, np.empty(K, np.uint64), scratch)
+        self._cuts = (event_cut, call_cut)
+        self._idx_keys = terminal_keys(offset, K, self._hash_buffers[1][:K])
+        self.slot = 0
+
+    @property
+    def _pos(self) -> np.ndarray:
+        """The ``(dims, K)`` coordinates (axial on hex) the codes pack."""
+        return self._tables.decode(self._code)
+
+    def _advance(self, slots: int) -> None:
+        """Run ``slots`` steps of the uniform walk or the CTRW, in blocks."""
+        if slots < 0:
+            raise ParameterError(f"slots must be >= 0, got {slots}")
+        draw = self._uniform_block if self.walk_spec is None else self._ctrw_block
+        while slots > 0:
+            width = min(self._block, slots)
+            self._book(width, self._replay(width, *draw(width)))
+            self._metered_slots += width
+            self.slot += width
+            slots -= width
+
+    def _bits(self, keys: np.ndarray, slot_keys: np.ndarray) -> np.ndarray:
+        """Top 53 bits of the counter hash of ``keys ^ slot_keys``
+        (broadcast), written into the first hash buffer."""
+        shape = np.broadcast_shapes(keys.shape, slot_keys.shape)
+        size = math.prod(shape)
+        x, scratch = (buffer[:size].reshape(shape) for buffer in self._hash_buffers)
+        np.bitwise_xor(keys, slot_keys, out=x)
+        mix64_into(x, scratch)
+        x >>= _S11
+        return x
+
+    def _uniform_block(self, width: int):
+        """The uniform walk's events in the next ``width`` slots, in
+        terminal-major order: ``(events, who, call, moved, shift)``, where
+        ``events`` are flat ``(K, width)`` indices and ``shift`` is the
+        step's code delta (0 if no move)."""
+        K = self.terminals
+        streams = slot_keys(self._seed, _UNIFORM_STREAMS, self.slot, width)
+        event_cut, call_cut = self._cuts
+        keys = self._idx_keys[:, None]
+        bits = self._bits(keys, streams[0])
+        hit = np.less(bits, event_cut[:, None],
+                      out=self._hits[: K * width].reshape(K, width))
+        if self.event_mode == "exclusive":
+            events = np.flatnonzero(hit)
+            who = events if width == 1 else events // width
+            call = bits.ravel().take(events) < call_cut.take(who)
+            moved = ~call
+        else:
+            called = self._bits(keys, streams[1]) < call_cut[:, None]
+            events = np.flatnonzero(hit | called)
+            who = events if width == 1 else events // width
+            call, moved = called.ravel().take(events), hit.ravel().take(events)
+        # Every event hashes a direction, the float draw int(u * degree);
+        # only movers step.
+        slot = 0 if width == 1 else events - who * width
+        unit = self._bits(self._idx_keys.take(who), streams[2].take(slot)) * _INV53
+        shift = self._tables.step.take((unit * float(self._degree)).astype(np.intp))
+        shift *= moved
+        return events, who, call, moved, shift
+
+    def _ctrw_block(self, width: int):
+        """The CTRW's events in the next ``width`` slots, as
+        :meth:`_uniform_block` gives them.
+
+        Timed slot semantics (as in SimulationEngine): a call draw per
+        slot, and a move in the slot the residence clock expires, so
+        ``event_mode`` plays no role.  Each round of the clock loop
+        handles the next expiry of every terminal still inside the block.
+        """
+        K = self.terminals
+        spec = self.walk_spec
+        streams = slot_keys(self._seed, _CTRW_STREAMS, self.slot, width)
+        called = np.less(self._bits(self._idx_keys[:, None], streams[0]),
+                         self._cuts[1][:, None],
+                         out=self._hits[: K * width].reshape(K, width))
+        direction = np.full(called.shape, self._degree, dtype=np.int8)
+        # Block offset of each terminal's next move: a clock reading r
+        # at the block start expires r - 1 slots in.
+        due = self._residence - 1
+        moving = np.flatnonzero(due < width)
+        while moving.size:
+            offset = due[moving]
+            u_dir, u_branch, u_value = key_uniforms(
+                self._idx_keys[moving] ^ streams[1:].take(offset, axis=1)
+            )
+            turn = drifted_directions(
+                u_dir, self._degree, spec.drift, spec.drift_direction,
+                spec.persistence, self._last_dir[moving],
+            )
+            self._last_dir[moving] = turn
+            direction.flat[moving * width + offset] = turn
+            # Re-arm the movers' clocks for their new cells.
+            offset += spec.residence.from_uniforms(u_branch, u_value)
+            due[moving] = offset
+            moving = moving[offset < width]
+        self._residence = due - (width - 1)
+        moved = direction != self._degree
+        events = np.flatnonzero(called | moved)
+        return (events, events // width, called.ravel().take(events),
+                moved.ravel().take(events), self._tables.step.take(direction.ravel().take(events)))
+
+    def _replay(self, width, events, who, call, moved, shift) -> _Events:
+        """Apply a block's events -- terminal-slots with a call, a move or
+        both, call first -- to the codes, round ``r`` replaying every
+        terminal's ``r``-th event."""
+        if width > 1:
+            first = np.flatnonzero(np.concatenate(([True], who[1:] != who[:-1])))
+            rank = np.arange(who.size)
+            rank -= np.repeat(first, np.diff(first, append=who.size))
+            order = np.argsort(rank.astype(np.int8), kind="stable")
+            events, who, call, moved, shift = (
+                array[order] for array in (events, who, call, moved, shift)
+            )
+            stops = np.cumsum(np.bincount(rank)).tolist()
+        else:
+            # At most one event per terminal: one round.
+            stops = [who.size]
+        tables = self._tables
+        code, fold = self._code, tables.fold
+        # An event maps code x to x * keep + shift: a page hit makes the
+        # terminal's cell the new center (its plan row's origin, which
+        # the block-start code gives, as a row never changes), then it
+        # steps.
+        calls = np.flatnonzero(call)
+        callers = who.take(calls)
+        keep = (~call).astype(np.int32)
+        shift[calls] += tables.row_origins(code.take(callers))
+        before = np.empty(who.size, dtype=np.int32)
+        after, folded = np.empty_like(before), np.empty_like(before)
+        start = 0
+        for stop in stops:
+            t = who[start:stop]
+            now, moved_to = before[start:stop], after[start:stop]
+            # "clip" writes straight into the output; "raise" would buffer.
+            code.take(t, out=now, mode="clip")
+            np.multiply(now, keep[start:stop], out=moved_to)
+            moved_to += shift[start:stop]
+            # Crossing the residing-area boundary triggers an update
+            # and re-centers the terminal.
+            code[t] = fold.take(moved_to, out=folded[start:stop], mode="clip")
+            start = stop
+        at_call = before.take(calls)
+        pages = tables.page.take(at_call)
+        return _Events(
+            events, who, moved, calls, callers, np.flatnonzero(folded != after),
+            at_call, pages, tables.polled.take(pages),
+        )
+
+
+class VectorizedDistanceEngine(_BlockStep):
     """K independent distance-strategy terminals as one NumPy chain.
 
     Parameters
@@ -322,10 +545,6 @@ class VectorizedDistanceEngine:
         walk: Optional[CTRWSpec] = None,
         record_ring_hits: bool = False,
     ) -> None:
-        if event_mode not in _EVENT_MODES:
-            raise ParameterError(
-                f"event_mode must be one of {_EVENT_MODES}, got {event_mode!r}"
-            )
         if terminals < 1:
             raise ParameterError(f"terminals must be >= 1, got {terminals}")
         if walk is not None and not isinstance(walk, CTRWSpec):
@@ -338,8 +557,6 @@ class VectorizedDistanceEngine:
         validate_delay(max_delay)
         self.mobility = mobility
         self.costs = costs
-        self.event_mode = event_mode
-        self.terminals = int(terminals)
         self.walk_spec = walk
         if seed is None:
             seed = 0
@@ -347,16 +564,16 @@ class VectorizedDistanceEngine:
             raise ParameterError(
                 f"the counter RNG needs an integer seed; got {seed!r}"
             )
-        self._seed = int(seed)
-        self._idx_keys = terminal_keys(0, self.terminals)
         _check_codes(topology, [self.threshold], "use SimulationEngine")
         self.plan = _resolve_plan(plan, self.threshold, max_delay)
-        self._tables = _plan_tables(topology, (self.plan,))
-        self._degree = len(self._tables.step) - 1
-        self._block = _block_length(self.terminals)
-        # Packed center-relative positions: the whole batch starts
-        # freshly fixed at its (arbitrary) start cells.
-        self._code = np.full(self.terminals, self._tables.origins[0], dtype=np.int32)
+        tables = _plan_tables(topology, (self.plan,))
+        # The whole batch starts freshly fixed at its (arbitrary) start
+        # cells, and every terminal has the same cuts.
+        self._setup(
+            tables, np.full(int(terminals), tables.origins[0], dtype=np.int32),
+            mobility.move_probability, mobility.call_probability, 0, int(seed),
+            event_mode,
+        )
         if walk is not None:
             if walk.drift_direction >= self._degree:
                 raise ParameterError(
@@ -380,25 +597,10 @@ class VectorizedDistanceEngine:
         # would defeat the point of batching.
         obs = _observability()
         if obs.enabled:
-            labels = {
-                "strategy": "distance",
-                "d": self.threshold,
-                "engine": "vectorized",
-            }
-            registry = obs.registry
             self._tracer = obs.tracer
-            self._instruments = {
-                "slots": registry.counter("slots_total", **labels),
-                "moves": registry.counter("moves_total", **labels),
-                "updates": registry.counter(
-                    "updates_total", trigger="distance", **labels
-                ),
-                "calls": registry.counter("calls_total", **labels),
-                "polled": registry.counter("polled_cells_total", **labels),
-                "delay": registry.histogram("paging_delay_cycles", **labels),
-                "update_cost": registry.counter("update_cost_total", **labels),
-                "paging_cost": registry.counter("paging_cost_total", **labels),
-            }
+            self._instruments = _event_instruments(
+                obs.registry, strategy="distance", d=self.threshold, engine="vectorized"
+            )
         else:
             self._tracer = None
             self._instruments = None
@@ -453,8 +655,6 @@ class VectorizedDistanceEngine:
 
     def run(self, slots: int) -> ReplicatedResult:
         """Advance every terminal ``slots`` slots; return pooled results."""
-        if slots < 0:
-            raise ParameterError(f"slots must be >= 0, got {slots}")
         if self._instruments is None:
             self._advance(slots)
             return self.result()
@@ -474,19 +674,6 @@ class VectorizedDistanceEngine:
             self._advance(slots)
         self._record_run(before, slots)
         return self.result()
-
-    def _advance(self, slots: int) -> None:
-        """Run ``slots`` steps of the uniform walk or the CTRW, in blocks."""
-        while slots > 0:
-            width = min(self._block, slots)
-            if self.walk_spec is None:
-                called, direction = self._uniform_block(width)
-            else:
-                called, direction = self._ctrw_block(width)
-            self._strategy_pass(called, direction)
-            self._metered_slots += width
-            self.slot += width
-            slots -= width
 
     def _record_run(self, before: tuple, slots: int) -> None:
         """Fold one observed run() into the metrics registry.
@@ -531,12 +718,6 @@ class VectorizedDistanceEngine:
         """One :class:`MeterSnapshot` per terminal (CostMeter semantics)."""
         return _meter_snapshots(*self._meters())
 
-    @property
-    def _pos(self) -> np.ndarray:
-        """The ``(dims, K)`` center-relative native coordinates the
-        codes pack (axial on the hex grid)."""
-        return self._tables.decode(self._code)
-
     # -- internals --------------------------------------------------------
 
     def _meters(self) -> tuple:
@@ -547,115 +728,25 @@ class VectorizedDistanceEngine:
             self._delay_counts,
         )
 
-    def _uniform_block(self, width: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The uniform walk's ``(K, width)`` call flags and directions,
-        with the hashes of :class:`~repro.simulation.fleet.FleetShardEngine`.
-        """
-        c, q = self.mobility.call_probability, self.mobility.move_probability
-        streams = slot_keys(self._seed, _UNIFORM_STREAMS, self.slot, width)
-        keys = self._idx_keys[:, None]
-        if self.event_mode == "exclusive":
-            u = key_uniforms(keys ^ streams[0])
-            called = u < c
-            moved = (u < c + q) & ~called
-        else:
-            u = key_uniforms(keys ^ streams[:2, None])
-            moved, called = u[0] < q, u[1] < c
-        movers = np.flatnonzero(moved)
-        terminal, offset = np.divmod(movers, width)
-        unit = key_uniforms(self._idx_keys[terminal] ^ streams[2, offset])
-        direction = np.full(moved.shape, self._degree, dtype=np.int8)
-        direction.flat[movers] = (unit * float(self._degree)).astype(np.int8)
-        return called, direction
-
-    def _ctrw_block(self, width: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The CTRW's ``(K, width)`` call flags and directions.
-
-        Timed slot semantics (as in SimulationEngine): a call draw per
-        slot, and a move in the slot the residence clock expires, so
-        ``event_mode`` plays no role.  Each round of the clock loop
-        handles the next expiry of every terminal still inside the block.
-        """
-        spec = self.walk_spec
-        streams = slot_keys(self._seed, _CTRW_STREAMS, self.slot, width)
-        u = key_uniforms(self._idx_keys[:, None] ^ streams[0])
-        called = u < self.mobility.call_probability
-        direction = np.full(called.shape, self._degree, dtype=np.int8)
-        # Block offset of each terminal's next move: a clock reading r
-        # at the block start expires r - 1 slots in.
-        due = self._residence - 1
-        moving = np.flatnonzero(due < width)
-        while moving.size:
-            offset = due[moving]
-            u_dir, u_branch, u_value = key_uniforms(
-                self._idx_keys[moving] ^ streams[1:].take(offset, axis=1)
-            )
-            turn = drifted_directions(
-                u_dir, self._degree, spec.drift, spec.drift_direction,
-                spec.persistence, self._last_dir[moving],
-            )
-            self._last_dir[moving] = turn
-            direction.flat[moving * width + offset] = turn
-            # Re-arm the movers' clocks for their new cells.
-            offset += spec.residence.from_uniforms(u_branch, u_value)
-            due[moving] = offset
-            moving = moving[offset < width]
-        self._residence = due - (width - 1)
-        return called, direction
-
-    def _strategy_pass(self, called: np.ndarray, direction: np.ndarray) -> None:
-        """Apply a block's events -- terminal-slots with a call, a move or
-        both, call first -- to the strategy, round ``r`` replaying every
-        terminal's ``r``-th event; costs fold in per terminal in slot order.
-        """
-        width = called.shape[1]
-        moved = direction != self._degree
-        events = np.flatnonzero(called | moved)
-        terminal = events // width
-        first = np.flatnonzero(np.concatenate(([True], terminal[1:] != terminal[:-1])))
-        rank = np.arange(events.size)
-        rank -= np.repeat(first, np.diff(first, append=events.size))
-        order = np.argsort(rank.astype(np.int8), kind="stable")
-        events, who = events[order], terminal[order]
-        call = called.ravel()[events]
-        # An event maps code x to x * keep + shift: a page hit makes the
-        # terminal's cell the new center (the origin), then it steps.
-        keep = (~call).astype(np.int32)
-        shift = self._tables.step.take(direction.ravel()[events])
-        shift += call * self._tables.origins[0]
-        before = np.empty(events.size, dtype=np.int32)
-        after = np.empty(events.size, dtype=np.int32)
-        code, fold = self._code, self._tables.fold
-        start = 0
-        for stop in np.cumsum(np.bincount(rank)).tolist():
-            t = who[start:stop]
-            now, moved_to = before[start:stop], after[start:stop]
-            # "clip" writes straight into `now`; "raise" would buffer.
-            code.take(t, out=now, mode="clip")
-            np.multiply(now, keep[start:stop], out=moved_to)
-            moved_to += shift[start:stop]
-            # Crossing the residing-area boundary triggers an update
-            # and re-centers the terminal.
-            code[t] = fold.take(moved_to)
-            start = stop
-        crossed = fold.take(after) != after
-        at_call, callers = before[call], who[call]
-        # One plan row: the page of a call is its polling cycle.
-        cycles = self._tables.page.take(at_call)
-        polled = self._tables.polled.take(cycles)
+    def _book(self, width: int, events: _Events) -> None:
+        """Fold a block's events into the per-terminal meters; np.add.at
+        applies them in replay order, so each terminal's costs add up
+        in slot order."""
+        who, callers = events.who, events.callers
         if self._ring_hits is not None:
-            _, distance = _lattice_kernel(self.topology)
-            rings = distance(self._tables.decode(at_call).T)
-            self._ring_hits += np.bincount(rings, minlength=self.threshold + 1)
+            self._ring_hits += np.bincount(
+                self._tables.rings(events.at_call), minlength=self.threshold + 1
+            )
         np.add.at(self._calls, callers, 1)
-        np.add.at(self._polled_cells, callers, polled)
+        np.add.at(self._polled_cells, callers, events.polled)
+        # One plan row: a call's page is its polling cycle.
         cells = self._delay_counts.ravel()  # (terminal, cycle) flattened
-        np.add.at(cells, callers * self._delay_counts.shape[1] + cycles, 1)
-        np.add.at(self._moves, who[moved.ravel()[events]], 1)
-        np.add.at(self._updates, who[crossed], 1)
-        cost = np.zeros(events.size)
-        cost[call] = self.costs.poll_cost * polled
-        cost[crossed] += self.costs.update_cost
+        np.add.at(cells, callers * self._delay_counts.shape[1] + events.pages, 1)
+        np.add.at(self._moves, who[events.moved], 1)
+        np.add.at(self._updates, who.take(events.updates), 1)
+        cost = np.zeros(who.size)
+        cost[events.calls] = self.costs.poll_cost * events.polled
+        cost[events.updates] += self.costs.update_cost
         np.add.at(self._cost_sum, who, cost)
         np.add.at(self._cost_sq_sum, who, cost * cost)
 
@@ -667,28 +758,19 @@ def replay_trace_meters(
     max_delay=1,
     plan: Optional[PagingPlan] = None,
 ) -> MeterSnapshot:
-    """Replay a recorded :class:`~repro.mobility.traces.Trace` vectorized.
+    """Replay a recorded :class:`~repro.mobility.traces.Trace` with the
+    array engines' paging tables and meter arithmetic (call before move
+    within a slot; ring distances from the trace's topology).
 
-    Drives the distance strategy over the trace's recorded positions
-    and call slots using the vectorized engine's relative-coordinate
-    bookkeeping (same lattice kernel, same paging tables, same
-    within-slot order: call before move).  Returns one
-    :class:`MeterSnapshot` with CostMeter accounting -- the regression
-    contract is that this snapshot matches a replay of the same trace
-    through :class:`~repro.simulation.engine.SimulationEngine` meter
-    for meter (see :func:`repro.mobility.traces.replay_trace`).
+    Returns one :class:`MeterSnapshot`, which must match a replay of the
+    same trace through :class:`~repro.simulation.engine.SimulationEngine`
+    meter for meter (see :func:`repro.mobility.traces.replay_trace`).
     """
     threshold = validate_threshold(threshold)
-    dirs, distance = _lattice_kernel(trace.topology)
     plan = _resolve_plan(plan, threshold, max_delay)
     ring_to_cycle, cumulative_polled = _paging_tables(plan, trace.topology)
-
-    def coords(cell) -> np.ndarray:
-        raw = cell if isinstance(cell, tuple) else (cell,)
-        return np.asarray(raw, dtype=np.int64)
-
-    pos = np.zeros((1, dirs.shape[1]), dtype=np.int64)
-    prev = coords(trace.start)
+    distance = trace.topology.distance
+    center = here = trace.start
     moves = updates = calls = polled_cells = 0
     cost_sum = cost_sq_sum = 0.0
     delay_counts = np.zeros(plan.delay_bound, dtype=np.int64)
@@ -696,7 +778,7 @@ def replay_trace_meters(
     for cell, call in trace.steps:
         slot_cost = 0.0
         if call:
-            ring = int(distance(pos)[0])
+            ring = distance(center, here)
             if ring > threshold:
                 raise ParameterError(
                     f"trace is inconsistent with threshold {threshold}: a call "
@@ -708,16 +790,14 @@ def replay_trace_meters(
             polled_cells += polled
             delay_counts[cycle] += 1
             slot_cost += V * polled
-            pos[:] = 0
-        here = coords(cell)
-        if not np.array_equal(here, prev):
-            pos[0] += here - prev
+            center = here
+        if cell != here:
+            here = cell
             moves += 1
-            if int(distance(pos)[0]) > threshold:
+            if distance(center, here) > threshold:
                 updates += 1
                 slot_cost += U
-                pos[:] = 0
-        prev = here
+                center = here
         cost_sum += slot_cost
         cost_sq_sum += slot_cost * slot_cost
     columns = (moves, updates, calls, polled_cells, cost_sum, cost_sq_sum)

@@ -104,11 +104,7 @@ class TestEngineOracleGating:
 class TestFleetOracles:
     @pytest.mark.parametrize(
         "check_id",
-        [
-            "fleet-sharded-vs-single",
-            "fleet-pooled-vs-inprocess",
-            "vectorized-counter-vs-fleet",
-        ],
+        ["fleet-sharded-vs-single", "fleet-pooled-vs-inprocess"],
     )
     def test_skip_without_simulation_budget(self, check_id):
         assert run(check_id, make_config()).status == "skip"
@@ -129,22 +125,6 @@ class TestFleetOracles:
         result = run("fleet-pooled-vs-inprocess", config)
         assert result.status == "pass", result.detail
         assert result.deviation == 0.0
-
-    def test_vectorized_engine_replays_fleet_exactly(self):
-        result = run("vectorized-counter-vs-fleet", make_config(sim_slots=2_000))
-        assert result.status == "pass", result.detail
-        assert result.deviation == 0.0
-
-    def test_replay_oracle_catches_a_diverging_fleet_stream(self, monkeypatch):
-        # Point the fleet's direction draws at the call stream: every
-        # fleet mover then steps differently from its vectorized twin.
-        import repro.simulation.fleet as fleet_module
-        from repro.simulation.kernels import STREAM_CALL
-
-        monkeypatch.setattr(fleet_module, "_STREAM_DIRECTION", STREAM_CALL)
-        result = run("vectorized-counter-vs-fleet", make_config(sim_slots=2_000))
-        assert result.status == "fail", result.detail
-        assert result.deviation > 0.0
 
 
 def _replicated(d, seed, slots=6_000, replications=3):

@@ -1,15 +1,16 @@
-"""Property: the packed-code fleet step equals the boolean-mask step.
+"""Property: the fleet shard's block step equals the boolean-mask step.
 
 A :class:`FleetShardEngine` packs each terminal's threshold row and
 center-relative cell into one int32 code, with the cell in base
-``2D + 3`` for the shard's largest threshold ``D``, so the packing
-depends on the mix of thresholds as well as on the lattice.
+``2D + 3`` for the largest plan row ``D``, so the packing depends on
+the mix of thresholds as well as on the lattice.
 ``tests/simulation/test_fleet_kernel.py`` pins a few fixed mixes; this
-property draws up to eight distinct thresholds from 0-12, per-terminal
-mobilities and costs, the lattice, the event mode, the delay bound and
-a run schedule with a meter reset, and asserts after every ``run()``
-that the snapshot dict and the decoded positions equal those of
-:class:`FleetReference` on the same columns.
+property draws up to eight distinct plan rows from 0-12 (some of which
+no terminal may use), per-terminal mobilities and costs, the lattice,
+the event mode, the delay bound and a run schedule with a meter reset,
+and asserts after every ``run()`` that the snapshot dict and the
+decoded positions equal those of :class:`FleetReference` on the same
+columns.
 """
 
 import math
@@ -56,6 +57,7 @@ def shard_columns(draw):
         ),
         n_profiles=n_profiles,
         max_delay=draw(st.sampled_from([1, 2, 3, math.inf])),
+        plan_rows=tuple(sorted(distinct)),
     )
 
 

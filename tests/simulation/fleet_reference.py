@@ -5,9 +5,11 @@
 index lists: it classifies every terminal through float uniforms and
 boolean masks, pages and moves through masked gathers, keeps four
 per-terminal event counters and stores ``(K, dims)`` int64 positions in
-native lattice coordinates (axial on the hex grid).  It takes the
-engine's constructor arguments, so a test can build both on the same
-columns and compare them after every ``run()``.
+native lattice coordinates (axial on the hex grid), with directions and
+ring distances from :mod:`repro.geometry`.  It takes the engine's
+constructor arguments, so a test can build both on the same columns
+and compare them after every ``run()``; it groups terminals by their
+own thresholds and ignores ``plan_rows``.
 """
 
 import math
@@ -30,7 +32,10 @@ from repro.simulation.kernels import (
     slot_key as _slot_key,
     terminal_keys as _terminal_keys,
 )
-from repro.simulation.vectorized import _EVENT_MODES, _Z95, _lattice_kernel
+from repro.simulation.engine import _EVENT_MODES
+from repro.simulation.vectorized import _Z95
+
+from .per_slot_reference import lattice
 
 
 class FleetReference:
@@ -47,6 +52,7 @@ class FleetReference:
         profile_index: np.ndarray,
         n_profiles: int,
         max_delay,
+        plan_rows=None,
         global_offset: int = 0,
         seed: int = 0,
         event_mode: str = "exclusive",
@@ -71,7 +77,7 @@ class FleetReference:
         self.n_profiles = int(n_profiles)
         if self.terminals < 1:
             raise ParameterError("shard needs at least one terminal")
-        self._dirs, self._distance = _lattice_kernel(topology)
+        self._dirs, self._distance = lattice(topology)
         self._degree = int(self._dirs.shape[0])
         # Per-terminal paging plans, grouped into (d, m) classes: row i
         # of the lookup tables serves every terminal whose threshold is

@@ -6,7 +6,11 @@ at a time, with one counter-RNG draw per terminal and slot and NumPy
 boolean masks -- the step the engine ran before it stepped blocks of
 slots.  It keeps its own copy of every piece of engine state, so a test
 can run both side by side and compare them after every ``run()``.
+Directions and ring distances come from :mod:`repro.geometry`, not
+from the engine's tables.
 """
+
+import functools
 
 import numpy as np
 
@@ -20,7 +24,28 @@ from repro.simulation.kernels import (
     drifted_directions,
     terminal_keys,
 )
-from repro.simulation.vectorized import _lattice_kernel, _paging_tables
+from repro.simulation.vectorized import _paging_tables
+
+
+def lattice(topology):
+    """``(directions, distance)`` of ``topology``: the ``(degree, dims)``
+    steps to the origin's neighbors, in the order seeded walks index
+    them, and a map from ``(K, dims)`` coordinates relative to the
+    origin to their ``(K,)`` ring distances."""
+    origin = topology.origin
+    dirs = np.array(
+        [np.atleast_1d(cell) for cell in topology.neighbors(origin)], dtype=np.int64
+    )
+    ring = functools.lru_cache(maxsize=None)(
+        lambda cell: topology.distance(origin, cell)
+    )
+
+    def distance(pos: np.ndarray) -> np.ndarray:
+        rows = pos.tolist()
+        cells = [row[0] for row in rows] if dirs.shape[1] == 1 else map(tuple, rows)
+        return np.array([ring(cell) for cell in cells], dtype=np.int64)
+
+    return dirs, distance
 
 
 class PerSlotReference:
@@ -35,7 +60,7 @@ class PerSlotReference:
         K = engine.terminals
         self.seed = engine._seed
         self.keys = terminal_keys(0, K)
-        self.dirs, self.distance = _lattice_kernel(engine.topology)
+        self.dirs, self.distance = lattice(engine.topology)
         self.ring_to_cycle, self.cumulative_polled = _paging_tables(
             engine.plan, engine.topology
         )

@@ -124,6 +124,28 @@ class TestFleetSpec:
                 **columns,
             )
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
+    def test_rejects_a_threshold_column_that_is_not_integer(self, dtype):
+        # A float column of 2.9 would run as d = 2, and one of 2.0 would
+        # run the int column's population under another fingerprint.
+        with pytest.raises(ParameterError, match="'threshold' needs an integer dtype"):
+            FleetSpec(
+                topology=HexTopology(),
+                q=np.full(4, 0.1),
+                c=np.full(4, 0.01),
+                update_cost=np.full(4, 10.0),
+                poll_cost=np.full(4, 1.0),
+                threshold=np.full(4, 2.9).astype(dtype),
+                profile_index=np.zeros(4, dtype=np.int32),
+                profile_names=("only",),
+                max_delay=2,
+                population_seed=0,
+            )
+
+    def test_plan_rows_are_the_distinct_thresholds(self, spec):
+        assert spec.plan_rows == tuple(sorted(set(spec.threshold.tolist())))
+        assert len(spec.plan_rows) > 1
+
     def test_columns_are_read_only_and_hashed_once(self, monkeypatch):
         spec = FleetSpec.homogeneous(HexTopology(), 3, MOBILITY, COSTS, 2, 64)
         with pytest.raises(ValueError, match="read-only"):
@@ -229,28 +251,34 @@ class TestFleetEngineBehavior:
         # Different event law, same population: both run, totals differ.
         assert independent.moves != exclusive.moves
 
+    @pytest.mark.parametrize("max_delay", [1, 2, math.inf], ids=["m1", "m2", "minf"])
     @pytest.mark.parametrize("event_mode", ["exclusive", "independent"])
     @pytest.mark.parametrize(
         "topology",
         [LineTopology(), HexTopology(), SquareTopology()],
         ids=lambda t: type(t).__name__,
     )
-    def test_event_counts_equal_vectorized_engine(self, topology, event_mode):
+    def test_event_counts_equal_vectorized_engine(self, topology, event_mode, max_delay):
         # Both engines hash the same (seed, stream, slot, terminal) keys,
         # so a sharded homogeneous fleet replays the vectorized
-        # trajectory exactly on every lattice and event law.
+        # trajectory exactly on every lattice, event law and delay bound.
         from repro.simulation.vectorized import VectorizedDistanceEngine
 
-        spec = FleetSpec.homogeneous(topology, 3, MOBILITY, COSTS, 2, 2000)
+        spec = FleetSpec.homogeneous(topology, 3, MOBILITY, COSTS, max_delay, 2000)
         fleet = run_fleet(spec, slots=400, shards=4, seed=11, event_mode=event_mode)
         vectorized = VectorizedDistanceEngine(
-            topology, 3, MOBILITY, COSTS, 2, terminals=2000, seed=11,
+            topology, 3, MOBILITY, COSTS, max_delay, terminals=2000, seed=11,
             event_mode=event_mode,
         ).run(400)
         for key in ("moves", "updates", "calls", "polled_cells"):
             assert getattr(fleet, key) == sum(
                 getattr(snapshot, key) for snapshot in vectorized.snapshots
             ), key
+        histogram = {}
+        for snapshot in vectorized.snapshots:
+            for cycles, count in snapshot.delay_histogram.items():
+                histogram[cycles] = histogram.get(cycles, 0) + count
+        assert fleet.delay_histogram == dict(sorted(histogram.items()))
 
     def test_rejects_bad_arguments(self, spec):
         with pytest.raises(ParameterError):
@@ -263,7 +291,8 @@ class TestFleetEngineBehavior:
                 q=spec.q, c=spec.c,
                 update_cost=spec.update_cost, poll_cost=spec.poll_cost,
                 threshold=spec.threshold, profile_index=spec.profile_index,
-                n_profiles=3, max_delay=2, event_mode="nope",
+                n_profiles=3, max_delay=2, plan_rows=spec.plan_rows,
+                event_mode="nope",
             )
 
     def test_per_profile_breakdown_sums_to_fleet_totals(self, spec):

@@ -1,11 +1,13 @@
-"""The packed-code fleet step is bit-identical to the boolean-mask step.
+"""The fleet shard's block step is bit-identical to the boolean-mask step.
 
 A :class:`FleetShardEngine` and a :class:`FleetReference` built on the
 same columns must report equal ``snapshot().to_dict()`` -- event
 totals, float cost sums, per-profile costs and delay histogram -- and
-hold the same center-relative positions after every ``run()``.  Code
-tables past their cap and cost columns the per-profile sums cannot
-skip are refused.
+hold the same center-relative positions after every ``run()``, in
+multi-slot blocks (up to 8192 terminals) and one-slot blocks (past
+8192, the ``fleet`` benchmark's shards).  Code tables past their cap,
+thresholds without a plan row and cost columns the per-profile sums
+cannot skip are refused.
 """
 
 import math
@@ -31,7 +33,7 @@ from repro.simulation.kernels import (
     terminal_keys,
     uniform_cuts,
 )
-from repro.simulation.vectorized import _check_codes
+from repro.simulation.vectorized import _block_length, _check_codes
 from repro.workload import DEFAULT_MIX, Population
 
 from .fleet_reference import FleetReference
@@ -57,6 +59,7 @@ def spec_columns(spec):
         profile_index=spec.profile_index,
         n_profiles=len(spec.profile_names),
         max_delay=spec.max_delay,
+        plan_rows=spec.plan_rows,
     )
 
 
@@ -136,6 +139,45 @@ def test_edge_terminals(topology, event_mode):
 
 
 @pytest.mark.parametrize("event_mode", MODES)
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_one_slot_blocks(topology, event_mode):
+    # Past 8192 terminals a block is one slot, as in the fleet
+    # benchmark's shards: one replay round, no rank sort.  Two
+    # thresholds, and a plan row of the fleet (5) that no terminal of
+    # this shard uses.
+    count = 9_000
+    assert _block_length(count) == 1
+    rows = np.arange(count)
+    columns = dict(
+        topology=TOPOLOGIES[topology](),
+        q=np.choose(rows % 3, [0.6, 0.3, 0.05]),
+        c=np.choose(rows % 5, [0.1, 0.02, 0.05, 0.0, 0.3]),
+        update_cost=np.where(rows % 2 == 0, 13.7, 2.9),
+        poll_cost=np.where(rows % 7 == 0, 0.31, 1.7),
+        threshold=np.where(rows % 4 == 0, 2, 1).astype(np.int64),
+        profile_index=(rows % 2).astype(np.int32),
+        n_profiles=2,
+        max_delay=2,
+        plan_rows=(1, 2, 5),
+    )
+    snapshot = assert_identical(columns, event_mode)
+    assert snapshot.updates > 100 and snapshot.calls > 100
+
+
+def test_every_threshold_needs_a_plan_row():
+    spec = FleetSpec.homogeneous(
+        HexTopology(), 2, MobilityParams(0.3, 0.05), COSTS, 2, 10
+    )
+    columns = spec_columns(spec)
+    for plan_rows in ((1,), (0, 3), (3,)):
+        with pytest.raises(ParameterError, match="needs a plan row"):
+            FleetShardEngine(**dict(columns, plan_rows=plan_rows))
+    columns["threshold"] = columns["threshold"] - 3
+    with pytest.raises(ParameterError, match="needs a plan row"):
+        FleetShardEngine(**dict(columns, plan_rows=(2,)))
+
+
+@pytest.mark.parametrize("event_mode", MODES)
 def test_out_of_range_probabilities_cut_like_float_comparisons(event_mode):
     # A directly built engine skips FleetSpec's checks: a negative call
     # probability pages nobody, q + c > 1 always draws an event, and a
@@ -152,6 +194,7 @@ def test_out_of_range_probabilities_cut_like_float_comparisons(event_mode):
         profile_index=np.zeros(count, dtype=np.int32),
         n_profiles=1,
         max_delay=2,
+        plan_rows=(2,),
     )
     assert_identical(columns, event_mode)
     only_negative_c = dict(columns, c=np.full(count, -0.5), q=np.full(count, 0.3))
@@ -194,6 +237,7 @@ def test_direction_keeps_the_float_draw_at_a_rounding_boundary():
         profile_index=np.zeros(count, dtype=np.int32),
         n_profiles=1,
         max_delay=2,
+        plan_rows=(3,),
     )
     engine = FleetShardEngine(**columns, seed=seed)
     reference = FleetReference(**columns, seed=seed)
@@ -243,7 +287,7 @@ def test_code_tables_past_the_cap_are_refused(topology, thresholds):
         FleetSpec(**fields)
     del fields["profile_names"], fields["population_seed"]
     with pytest.raises(ParameterError, match=refusal):
-        FleetShardEngine(**fields, n_profiles=1)
+        FleetShardEngine(**fields, n_profiles=1, plan_rows=sorted(set(thresholds)))
 
 
 def test_the_cap_counts_every_row():
