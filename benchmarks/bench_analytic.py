@@ -219,63 +219,6 @@ def run_solver_gate(d: int, reps: int, write_baseline: bool) -> list:
     return errors
 
 
-def run_compare_gate(d_max: int, reps: int) -> list:
-    """Cross-scheme tournament gate at the acceptance operating point.
-
-    Runs :func:`repro.analysis.compare.run_tournament` over a small
-    (U, m) grid and asserts the two structural facts the tournament's
-    claims rest on: the jointly optimal policy dominates the
-    distance-based optimum at every point (within 1e-9), and each
-    point's crowned winner actually has the minimal cost among the
-    schemes it beat.  Returns a list of failure strings (empty = pass).
-    """
-    from repro.analysis.compare import run_tournament
-
-    u_values, m_values = (50.0, 100.0), (1, 3)
-    best = math.inf
-    result = None
-    for _ in range(reps):
-        start = time.perf_counter()
-        result = run_tournament(
-            MODEL_NAME,
-            {"U": u_values, "m": m_values},
-            q=MOBILITY.move_probability,
-            c=MOBILITY.call_probability,
-            poll_cost=COSTS.poll_cost,
-            d_max=d_max,
-        )
-        best = min(best, time.perf_counter() - start)
-
-    errors = []
-    worst_gap = 0.0
-    for point in result.points:
-        joint = point.outcome("jointly-optimal").total_cost
-        distance = point.outcome("distance").total_cost
-        worst_gap = max(worst_gap, joint - distance)
-        minimum = min(entry.total_cost for entry in point.outcomes)
-        if point.outcome(point.winner).total_cost > minimum + 1e-12:
-            errors.append(
-                f"winner {point.winner!r} at (U={point.update_cost}, "
-                f"m={point.max_delay}) is not the cheapest scheme"
-            )
-    if worst_gap > 1e-9:
-        errors.append(
-            f"jointly-optimal exceeds the distance optimum by {worst_gap:.3e} "
-            "(dominance violated)"
-        )
-    json.dumps(result.to_payload())  # payload must stay JSON-safe
-
-    per_point = best / len(result.points)
-    print(f"compare gate at {MODEL_NAME}, d_max={d_max} "
-          f"({len(result.points)} points, best of {reps}):")
-    print(f"  tournament      {best * 1e3:10.2f} ms "
-          f"({per_point * 1e3:.2f} ms/point)")
-    print(f"  dominance: max(joint - distance) = {worst_gap:.3e} "
-          f"({'OK' if worst_gap <= 1e-9 else 'FAIL'} at 1e-09)")
-    print(f"  winners: {result.winner_counts()}")
-    return errors
-
-
 @contextmanager
 def warnings_suppressed():
     import warnings
@@ -314,28 +257,7 @@ def main(argv=None) -> int:
         help="refresh the analytic section of benchmarks/out/kernels.json "
         "instead of gating against it",
     )
-    parser.add_argument(
-        "--compare", action="store_true",
-        help="also run the cross-scheme tournament gate (jointly-optimal "
-        "dominance + winner-map consistency)",
-    )
-    parser.add_argument(
-        "--compare-only", action="store_true",
-        help="run only the tournament gate",
-    )
     args = parser.parse_args(argv)
-
-    if args.compare or args.compare_only:
-        compare_errors = run_compare_gate(
-            d_max=args.d_max or (30 if args.smoke else 60),
-            reps=1 if args.smoke else 2,
-        )
-        for failure in compare_errors:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        if args.compare_only:
-            return 1 if compare_errors else 0
-    else:
-        compare_errors = []
 
     if args.kernels or args.kernels_only:
         solver_errors = run_solver_gate(
@@ -488,7 +410,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    return 1 if (solver_errors or compare_errors) else 0
+    return 1 if solver_errors else 0
 
 
 def test_analytic_smoke():
@@ -499,11 +421,6 @@ def test_analytic_smoke():
 def test_solver_gate_smoke():
     """CI solver gate: banded-vs-dense ratio vs the committed baseline."""
     assert main(["--smoke", "--kernels-only"]) == 0
-
-
-def test_compare_gate_smoke():
-    """CI tournament gate: dominance + winner-map consistency."""
-    assert main(["--smoke", "--compare-only"]) == 0
 
 
 if __name__ == "__main__":

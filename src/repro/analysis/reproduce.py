@@ -1,9 +1,11 @@
 """One producer for the paper's evaluation: ``repro-lm reproduce``.
 
 Writes Tables 1-2, Figures 4(a)/(b) and 5(a)/(b) (``.txt`` and
-``.csv``), the model-vs-simulation campaign (``validation.txt``) and
-``SUMMARY.txt`` -- every agreement number EXPERIMENTS.md cites -- into
-one directory, ``results/`` by default.  Each artifact has exactly one
+``.csv``), the model-vs-simulation campaign (``validation.txt``),
+``SUMMARY.txt`` -- every agreement number EXPERIMENTS.md cites -- and
+each ablation and extension experiment of
+:data:`~repro.analysis.experiments.EXPERIMENTS` (``<id>.txt``) into one
+directory, ``results/`` by default.  Each paper artifact has exactly one
 renderer here, which the single-artifact commands (``repro-lm table1``,
 ``table2``, ``fig4``, ``fig5``, ``validate``) print too, so their output
 and the committed files cannot drift apart.
@@ -15,6 +17,7 @@ import math
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
+from .experiments import EXPERIMENTS
 from .figures import (
     FigureSeries,
     check_figure_shape,
@@ -190,11 +193,14 @@ def _summary_lines(
 
 
 def reproduce(outdir, quick: bool = False) -> List[str]:
-    """Write every paper artifact into ``outdir``; returns the summary.
+    """Write every paper artifact and experiment into ``outdir``; returns
+    the summary.
 
     ``quick`` sweeps each figure at 5 points and simulates 30,000 slots
     per replication instead of the documented 13/17 points and 120,000
-    slots -- for smoke runs; the committed ``results/`` use the default.
+    slots, and leaves the experiments out, since none of them has a
+    smaller size that keeps its numbers -- for smoke runs; the committed
+    ``results/`` use the default.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -206,4 +212,7 @@ def reproduce(outdir, quick: bool = False) -> List[str]:
     _write(outdir, "validation", render_validation(outcomes))
     lines = _summary_lines(table1, table2, figures, outcomes)
     (outdir / "SUMMARY.txt").write_text("\n".join(lines) + "\n")
+    if not quick:
+        for experiment_id, experiment in EXPERIMENTS.items():
+            _write(outdir, experiment_id, experiment.render(experiment.compute()))
     return lines

@@ -3,7 +3,7 @@
 Subcommands map one-to-one onto the paper's experiments plus the
 library's own validation tooling::
 
-    repro-lm reproduce              # every paper artifact into results/
+    repro-lm reproduce              # every paper artifact and experiment into results/
     repro-lm table1                 # reproduce Table 1 (1-D)
     repro-lm table2                 # reproduce Table 2 (2-D + near-opt)
     repro-lm fig4 --dimensions 2    # Figure 4(b) series + ASCII plot
@@ -58,7 +58,7 @@ from .conformance.sampling import ALL_MODELS, SUITES
 from .core.parameters import CostParams, MobilityParams
 from .mobility.ctrw import MOBILITY_PRESETS, mobility_preset
 from .core.threshold import find_optimal_threshold
-from .exceptions import ReproError
+from .exceptions import ParameterError, ReproError
 from .simulation.runner import run_replicated
 from .strategies.distance import DistanceStrategy
 
@@ -94,14 +94,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "reproduce",
-        help="write Tables 1-2, Figures 4-5, the validation campaign and "
-        "SUMMARY.txt into one directory",
+        help="write Tables 1-2, Figures 4-5, the validation campaign, "
+        "SUMMARY.txt and the ablation and extension experiments into one "
+        "directory",
     )
     p.add_argument("--outdir", default="results", help="default: results")
     p.add_argument(
         "--quick", action="store_true",
-        help="5-point figure sweeps and 30,000-slot validation runs "
-        "(smoke runs; the committed results/ use the default)",
+        help="5-point figure sweeps and 30,000-slot validation runs, "
+        "without the experiments (smoke runs; the committed results/ use "
+        "the default)",
     )
 
     for name in ("table1", "table2"):
@@ -578,8 +580,6 @@ def _parse_axis_spec(param: str, spec: str):
     Comma lists take each token verbatim (``inf`` allowed for ``m``);
     ``start:stop:count[:log]`` expands to an evenly spaced grid.
     """
-    from .exceptions import ParameterError
-
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
@@ -767,6 +767,9 @@ def _cmd_faults(args) -> int:
         UpdateLoss,
     )
     from .geometry import HexTopology, LineTopology
+
+    if args.replications < 1:
+        raise ParameterError(f"replications must be >= 1, got {args.replications}")
 
     def build_faults():
         faults = []

@@ -14,12 +14,12 @@ between the two with one parameter:
 At each move the walker repeats its previous direction with probability
 ``persistence`` and redraws uniformly otherwise.  The *move rate* ``q``
 is untouched, so the analytical chain sees identical parameters -- any
-cost deviation measured by the robustness bench is purely the model's
-direction-memory blindness.  Persistence makes net displacement grow
-faster (the walk's effective diffusion constant scales like
+cost deviation the ``ext-persist`` experiment measures is purely the
+model's direction-memory blindness.  Persistence makes net displacement
+grow faster (the walk's effective diffusion constant scales like
 ``(1 + eps) / (1 - eps)``), so the distance-based scheme updates more
 often than the chain predicts: the model *underestimates* cost for
-vehicle-like users, quantified in ``bench_persistence.py``.
+vehicle-like users (``results/ext-persist.txt``).
 """
 
 from __future__ import annotations

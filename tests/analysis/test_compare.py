@@ -19,6 +19,17 @@ def small_tournament():
     return run_tournament("1d", AXES, **POINT_KW)
 
 
+@pytest.fixture(scope="module")
+def tournaments(small_tournament):
+    """The small tournament and one at the acceptance operating point
+    (2d-exact, q=0.05, c=0.01, V=10, d_max=30)."""
+    acceptance = run_tournament(
+        "2d-exact", {"U": [50.0, 100.0], "m": [1, 3]},
+        q=0.05, c=0.01, poll_cost=10.0, d_max=30,
+    )
+    return [small_tournament, acceptance]
+
+
 class TestStructure:
     def test_grid_shape_and_axis_order(self, small_tournament):
         assert small_tournament.shape == (2, 2)
@@ -42,13 +53,13 @@ class TestStructure:
 
 
 class TestWinnerMap:
-    def test_winner_is_cheapest_scheme(self, small_tournament):
-        for point in small_tournament.points:
+    def test_winner_is_cheapest_scheme(self, tournaments):
+        for point in (p for result in tournaments for p in result.points):
             cheapest = min(e.total_cost for e in point.outcomes)
             assert point.outcome(point.winner).total_cost <= cheapest + 1e-12
 
-    def test_joint_dominates_distance_everywhere(self, small_tournament):
-        for point in small_tournament.points:
+    def test_joint_dominates_distance_everywhere(self, tournaments):
+        for point in (p for result in tournaments for p in result.points):
             joint = point.outcome("jointly-optimal").total_cost
             distance = point.outcome("distance").total_cost
             assert joint <= distance + 1e-9
@@ -66,12 +77,14 @@ class TestWinnerMap:
 
 
 class TestSerialization:
-    def test_payload_is_json_safe_including_inf(self):
+    def test_payload_is_json_safe_including_inf(self, tournaments):
         result = run_tournament("1d", {"m": [1, math.inf]}, **POINT_KW)
         payload = json.loads(json.dumps(result.to_payload()))
         assert payload["axes"] == [["m", [1, "inf"]]]
         assert payload["points"][1]["m"] == "inf"
         assert set(payload["winner_counts"]) == set(SCHEMES)
+        for other in tournaments:
+            json.dumps(other.to_payload())
 
     def test_rows_are_flat_and_complete(self, small_tournament):
         rows = small_tournament.rows()

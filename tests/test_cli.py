@@ -471,6 +471,11 @@ class TestFaultsCommand:
         assert code == 0
         assert "faults:            none" in out
 
+    @pytest.mark.parametrize("replications", ["0", "-1"])
+    def test_fewer_than_one_replication_exits_2(self, capsys, replications):
+        assert main(["faults", "--slots", "100", "--replications", replications]) == 2
+        assert "replications must be >= 1" in capsys.readouterr().err
+
 
 class TestSweepErrorPaths:
     def test_range_count_below_two(self, capsys):

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.experiments import EXPERIMENTS
+
 pytestmark = pytest.mark.slow
 
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
@@ -82,9 +84,10 @@ class TestReproduceScript:
             timeout=600,
         )
         assert result.returncode == 0, result.stderr[-2000:]
+        # --quick leaves the ablation and extension experiments out.
         results_dir = EXAMPLES_DIR.parent / "results"
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            p.name for p in results_dir.iterdir()
+            p.name for p in results_dir.iterdir() if p.stem not in EXPERIMENTS
         )
         summary = (tmp_path / "SUMMARY.txt").read_text().splitlines()
         assert result.stdout.startswith("\n".join(summary))
