@@ -58,10 +58,11 @@ D, M = 2, 2
 COSTS = CostParams(update_cost=50.0, poll_cost=10.0)
 
 #: Allowed slowdown of the slowest CTRW preset relative to the uniform
-#: counter-RNG path in the vectorized engine.  The CTRW block adds
-#: residence-clock rounds with per-expiry sampling; smoke runs (K = 128,
-#: where per-call dispatch dominates) measure 3.2-3.4x, full-size runs
-#: about 1.8x.
+#: counter-RNG path in the vectorized engine.  The CTRW block adds a
+#: hashed residence grid and one gather-and-invert round per move of its
+#: busiest terminal; smoke runs (K = 128, where per-call dispatch
+#: dominates) measure 2.8-3.0x, full-size runs (K = 1024) about 2.4x,
+#: both with ctrw-hyper the slowest preset.
 DEFAULT_MAX_OVERHEAD = 4.0
 
 #: Alternating uniform/CTRW timing pairs per preset.

@@ -107,6 +107,26 @@ def _relative_error(measured: float, predicted: float) -> float:
     return abs(measured - predicted) / predicted
 
 
+def _chain_mobility(
+    name: str, spec: Optional[CTRWSpec], q: float, c: float
+) -> MobilityParams:
+    """The ``(q, c)`` of the 2-D chain that stands in for mobility model
+    ``name``, built as ``spec``: its effective move rate, and ``c``."""
+    q_eff = q if spec is None else spec.effective_move_probability()
+    try:
+        return MobilityParams(move_probability=q_eff, call_probability=c)
+    except ParameterError as exc:
+        hint = (
+            "; ctrw-fixed moves every round(1/q) slots, so with c > 0 it "
+            "needs q <= 2/3" if name == "ctrw-fixed" else ""
+        )
+        raise ParameterError(
+            f"mobility model {name!r} has the effective move rate q_eff="
+            f"{q_eff:g} at q={q:g}, and its chain is invalid ({exc}); leave "
+            f"it out of the models (the CLI's --models) or lower q or c{hint}"
+        ) from exc
+
+
 def approximation_report(
     q: float = 0.2,
     c: float = 0.02,
@@ -150,20 +170,21 @@ def approximation_report(
             f"unknown mobility model(s) {unknown}; expected a subset of "
             f"{MOBILITY_MODELS}"
         )
+    repeated = sorted({name for name in models if models.count(name) > 1})
+    if repeated:
+        raise ParameterError(f"mobility model(s) {repeated} asked for more than once")
     topology = HexTopology()
     costs = CostParams(update_cost=update_cost, poll_cost=poll_cost)
     mobility = MobilityParams(move_probability=q, call_probability=c)
     build_spec = spec_factory if spec_factory is not None else mobility_preset
+    # Every model's chain is checked before anything is simulated.
+    specs = [(name, build_spec(name, q, drift=drift)) for name in models]
+    chains = [_chain_mobility(name, spec, q, c) for name, spec in specs]
     rows = []
-    for name in models:
-        spec: Optional[CTRWSpec] = build_spec(name, q, drift=drift)
-        if spec is None:
-            q_eff = q
-            # A uniform walk's cell residence time is geometric(q).
-            cv2 = 1.0 - q
-        else:
-            q_eff = spec.effective_move_probability()
-            cv2 = spec.residence.cv2()
+    for (name, spec), chain_mobility in zip(specs, chains):
+        q_eff = chain_mobility.move_probability
+        # A uniform walk's cell residence time is geometric(q).
+        cv2 = 1.0 - q if spec is None else spec.residence.cv2()
         # Seeded by the preset's place in MOBILITY_MODELS, so a row does
         # not depend on which other presets the caller asked for.
         engine = VectorizedDistanceEngine(
@@ -183,7 +204,6 @@ def approximation_report(
         measured = result.mean_total_cost
         ci = result.total_cost_ci()
 
-        chain_mobility = MobilityParams(move_probability=q_eff, call_probability=c)
         exact = MODEL_CLASSES["2d-exact"](chain_mobility)
         approx = MODEL_CLASSES["2d-approx"](chain_mobility)
         exact_cost = CostEvaluator(exact, costs, convention="physical").total_cost(d, m)

@@ -33,8 +33,7 @@ aggregation is exact so simulation agreement is within noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import functools
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -55,8 +54,10 @@ from .parameters import CostParams, MobilityParams, validate_delay
 __all__ = ["movement_staged_costs", "optimal_staged_movement_threshold"]
 
 
+@functools.lru_cache(maxsize=4096)
 def _ring_probs(topology: CellTopology, i: int) -> Tuple[float, float, float]:
-    """``(p+, p0, p-)`` for ring ``i`` of the given geometry."""
+    """``(p+, p0, p-)`` for ring ``i`` of the given geometry; memoized,
+    as a threshold search asks for each ring once per chain state."""
     if isinstance(topology, LineTopology):
         if i == 0:
             return 1.0, 0.0, 0.0

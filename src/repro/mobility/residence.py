@@ -32,7 +32,11 @@ Sampling is uniform-driven: :meth:`ResidenceDistribution.from_uniforms`
 maps ``U(0,1)`` variates to residence slots by inverse CDF, so the
 vectorized engine can feed it counter-RNG streams (see
 :mod:`repro.simulation.kernels`) and stay stateless and layout-free,
-while the per-cell walker feeds it draws from its own generator.
+while the per-cell walker feeds it draws from its own generator.  Each
+distribution names the arguments its inverse CDF reads in
+:attr:`ResidenceDistribution.uniforms`; the vectorized engine hashes
+only those streams, while :meth:`ResidenceDistribution.sample` and the
+per-cell walker draw both uniforms every time.
 """
 
 from __future__ import annotations
@@ -61,7 +65,8 @@ _MAX_RESIDENCE = 10**6
 def _clamp_slots(raw: np.ndarray) -> np.ndarray:
     """Whole slots in ``[1, _MAX_RESIDENCE]`` as int64: ``np.clip``'s
     values for NaN, infinite and finite input, without its Python
-    wrapper (a few microseconds per call in the clock loop)."""
+    wrapper (a few microseconds per call, and the block step inverts
+    once per round of its expiry chains)."""
     return np.minimum(np.maximum(raw, 1.0), float(_MAX_RESIDENCE)).astype(np.int64)
 
 
@@ -83,14 +88,20 @@ class ResidenceDistribution:
     #: Short kind tag used by :meth:`spec` / :func:`residence_from_spec`.
     kind = "abstract"
 
+    #: The :meth:`from_uniforms` arguments the inverse CDF reads, in
+    #: argument order.  The array engines hash only these streams; the
+    #: others are passed arrays of the right shape that are never read.
+    uniforms: Tuple[str, ...] = ("u_branch", "u_value")
+
     def from_uniforms(self, u_branch: np.ndarray, u_value: np.ndarray) -> np.ndarray:
         """Map two U(0,1) arrays to int64 residence slots (>= 1).
 
-        ``u_branch`` selects a mixture component (ignored by pure
-        distributions); ``u_value`` drives the inverse CDF.  Both
-        engines share this exact transform, which is what makes the
-        per-cell and vectorized CTRW walkers distributionally
-        identical.
+        ``u_branch`` selects a mixture component; ``u_value`` drives the
+        inverse CDF.  A distribution reads only the arguments named in
+        :attr:`uniforms`, so an argument it does not read may hold any
+        values of the right shape.  Both engines share this exact
+        transform, which is what makes the per-cell and vectorized CTRW
+        walkers distributionally identical.
         """
         raise NotImplementedError
 
@@ -141,6 +152,7 @@ class GeometricResidence(ResidenceDistribution):
     """
 
     kind = "geometric"
+    uniforms = ("u_value",)
 
     def __init__(self, expiry_probability: float) -> None:
         if not 0.0 < expiry_probability <= 1.0:
@@ -167,6 +179,7 @@ class DeterministicResidence(ResidenceDistribution):
     """Fixed residence: exactly ``period`` slots in every cell."""
 
     kind = "deterministic"
+    uniforms = ()
 
     def __init__(self, period: int) -> None:
         if not isinstance(period, (int, np.integer)) or isinstance(period, bool):
@@ -178,8 +191,7 @@ class DeterministicResidence(ResidenceDistribution):
         self.period = int(period)
 
     def from_uniforms(self, u_branch: np.ndarray, u_value: np.ndarray) -> np.ndarray:
-        shape = np.asarray(u_value, dtype=np.float64).shape
-        return np.full(shape, self.period, dtype=np.int64)
+        return np.full(np.shape(u_value), self.period, dtype=np.int64)
 
     def mean(self) -> float:
         return float(self.period)
@@ -201,6 +213,7 @@ class HyperexponentialResidence(ResidenceDistribution):
     """
 
     kind = "hyperexponential"
+    uniforms = ("u_branch", "u_value")
 
     def __init__(self, rates: Tuple[float, ...], weights: Tuple[float, ...]) -> None:
         rates = tuple(float(r) for r in rates)
@@ -288,6 +301,7 @@ class TruncatedParetoResidence(ResidenceDistribution):
     """
 
     kind = "pareto"
+    uniforms = ("u_value",)
 
     def __init__(self, alpha: float, minimum: float, maximum: float) -> None:
         if not (alpha > 0.0 and math.isfinite(alpha)):

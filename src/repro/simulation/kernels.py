@@ -182,8 +182,7 @@ def drifted_directions(
     """
     u = np.asarray(u, dtype=np.float64)
     explore = drift + persistence
-    # Without drift or persistence (u - 0) / 1 is u: skip two calls per
-    # residence-clock round.
+    # Without drift or persistence (u - 0) / 1 is u: skip the two calls.
     scaled = u if explore == 0.0 else (u - explore) / (1.0 - explore)
     out = np.minimum(
         (scaled * degree).astype(np.int64), degree - 1

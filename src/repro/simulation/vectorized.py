@@ -25,9 +25,13 @@ back its fixed cost.
    53 bits are compared with per-terminal integer cuts of the event and
    call probabilities, which is exactly the float test ``u < p``.
    Each event hashes a direction, the float draw ``int(u * degree)``.
-   A CTRW's residence clocks instead advance in rounds, each hashing
-   the direction and re-arm draws of every terminal's next expiry
-   inside the block.
+   A CTRW moves when its residence clock expires instead.  Each
+   residence draw is keyed by its terminal and expiry slot, so the
+   uniforms the inverse CDF reads are hashed once per block, over the
+   grid of (terminals whose clock expires in the block) x (block
+   slots); each terminal's chain of expiries gathers from that grid,
+   one round per move, inverting the CDF only at the cells it visits.
+   The movers' directions are hashed once after the chains.
 2. *Replay.*  Round ``r`` applies the ``r``-th event of every terminal,
    a call before the same slot's move.  A round is five NumPy calls on
    one int32 code per terminal: gather the codes, reset the callers
@@ -97,7 +101,6 @@ from .kernels import (
     STREAM_RESIDENCE_BRANCH,
     counter_uniforms,
     drifted_directions,
-    key_uniforms,
     mix64_into,
     slot_keys,
     terminal_keys,
@@ -113,11 +116,10 @@ __all__ = [
     "throughput_report",
 ]
 
-#: Slot-key streams of a block; a CTRW's last three draw each expiry.
+#: Slot-key streams of a uniform-walk block.
 _UNIFORM_STREAMS = (STREAM_EVENT, STREAM_CALL, STREAM_DIRECTION)
-_CTRW_STREAMS = (
-    STREAM_CALL, STREAM_DIRECTION, STREAM_RESIDENCE_BRANCH, STREAM_RESIDENCE
-)
+#: The stream of each ``from_uniforms`` argument of a residence draw.
+_RESIDENCE_STREAMS = {"u_branch": STREAM_RESIDENCE_BRANCH, "u_value": STREAM_RESIDENCE}
 
 #: z-score matching CostMeter's 95% half-width.
 _Z95 = 1.96
@@ -293,6 +295,16 @@ def _event_instruments(registry, **labels) -> dict:
     }
 
 
+def _residences(residence, uniforms, like: np.ndarray) -> np.ndarray:
+    """``residence.from_uniforms`` of ``uniforms``, the rows of the
+    arguments named in ``residence.uniforms``; an argument the inverse
+    CDF does not read gets ``like``, an array of the draws' shape."""
+    drawn = dict(zip(residence.uniforms, uniforms))
+    return residence.from_uniforms(
+        drawn.get("u_branch", like), drawn.get("u_value", like)
+    )
+
+
 def _block_length(terminals: int) -> int:
     """Slots per block: ~2**16 terminal-slots of draws, at most 64; one
     when under 8, which does not pay back a block's fixed cost."""
@@ -335,9 +347,11 @@ class _BlockStep:
         self.terminals = K = codes.size
         self._block = _block_length(K)
         # One block's hash buffers and hit flags; until the first block,
-        # the second buffer is the scratch space of the cuts and keys.
+        # the second buffer is the scratch space of the cuts and keys.  A
+        # CTRW hashes one residence grid per uniform its inverse CDF reads.
         size = K * self._block
-        self._hash_buffers = (np.empty(size, np.uint64), np.empty(size, np.uint64))
+        grids = 1 if self.walk_spec is None else max(1, len(self.walk_spec.residence.uniforms))
+        self._hash_buffers = tuple(np.empty(size * grids, np.uint64) for _ in range(2))
         self._hits = np.empty(size, dtype=bool)
         scratch = self._hash_buffers[1][:K].view(np.float64)
         # Integer cuts on the event and call draws.  Exclusive: one event
@@ -418,40 +432,96 @@ class _BlockStep:
 
         Timed slot semantics (as in SimulationEngine): a call draw per
         slot, and a move in the slot the residence clock expires, so
-        ``event_mode`` plays no role.  Each round of the clock loop
-        handles the next expiry of every terminal still inside the block.
+        ``event_mode`` plays no role.  :meth:`_expiries` finds the moves;
+        their directions are hashed once for all movers, and a persistent
+        repeat takes the direction of the terminal's previous move, a
+        forward fill over its moves in the block.
         """
         K = self.terminals
         spec = self.walk_spec
-        streams = slot_keys(self._seed, _CTRW_STREAMS, self.slot, width)
+        streams = slot_keys(
+            self._seed,
+            (STREAM_CALL, STREAM_DIRECTION,
+             *(_RESIDENCE_STREAMS[name] for name in spec.residence.uniforms)),
+            self.slot, width,
+        )
         called = np.less(self._bits(self._idx_keys[:, None], streams[0]),
                          self._cuts[1][:, None],
                          out=self._hits[: K * width].reshape(K, width))
-        direction = np.full(called.shape, self._degree, dtype=np.int8)
+        expiring, cells = self._expiries(width, streams[2:])
+        # Mark the moves in the flat (K, width) grid of the block's slots:
+        # grid row j is terminal expiring[j].
+        rows = cells // width
+        moved = np.zeros(K * width, dtype=bool)
+        moved[cells + ((expiring - np.arange(expiring.size)) * width).take(rows)] = True
+        events = np.flatnonzero(called.ravel() | moved)
+        who = events // width
+        step = moved.take(events)
+        movers, mover = events[step], who[step]
+        slot = movers - mover * width
+        unit = self._bits(self._idx_keys.take(mover), streams[1].take(slot)) * _INV53
+        # The movers are terminal-major: expiring[j]'s last move is
+        # stop[j] - 1.  Each repeat gets the terminal's direction from
+        # before the block, which is right for its first move; a later
+        # repeat copies the direction of the move before it.
+        turn = drifted_directions(
+            unit, self._degree, spec.drift, spec.drift_direction, spec.persistence,
+            self._last_dir.take(mover),
+        )
+        counts = np.bincount(rows, minlength=expiring.size)
+        stop = np.cumsum(counts)
+        if spec.persistence > 0.0:
+            repeat = (unit >= spec.drift) & (unit < spec.drift + spec.persistence)
+            repeat[stop - counts] = False
+            source = np.where(repeat, 0, np.arange(mover.size))
+            turn = turn.take(np.maximum.accumulate(source))
+        self._last_dir[expiring] = turn.take(stop - 1)
+        shift = np.zeros(events.size, dtype=np.int32)
+        shift[step] = self._tables.step.take(turn)
+        return events, who, called.ravel().take(events), step, shift
+
+    def _expiries(self, width: int, streams: np.ndarray):
+        """``(expiring, cells)``: the terminals whose residence clock
+        expires in the next ``width`` slots, and the flat cells ``j *
+        width + offset`` of every expiry of ``expiring[j]``; re-arms each
+        clock for the slots after the block.
+
+        A residence draw is keyed by its terminal and expiry slot, so
+        the uniforms the inverse CDF reads, one slot-key row of
+        ``streams`` each, are hashed once over the grid of ``expiring``
+        x block slots.  Each terminal's chain of expiries then gathers
+        from the grid, one round per move, and inverts the CDF only at
+        the cells it visits.
+        """
+        residence = self.walk_spec.residence
         # Block offset of each terminal's next move: a clock reading r
         # at the block start expires r - 1 slots in.
         due = self._residence - 1
-        moving = np.flatnonzero(due < width)
-        while moving.size:
-            offset = due[moving]
-            u_dir, u_branch, u_value = key_uniforms(
-                self._idx_keys[moving] ^ streams[1:].take(offset, axis=1)
-            )
-            turn = drifted_directions(
-                u_dir, self._degree, spec.drift, spec.drift_direction,
-                spec.persistence, self._last_dir[moving],
-            )
-            self._last_dir[moving] = turn
-            direction.flat[moving * width + offset] = turn
-            # Re-arm the movers' clocks for their new cells.
-            offset += spec.residence.from_uniforms(u_branch, u_value)
-            due[moving] = offset
-            moving = moving[offset < width]
+        expiring = np.flatnonzero(due < width)
+        grid = self._bits(self._idx_keys.take(expiring)[:, None], streams[:, None, :])
+        grid = grid.reshape(streams.shape[0], expiring.size * width)
+        # Follow every chain until it passes the last cell of its row;
+        # the loop runs at least once, so there is something to join.
+        last = np.arange(width - 1, expiring.size * width, width)
+        cell = last - (width - 1) + due.take(expiring)
+        visits, reached, inside = [], [], []
+        while True:
+            visits.append(cell)
+            cell = cell + _residences(residence, grid.take(cell, axis=1) * _INV53, cell)
+            within = cell <= last
+            reached.append(cell)
+            inside.append(within)
+            cell, last = cell[within], last[within]
+            if not cell.size:
+                break
+        cells, reached, inside = (np.concatenate(x) for x in (visits, reached, inside))
+        # A chain's last expiry in the block re-arms its clock: the
+        # residence drawn there runs past the row's last cell.
+        left = ~inside
+        row = cells[left] // width
         self._residence = due - (width - 1)
-        moved = direction != self._degree
-        events = np.flatnonzero(called | moved)
-        return (events, events // width, called.ravel().take(events),
-                moved.ravel().take(events), self._tables.step.take(direction.ravel().take(events)))
+        self._residence[expiring.take(row)] = reached[left] - ((row + 1) * width - 1)
+        return expiring, cells
 
     def _replay(self, width, events, who, call, moved, shift) -> _Events:
         """Apply a block's events -- terminal-slots with a call, a move or
@@ -582,12 +652,10 @@ class VectorizedDistanceEngine(_BlockStep):
                 )
             # Initial residences hash slot -1: in-run resamples use the
             # current slot index, which is always >= 0.
-            self._residence = walk.residence.from_uniforms(
-                counter_uniforms(
-                    self._idx_keys, self._seed, STREAM_RESIDENCE_BRANCH, -1
-                ),
-                counter_uniforms(self._idx_keys, self._seed, STREAM_RESIDENCE, -1),
-            )
+            self._residence = _residences(walk.residence, [
+                counter_uniforms(self._idx_keys, self._seed, _RESIDENCE_STREAMS[name], -1)
+                for name in walk.residence.uniforms
+            ], self._idx_keys)
             self._last_dir = np.full(self.terminals, -1, dtype=np.int64)
         self._record_ring_hits = bool(record_ring_hits)
         self.slot = 0

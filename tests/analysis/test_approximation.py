@@ -29,14 +29,30 @@ def test_preset_order_does_not_change_rows(full_rows):
     assert all(row == full_rows[row.mobility] for row in rows)
 
 
-@pytest.mark.parametrize("slots", [0, -5])
-def test_rejects_fewer_than_one_slot_before_building_an_engine(monkeypatch, slots):
-    def no_engine(*args, **kwargs):
+@pytest.fixture
+def no_engine(monkeypatch):
+    def refuse(*args, **kwargs):
         raise AssertionError("an engine was built")
 
-    monkeypatch.setattr(vectorized, "VectorizedDistanceEngine", no_engine)
+    monkeypatch.setattr(vectorized, "VectorizedDistanceEngine", refuse)
+
+
+@pytest.mark.parametrize("slots", [0, -5])
+def test_rejects_fewer_than_one_slot_before_building_an_engine(no_engine, slots):
     with pytest.raises(ParameterError, match="slots must be >= 1"):
         approximation_report(**{**SMALL, "slots": slots})
+
+
+def test_rejects_an_invalid_chain_before_building_an_engine(no_engine):
+    # ctrw-fixed moves every round(1 / 0.7) = 1 slot: q_eff = 1, and
+    # q_eff + c > 1 has no chain.
+    with pytest.raises(ParameterError, match="'ctrw-fixed'.*q_eff=1 at q=0.7"):
+        approximation_report(**{**SMALL, "q": 0.7})
+
+
+def test_rejects_a_repeated_model_before_building_an_engine(no_engine):
+    with pytest.raises(ParameterError, match=r"\['uniform'\] asked for more than once"):
+        approximation_report(models=("uniform", "ctrw-exp", "uniform"), **SMALL)
 
 
 def test_report_builds_no_meter_snapshots(monkeypatch):

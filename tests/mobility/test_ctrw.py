@@ -17,10 +17,42 @@ from repro.mobility import (
     mobility_preset,
     residence_from_spec,
 )
+from repro.mobility import residence as residence_module
 from repro.mobility.ctrw import MOBILITY_PRESETS
 
 
+#: One of each residence kind, away from the degenerate rates whose
+#: inverse CDF reads no uniform at all.
+RESIDENCES = (
+    GeometricResidence(0.3),
+    DeterministicResidence(4),
+    HyperexponentialResidence.fit(5.0, 6.0),
+    TruncatedParetoResidence(1.4, 1.0, 100.0),
+)
+
+
 class TestResidenceDistributions:
+    def test_every_kind_is_covered(self):
+        assert {r.kind for r in RESIDENCES} == set(residence_module._KINDS)
+
+    @pytest.mark.parametrize("residence", RESIDENCES, ids=lambda r: r.kind)
+    def test_declared_uniforms_are_the_ones_read(self, residence):
+        # The array engines hash only the declared streams: NaN in an
+        # undeclared argument must not reach the draws, and in a
+        # declared one it must.
+        assert residence.uniforms == tuple(
+            name for name in ("u_branch", "u_value") if name in residence.uniforms
+        )
+        rng = np.random.default_rng(2)
+        uniforms = {"u_branch": rng.random(500), "u_value": rng.random(500)}
+        draws = residence.from_uniforms(**uniforms)
+        for name in uniforms:
+            with np.errstate(invalid="ignore"):
+                poisoned = residence.from_uniforms(
+                    **{**uniforms, name: np.full(500, np.nan)}
+                )
+            assert np.array_equal(poisoned, draws) == (name not in residence.uniforms)
+
     def test_geometric_moments(self):
         r = GeometricResidence(0.25)
         assert r.mean() == pytest.approx(4.0)

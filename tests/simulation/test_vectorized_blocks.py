@@ -11,7 +11,9 @@ import pytest
 
 from repro.core.parameters import CostParams, MobilityParams
 from repro.geometry import HexTopology, LineTopology, SquareTopology
-from repro.mobility import CTRWSpec, GeometricResidence, mobility_preset
+from repro.mobility import (
+    CTRWSpec, DeterministicResidence, GeometricResidence, mobility_preset,
+)
 from repro.simulation.kernels import slot_key, slot_keys
 from repro.simulation.vectorized import VectorizedDistanceEngine, _block_length
 
@@ -32,6 +34,10 @@ RESET_AFTER = 2
 def walk(name):
     if name == "persistent":
         return CTRWSpec(GeometricResidence(0.4), drift=0.1, persistence=0.6)
+    if name == "period-1":
+        # Moves every slot: a block holds chains of up to 64 moves per
+        # terminal, most of them persistent repeats.
+        return CTRWSpec(DeterministicResidence(1), drift=0.1, persistence=0.8)
     return None if name == "uniform" else mobility_preset(name, 0.3)
 
 
@@ -98,7 +104,7 @@ class TestUniformWalk:
 
 class TestCTRW:
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-    @pytest.mark.parametrize("walk_name", CTRW_PRESETS + ("persistent",))
+    @pytest.mark.parametrize("walk_name", CTRW_PRESETS + ("persistent", "period-1"))
     def test_identical_to_per_slot(self, topology, walk_name):
         assert_identical(build(topology, walk_name=walk_name))
 
@@ -111,9 +117,13 @@ class TestBlockWidths:
             build(terminals=2000, walk_name=walk_name), schedule=(0, 5, 32, 40)
         )
 
-    @pytest.mark.parametrize("walk_name", ["uniform", "ctrw-exp", "persistent"])
+    @pytest.mark.parametrize(
+        "walk_name",
+        ["uniform", "ctrw-exp", "ctrw-fixed", "ctrw-hyper", "ctrw-pareto", "persistent"],
+    )
     def test_one_slot_blocks(self, walk_name):
-        # K = 40000 steps one slot at a time: one round per block.
+        # K = 40000 steps one slot at a time: a CTRW's grid rows are that
+        # slot's movers, one expiry each.
         for event_mode in ("independent", "exclusive"):
             assert_identical(
                 build(terminals=40000, walk_name=walk_name, event_mode=event_mode),

@@ -78,6 +78,29 @@ class TestApproxCommand:
         assert "slots must be >= 1" in captured.err
         assert "converges" not in captured.out
 
+    def test_invalid_chain_exits_2_before_simulating(self, monkeypatch, capsys):
+        from repro.simulation import vectorized
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(vectorized, "VectorizedDistanceEngine", refuse)
+        code = main(["approx", "--q", "0.7", "--slots", "50", "--terminals", "16"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "'ctrw-fixed'" in captured.err and "q <= 2/3" in captured.err
+        assert "converges" not in captured.out
+
+    def test_repeated_model_is_an_error(self, capsys):
+        code = main(
+            ["approx", "--slots", "50", "--terminals", "16",
+             "--models", "uniform,uniform"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "more than once" in captured.err
+        assert "converges" not in captured.out
+
     def test_report_artifact_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "approx.jsonl"
         code = main(
