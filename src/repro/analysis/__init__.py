@@ -11,56 +11,45 @@ embedded in :mod:`~repro.analysis.paper_data` for comparison),
 directory (``repro-lm reproduce``).
 """
 
+from .. import _lazy
 from . import paper_data
-from .compare import (
-    SCHEMES,
-    SchemeOutcome,
-    TournamentPoint,
-    TournamentResult,
-    run_tournament,
-)
-from .crossover import CrossoverMap, compute_crossover_map
-from .figures import (
-    DELAY_CURVES,
-    FigureSeries,
-    check_figure_shape,
-    compute_figure4,
-    compute_figure5,
-    gap_closure,
-    log_sweep,
-    threshold_jumps,
-)
-from .hexmap import (
-    render_hex_map,
-    render_occupancy,
-    render_paging_order,
-    render_ring_distances,
-)
-from .report import format_delay, render_ascii_plot, render_table, write_csv
-from .sweep import (
-    MODEL_CLASSES,
-    GridSweepResult,
-    SweepPoint,
-    SweepResult,
-    grid_sweep,
-    sweep,
-)
-from .tables import (
-    TABLE1_DELAYS,
-    TABLE2_DELAYS,
-    Table1Entry,
-    Table2Entry,
-    compute_table1,
-    compute_table2,
-    table1_rows,
-    table2_rows,
-)
-from .validate import (
-    DEFAULT_CASES,
-    ValidationCase,
-    ValidationOutcome,
-    run_validation_campaign,
-)
+
+# ``sweep`` is the one re-export that shares its submodule's name.
+# Importing ``repro.analysis.sweep`` rebinds the package attribute to
+# the submodule, so the function is bound here, before any such import
+# can happen, as the eager package did.
+from .sweep import sweep
+
+# Every other re-export loads its submodule on first access, so
+# ``import repro.analysis.tables`` loads neither the simulators nor the
+# conformance checks.
+_lazy.lazy_exports(globals(), {
+    "compare": (
+        "SCHEMES", "SchemeOutcome", "TournamentPoint", "TournamentResult",
+        "run_tournament",
+    ),
+    "crossover": ("CrossoverMap", "compute_crossover_map"),
+    "figures": (
+        "DELAY_CURVES", "FigureSeries", "check_figure_shape", "compute_figure4",
+        "compute_figure5", "gap_closure", "log_sweep", "threshold_jumps",
+    ),
+    "hexmap": (
+        "render_hex_map", "render_occupancy", "render_paging_order",
+        "render_ring_distances",
+    ),
+    "report": ("format_delay", "render_ascii_plot", "render_table", "write_csv"),
+    "sweep": (
+        "MODEL_CLASSES", "GridSweepResult", "SweepPoint", "SweepResult", "grid_sweep",
+    ),
+    "tables": (
+        "TABLE1_DELAYS", "TABLE2_DELAYS", "Table1Entry", "Table2Entry",
+        "compute_table1", "compute_table2", "table1_rows", "table2_rows",
+    ),
+    "validate": (
+        "DEFAULT_CASES", "ValidationCase", "ValidationOutcome",
+        "run_validation_campaign",
+    ),
+})
 
 __all__ = [
     "CrossoverMap",

@@ -17,7 +17,6 @@ import math
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
-from .experiments import EXPERIMENTS
 from .figures import (
     FigureSeries,
     check_figure_shape,
@@ -202,6 +201,8 @@ def reproduce(outdir, quick: bool = False) -> List[str]:
     smaller size that keeps its numbers -- for smoke runs; the committed
     ``results/`` use the default.
     """
+    from .experiments import EXPERIMENTS
+
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     table1, table2 = write_tables(outdir)

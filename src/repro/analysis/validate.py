@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from ..conformance.agreement import comparison_ok
 from ..core.models import MobilityModel, OneDimensionalModel, TwoDimensionalModel
 from ..core.parameters import CostParams, MobilityParams
-from ..simulation.runner import ModelComparison, validate_against_model
+
+if TYPE_CHECKING:
+    from ..simulation.runner import ModelComparison
 
 __all__ = [
     "CAMPAIGN_REPLICATIONS",
@@ -105,6 +107,8 @@ def run_validation_campaign(
     :func:`validate_against_model`; results are bit-identical for any
     worker count.
     """
+    from ..simulation.runner import validate_against_model
+
     outcomes: List[ValidationOutcome] = []
     for index, case in enumerate(cases):
         mobility = MobilityParams(move_probability=case.q, call_probability=case.c)

@@ -29,38 +29,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
-from pathlib import Path
 from typing import List, Optional
 
-from .analysis import (
-    compute_figure4,
-    compute_figure5,
-    compute_table1,
-    compute_table2,
-    render_table,
-    run_validation_campaign,
-    table1_rows,
-    table2_rows,
-    write_csv,
-)
-from .analysis.reproduce import (
-    FIGURE_POINTS,
-    render_figure,
-    render_table1,
-    render_table2,
-    render_validation,
-    reproduce,
-)
-from .analysis.validate import CAMPAIGN_REPLICATIONS, CAMPAIGN_SLOTS
+# Only what ``build_parser`` reads: the constants below come from
+# modules that load neither the simulators nor the conformance checks.
+# Each command imports its own modules inside its handler.
+from .analysis.reproduce import FIGURE_POINTS
 from .analysis.sweep import MODEL_CLASSES
+from .analysis.validate import CAMPAIGN_REPLICATIONS, CAMPAIGN_SLOTS
 from .conformance.sampling import ALL_MODELS, SUITES
-from .core.parameters import CostParams, MobilityParams
-from .mobility.ctrw import MOBILITY_PRESETS, mobility_preset
-from .core.threshold import find_optimal_threshold
 from .exceptions import ParameterError, ReproError
-from .simulation.runner import run_replicated
-from .strategies.distance import DistanceStrategy
+from .mobility.ctrw import MOBILITY_PRESETS
 
 __all__ = ["main", "build_parser"]
 
@@ -486,6 +465,7 @@ def _run_observed(handler, args) -> int:
     feeds back into computation), so the command's printed numbers are
     bit-identical with or without these flags.
     """
+    from .analysis.report import render_table
     from .observability import session
     from .observability.export import build_provenance, write_artifact
 
@@ -517,6 +497,10 @@ def _run_observed(handler, args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    import time
+
+    from .analysis.reproduce import reproduce
+
     started = time.perf_counter()
     lines = reproduce(args.outdir, quick=args.quick)
     print("\n".join(lines))
@@ -525,6 +509,10 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from .analysis.report import write_csv
+    from .analysis.reproduce import render_table1
+    from .analysis.tables import compute_table1, table1_rows
+
     table = compute_table1()
     print(render_table1(table))
     if args.csv:
@@ -533,6 +521,10 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_table2(args) -> int:
+    from .analysis.report import write_csv
+    from .analysis.reproduce import render_table2
+    from .analysis.tables import compute_table2, table2_rows
+
     table = compute_table2()
     print(render_table2(table))
     if args.csv:
@@ -541,6 +533,9 @@ def _cmd_table2(args) -> int:
 
 
 def _figure_output(figure, args) -> int:
+    from .analysis.report import write_csv
+    from .analysis.reproduce import render_figure
+
     print(render_figure(figure, plot=not args.no_plot))
     if args.csv:
         write_csv(args.csv, *figure.as_rows())
@@ -548,14 +543,21 @@ def _figure_output(figure, args) -> int:
 
 
 def _cmd_fig4(args) -> int:
+    from .analysis.figures import compute_figure4
+
     return _figure_output(compute_figure4(args.dimensions, points=args.points), args)
 
 
 def _cmd_fig5(args) -> int:
+    from .analysis.figures import compute_figure5
+
     return _figure_output(compute_figure5(args.dimensions, points=args.points), args)
 
 
 def _cmd_optimize(args) -> int:
+    from .core.parameters import CostParams, MobilityParams
+    from .core.threshold import find_optimal_threshold
+
     model = MODEL_CLASSES[args.model](
         MobilityParams(move_probability=args.q, call_probability=args.c)
     )
@@ -623,6 +625,7 @@ def _parse_axis_spec(param: str, spec: str):
 
 
 def _cmd_sweep(args) -> int:
+    from .analysis.report import render_table, write_csv
     from .analysis.sweep import grid_sweep
 
     axes = {}
@@ -676,7 +679,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_simulate(args) -> int:
     from functools import partial
 
+    from .core.parameters import CostParams, MobilityParams
     from .geometry import HexTopology, LineTopology
+    from .mobility.ctrw import mobility_preset
+    from .simulation.runner import run_replicated
+    from .strategies.distance import DistanceStrategy
 
     topology = LineTopology() if args.dimensions == 1 else HexTopology()
     mobility = MobilityParams(move_probability=args.q, call_probability=args.c)
@@ -719,6 +726,7 @@ def _cmd_approx(args) -> int:
         approximation_rows,
         write_approximation_artifact,
     )
+    from .analysis.report import render_table, write_csv
 
     if args.models:
         models = tuple(name.strip() for name in args.models.split(",") if name.strip())
@@ -758,6 +766,8 @@ def _cmd_approx(args) -> int:
 def _cmd_faults(args) -> int:
     import numpy as np
 
+    from .analysis.report import render_table
+    from .core.parameters import CostParams, MobilityParams
     from .faults import (
         BaseStationOutage,
         PageLoss,
@@ -767,6 +777,7 @@ def _cmd_faults(args) -> int:
         UpdateLoss,
     )
     from .geometry import HexTopology, LineTopology
+    from .strategies.distance import DistanceStrategy
 
     if args.replications < 1:
         raise ParameterError(f"replications must be >= 1, got {args.replications}")
@@ -894,6 +905,7 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_speed(args) -> int:
+    from .core.parameters import CostParams, MobilityParams
     from .geometry import HexTopology, LineTopology
     from .simulation.vectorized import throughput_report
 
@@ -929,6 +941,8 @@ def _cmd_speed(args) -> int:
 
 
 def _cmd_fleet(args) -> int:
+    from .analysis.report import render_table
+    from .core.parameters import CostParams
     from .simulation.fleet import fleet_report
 
     report = fleet_report(
@@ -982,6 +996,9 @@ def _cmd_fleet(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .analysis.reproduce import render_validation
+    from .analysis.validate import run_validation_campaign
+
     outcomes = run_validation_campaign(
         slots=args.slots, replications=args.replications, workers=args.workers
     )
@@ -1007,6 +1024,7 @@ def _cmd_conformance(args) -> int:
 
 def _cmd_soft_delay(args) -> int:
     from .core.delay_penalty import optimize_soft_delay
+    from .core.parameters import CostParams, MobilityParams
 
     model = MODEL_CLASSES[args.model](
         MobilityParams(move_probability=args.q, call_probability=args.c)
@@ -1025,7 +1043,9 @@ def _cmd_soft_delay(args) -> int:
 
 
 def _cmd_policy(args) -> int:
+    from .core.parameters import CostParams, MobilityParams
     from .core.policy_io import Policy
+    from .core.threshold import find_optimal_threshold
 
     model = MODEL_CLASSES[args.model](
         MobilityParams(move_probability=args.q, call_probability=args.c)
@@ -1050,6 +1070,7 @@ def _cmd_policy(args) -> int:
 def _cmd_metrics(args) -> int:
     from .core.costs import CostEvaluator
     from .core.derived import derive_metrics
+    from .core.parameters import CostParams, MobilityParams
 
     if getattr(args, "metrics_command", None) == "summarize":
         from .observability.export import read_artifact, summarize_artifact
@@ -1094,6 +1115,7 @@ def _cmd_show(args) -> int:
         render_ring_distances,
     )
     from .core.models import TwoDimensionalModel
+    from .core.parameters import MobilityParams
     from .paging import sdf_partition
 
     if args.what == "rings":
@@ -1120,8 +1142,10 @@ def _cmd_show(args) -> int:
 
 def _cmd_compare(args) -> int:
     import json as json_module
+    from pathlib import Path
 
-    from .analysis.compare import SCHEMES, run_tournament
+    from .analysis.compare import run_tournament
+    from .analysis.report import render_table, write_csv
 
     axes = {}
     for entry in args.vary:

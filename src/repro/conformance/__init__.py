@@ -22,43 +22,34 @@ agreement, and the paper's structural laws, continuously checkable:
 * :mod:`repro.conformance.runner` -- suite execution and the JSONL
   report (also ``repro-lm conformance``).
 
-Importing this package populates :data:`REGISTRY` with every shipped
-check.
+The first access to any name exported here imports
+:mod:`~repro.conformance.runner`, which imports every check module and
+so populates :data:`REGISTRY` with every shipped check; until then
+``import repro.conformance.sampling`` (the suite names the CLI parser
+reads) loads no check and no simulator.
 """
 
-from .checks import (
-    REGISTRY,
-    CheckRegistry,
-    CheckResult,
-    CheckSkipped,
-    ConformanceCheck,
-    ConformanceConfig,
-    Deviation,
-)
-from . import invariants as _invariants  # noqa: F401  (registers checks)
-from . import joint as _joint  # noqa: F401  (registers checks)
-from . import mobility as _mobility  # noqa: F401  (registers checks)
-from . import oracles as _oracles  # noqa: F401  (registers checks)
-from .agreement import (
-    REL_LIMIT_1D,
-    REL_LIMIT_2D,
-    agreement_deviation,
-    comparison_deviation,
-    comparison_ok,
-    rel_limit_for_dimensions,
-    values_agree,
-)
-from .invariants import APPROX_TO_EXACT, EXACT_CHAIN_MODELS
-from .mobility import MOBILITY_CHECK_IDS, default_walk_spec
-from .oracles import bitwise_agreement, replicated_agreement
-from .runner import (
-    ConformanceReport,
-    read_report,
-    run_conformance,
-    run_single,
-    write_report,
-)
-from .sampling import ALL_MODELS, SUITES, sample_suite
+from .. import _lazy
+
+_lazy.lazy_exports(globals(), {
+    "checks": (
+        "REGISTRY", "CheckRegistry", "CheckResult", "CheckSkipped",
+        "ConformanceCheck", "ConformanceConfig", "Deviation",
+    ),
+    "agreement": (
+        "REL_LIMIT_1D", "REL_LIMIT_2D", "agreement_deviation",
+        "comparison_deviation", "comparison_ok", "rel_limit_for_dimensions",
+        "values_agree",
+    ),
+    "invariants": ("APPROX_TO_EXACT", "EXACT_CHAIN_MODELS"),
+    "mobility": ("MOBILITY_CHECK_IDS", "default_walk_spec"),
+    "oracles": ("bitwise_agreement", "replicated_agreement"),
+    "runner": (
+        "ConformanceReport", "read_report", "run_conformance", "run_single",
+        "write_report",
+    ),
+    "sampling": ("ALL_MODELS", "SUITES", "sample_suite"),
+}, load_first="runner")  # the runner imports, so registers, every check
 
 __all__ = [
     "ALL_MODELS",

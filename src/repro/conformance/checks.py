@@ -32,9 +32,8 @@ Checks are registered declaratively::
     def _steady_normalized(config: ConformanceConfig) -> Deviation:
         ...
 
-The module-level :data:`REGISTRY` is populated by importing
-:mod:`repro.conformance.oracles` and :mod:`repro.conformance.invariants`
-(done in the package ``__init__``); tests build private
+The module-level :data:`REGISTRY` is populated by importing the check
+modules (done by :mod:`repro.conformance.runner`); tests build private
 :class:`CheckRegistry` instances to exercise registration mechanics in
 isolation.
 """
@@ -481,6 +480,6 @@ class CheckRegistry:
 
 
 #: The default registry every shipped oracle and invariant registers
-#: into (populated by the package ``__init__`` importing the check
-#: modules).
+#: into (populated by :mod:`~repro.conformance.runner` importing the
+#: check modules).
 REGISTRY = CheckRegistry()

@@ -44,12 +44,9 @@ from .agreement import (
     comparison_deviation,
 )
 from .checks import CheckSkipped, ConformanceConfig, Deviation, REGISTRY
+from .sampling import EXACT_CHAIN_MODELS
 
 __all__ = ["EXACT_CHAIN_MODELS", "APPROX_TO_EXACT"]
-
-#: Models whose ring chain is the exact law of the simulated distance
-#: process -- the only ones a simulation CI check can hold for.
-EXACT_CHAIN_MODELS = ("1d", "2d-exact", "square-exact")
 
 #: Approximate chain -> the exact chain it must converge to.
 APPROX_TO_EXACT = {"2d-approx": "2d-exact", "square-approx": "square-exact"}

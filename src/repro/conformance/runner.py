@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from . import invariants, joint, mobility, oracles  # noqa: F401  (register checks)
 from .checks import REGISTRY, CheckRegistry, CheckResult, ConformanceConfig
 from .sampling import sample_suite
 from ..exceptions import ParameterError

@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from ..exceptions import ParameterError, SolverError
 from ..observability.context import current as _observability
@@ -103,6 +102,8 @@ def _banded_solve(a: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
     ``d ~ 760``.  The ``p_0 = 1`` anchor turns that growth into harmless
     underflow of the far tail.
     """
+    from scipy.linalg import solve_banded
+
     d = a.size - 1
     if d == 0:
         return np.ones(1)

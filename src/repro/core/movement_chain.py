@@ -34,11 +34,11 @@ aggregation is exact so simulation agreement is within noise.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from ..exceptions import ParameterError, SolverError
+from ..exceptions import ParameterError
 from ..geometry import HexTopology, LineTopology, SquareTopology
 from ..geometry.ringstats import (
     paper_p_minus,
@@ -57,7 +57,9 @@ __all__ = ["movement_staged_costs", "optimal_staged_movement_threshold"]
 @functools.lru_cache(maxsize=4096)
 def _ring_probs(topology: CellTopology, i: int) -> Tuple[float, float, float]:
     """``(p+, p0, p-)`` for ring ``i`` of the given geometry; memoized,
-    as a threshold search asks for each ring once per chain state."""
+    as a threshold search asks for each ring once per chain state.
+    ``p0`` is clamped at 0: on the square grid, where every move changes
+    the ring, ``1 - p+ - p-`` can round to -5.6e-17."""
     if isinstance(topology, LineTopology):
         if i == 0:
             return 1.0, 0.0, 0.0
@@ -69,48 +71,41 @@ def _ring_probs(topology: CellTopology, i: int) -> Tuple[float, float, float]:
     if isinstance(topology, SquareTopology):
         plus = float(square_p_plus(i))
         minus = float(square_p_minus(i))
-        return plus, 1.0 - plus - minus, minus
+        return plus, max(1.0 - plus - minus, 0.0), minus
     raise ParameterError(f"unsupported topology {topology!r}")
 
 
 def _joint_steady_state(
     topology: CellTopology, mobility: MobilityParams, M: int
 ) -> Dict[Tuple[int, int], float]:
-    """Stationary distribution over (k, i) states."""
-    states: List[Tuple[int, int]] = [
-        (k, i) for k in range(M) for i in range(k + 1)
-    ]
-    index = {state: n for n, state in enumerate(states)}
-    size = len(states)
+    """Stationary distribution over (k, i) states, level by level.
+
+    Level ``k + 1`` is fed only by level ``k``'s moves, and each of its
+    states is left with probability ``c + q`` per slot (a call fixes, a
+    move advances or updates).  Balancing the two gives, from the
+    unnormalized ``pi(0, 0) = 1``::
+
+        pi(k + 1, j) = q / (c + q) * sum_i pi(k, i) T(i -> j)
+
+    with ``T`` the ring transition of :func:`_ring_probs`; one
+    normalization over every level ends it, in O(M^2) work.
+    """
     q, c = mobility.q, mobility.c
-    P = np.zeros((size, size))
-    origin = index[(0, 0)]
-    for (k, i), row in index.items():
-        P[row, origin] += c
-        stay = 1.0 - c
-        if k == M - 1:
-            P[row, origin] += q  # the M-th move updates and resets
-            stay -= q
-        else:
-            plus, same, minus = _ring_probs(topology, i)
-            P[row, index[(k + 1, i + 1)]] += q * plus
-            if same:
-                P[row, index[(k + 1, i)]] += q * same
-            if i > 0 and minus:
-                P[row, index[(k + 1, i - 1)]] += q * minus
-            stay -= q
-        P[row, row] += stay
-    A = P.T - np.eye(size)
-    A[-1, :] = 1.0
-    rhs = np.zeros(size)
-    rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise SolverError(f"joint movement chain singular: {exc}") from exc
-    pi = np.clip(pi, 0.0, None)
-    pi = pi / pi.sum()
-    return {state: float(pi[index[state]]) for state in states}
+    feed = q / (c + q)
+    probs = np.array([_ring_probs(topology, i) for i in range(M)])
+    levels = [np.ones(1)]
+    for k in range(M - 1):
+        level = levels[-1] * feed
+        plus, same, minus = probs[: k + 1].T
+        after = np.zeros(k + 2)
+        after[1:] += level * plus
+        after[:-1] += level * same
+        after[:-2] += level[1:] * minus[1:]
+        levels.append(after)
+    pi = np.concatenate(levels)
+    pi /= pi.sum()
+    states = [(k, i) for k in range(M) for i in range(k + 1)]
+    return dict(zip(states, pi.tolist()))
 
 
 def movement_staged_costs(

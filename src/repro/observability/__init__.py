@@ -29,18 +29,8 @@ or analytic number -- the bit-identity tests in
 ``tests/observability/`` pin this down.
 """
 
+from .. import _lazy
 from .context import DISABLED, Observability, current, noop_session, session
-from .export import (
-    ARTIFACT_SCHEMA_VERSION,
-    build_provenance,
-    git_revision,
-    params_fingerprint,
-    prometheus_text,
-    read_artifact,
-    summarize_artifact,
-    write_artifact,
-)
-from .profiling import CProfileHook, ProfileHook, TimerHook
 from .registry import (
     NULL_REGISTRY,
     Counter,
@@ -50,6 +40,17 @@ from .registry import (
     NullRegistry,
 )
 from .tracing import NULL_TRACER, NullTracer, SpanRecord, Tracer, traced
+
+# The exporters and profiling hooks, which instrumented code never
+# needs, load on first access.
+_lazy.lazy_exports(globals(), {
+    "export": (
+        "ARTIFACT_SCHEMA_VERSION", "build_provenance", "git_revision",
+        "params_fingerprint", "prometheus_text", "read_artifact",
+        "summarize_artifact", "write_artifact",
+    ),
+    "profiling": ("CProfileHook", "ProfileHook", "TimerHook"),
+})
 
 __all__ = [
     "Observability",

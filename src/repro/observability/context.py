@@ -74,6 +74,13 @@ class Observability:
         if spans:
             self.tracer.adopt(spans, **root_metadata)
 
+    def merge(self, other: "Observability", **root_metadata) -> None:
+        """Fold another in-process context into this one, as
+        :meth:`merge_payload` folds its collected payload."""
+        self.registry.absorb(other.registry)
+        if other.tracer.records:
+            self.tracer.adopt(other.tracer.records, **root_metadata)
+
 
 #: The default context: all sinks off, all instruments no-ops.
 DISABLED = Observability()

@@ -149,7 +149,9 @@ class MetricsRegistry:
     # -- instrument accessors ------------------------------------------
 
     def _get(self, factory, name: str, labels: Dict[str, object]):
-        key = _series_key(name, labels)
+        return self._instrument(factory, _series_key(name, labels))
+
+    def _instrument(self, factory, key: SeriesKey):
         instrument = self._series.get(key)
         if instrument is None:
             instrument = factory()
@@ -158,7 +160,7 @@ class MetricsRegistry:
             instrument
         ) is not factory:
             raise ParameterError(
-                f"metric {name!r} with labels {dict(key[1])} already registered "
+                f"metric {key[0]!r} with labels {dict(key[1])} already registered "
                 f"as a {instrument.kind}, not a {factory.kind}"
             )
         return instrument
@@ -218,6 +220,21 @@ class MetricsRegistry:
             else:
                 raise ParameterError(f"unknown metric record type {kind!r}")
 
+    def absorb(self, other: "MetricsRegistry") -> None:
+        """Fold another registry into this one, exactly as
+        ``merge(other.collect())`` does, without building the records
+        (an in-process job's registry)."""
+        for key, instrument in sorted(other._series.items()):
+            target = self._instrument(type(instrument), key)
+            if isinstance(instrument, Histogram):
+                for bucket, count in sorted(instrument.counts.items()):
+                    target.counts[int(bucket)] += int(count)
+                target.sum += instrument.sum
+            elif isinstance(instrument, Gauge):
+                target.set(instrument.value)
+            else:
+                target.inc(instrument.value)
+
     def value(self, name: str, **labels) -> Optional[float]:
         """The current value of one series, or None if never touched."""
         instrument = self._series.get(_series_key(name, labels))
@@ -272,6 +289,9 @@ class NullRegistry:
         return []
 
     def merge(self, records: Iterable[dict]) -> None:
+        pass
+
+    def absorb(self, other: "MetricsRegistry") -> None:
         pass
 
     def value(self, name: str, **labels) -> None:

@@ -23,16 +23,18 @@ the regime the paper assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from ..core.parameters import CostParams, MobilityParams
 from ..exceptions import ParameterError
 from ..geometry.topology import CellTopology
-from ..mobility.ctrw import CTRWSpec
 from .optimal import optimal_contiguous_partition
 from .plan import PagingPlan, sdf_partition
+
+if TYPE_CHECKING:
+    from ..mobility.ctrw import CTRWSpec
 
 __all__ = [
     "EmpiricalPagingReport",

@@ -12,17 +12,17 @@ implemented here once:
   arguments, so the executor changes wall-clock time, never results;
 * while an observability session is active, every job runs in a fresh
   session of its own -- in a worker because the parent's session does
-  not exist there, and in-process for symmetry -- and the collected
-  payloads merge into the parent in job-index order after the last job
-  finishes.  ``as_completed`` yields in a nondeterministic order, and
-  float merging is only exactly reproducible in a canonical one, so
-  this is what makes a pooled run export the same metrics and spans as
-  a serial one.
+  not exist there, and in-process for symmetry -- and their records
+  merge into the parent in job-index order after the last job finishes
+  (a worker's as the payload it ships back, an in-process job's
+  session directly).  ``as_completed`` yields in a nondeterministic
+  order, and float merging is only exactly reproducible in a canonical
+  one, so this is what makes a pooled run export the same metrics and
+  spans as a serial one.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from typing import Callable, Dict, Optional, Sequence, Tuple, TypeVar, Union
 
@@ -51,6 +51,16 @@ def resolve_workers(workers: Optional[Union[int, str]]) -> Optional[int]:
     return None if workers == 1 else workers
 
 
+def _observed(
+    func: Callable[..., T], args: tuple, span: Optional[str], metadata: dict
+) -> Tuple[T, _obs_context.Observability]:
+    """Run one job in a fresh observability session; return both."""
+    with _obs_context.session() as obs:
+        with obs.tracer.span(span, **metadata) if span else nullcontext():
+            result = func(*args)
+    return result, obs
+
+
 def _call(
     func: Callable[..., T],
     args: tuple,
@@ -58,17 +68,16 @@ def _call(
     span: Optional[str],
     metadata: dict,
 ) -> Tuple[T, Optional[dict]]:
-    """Run one job, in a fresh observability session when ``observe``.
+    """Run one job in a worker, in a fresh observability session when
+    ``observe``.
 
     Module-level so worker processes can pickle it.  Returns the job's
     result and the session's collected payload (None when unobserved).
     """
     if not observe:
         return func(*args), None
-    with _obs_context.session() as obs:
-        with obs.tracer.span(span, **metadata) if span else nullcontext():
-            result = func(*args)
-        return result, obs.collect_payload()
+    result, obs = _observed(func, args, span, metadata)
+    return result, obs.collect_payload()
 
 
 def run_jobs(
@@ -86,29 +95,37 @@ def run_jobs(
     completion order on a pool -- checkpoint writers rely on seeing
     every result as soon as it exists.  Observed jobs run inside a
     ``span`` carrying the job's metadata (no span when None); their
-    payloads merge into the caller's session in index order, stamped
-    ``{merge_key: index}``.
+    records merge into the caller's session in index order, stamped
+    ``{merge_key: index}``: an in-process job's session directly, a
+    worker's as the payload it ships back.
     """
     parent = _obs_context.current()
     observe = parent.enabled
+    sessions: Dict[int, _obs_context.Observability] = {}
     payloads: Dict[int, dict] = {}
-
-    def finish(index: int, outcome: Tuple[T, Optional[dict]]) -> None:
-        result, payload = outcome
-        if payload is not None:
-            payloads[index] = payload
-        on_result(index, result)
 
     if pool_size is None:
         for index, args, metadata in jobs:
-            finish(index, _call(func, args, observe, span, metadata))
+            if observe:
+                result, sessions[index] = _observed(func, args, span, metadata)
+            else:
+                result = func(*args)
+            on_result(index, result)
     elif jobs:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         with ProcessPoolExecutor(max_workers=min(pool_size, len(jobs))) as pool:
             futures = {
                 pool.submit(_call, func, args, observe, span, metadata): index
                 for index, args, metadata in jobs
             }
             for future in as_completed(futures):
-                finish(futures[future], future.result())
+                index = futures[future]
+                result, payload = future.result()
+                if payload is not None:
+                    payloads[index] = payload
+                on_result(index, result)
+    for index in sorted(sessions):
+        parent.merge(sessions[index], **{merge_key: index})
     for index in sorted(payloads):
         parent.merge_payload(payloads[index], **{merge_key: index})

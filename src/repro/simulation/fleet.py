@@ -595,8 +595,10 @@ class FleetShardEngine(_BlockStep):
 
     def _book(self, width: int, events: _Events) -> None:
         """Fold a block's events into the shard's aggregates; a slot's cost
-        is its callers' paging costs (a dot product) plus its updaters'
-        update costs, each in terminal order as the per-slot step had."""
+        is its callers' paging costs plus its updaters' update costs, each
+        summed in terminal order as the per-slot step had.  Every sum here
+        is a NumPy reduction, never a BLAS product, whose split across
+        threads would make the bits depend on the thread count."""
         callers, polled = events.callers, events.polled
         updaters = events.who.take(events.updates)
         self._moves += int(np.count_nonzero(events.moved))
@@ -618,7 +620,7 @@ class FleetShardEngine(_BlockStep):
         update_cost = self._update_cost.take(updaters)
         c0 = u0 = 0
         for c1, u1 in zip(call_stops, update_stops):
-            slot_cost = float(poll_cost[c0:c1] @ polled[c0:c1])
+            slot_cost = float((poll_cost[c0:c1] * polled[c0:c1]).sum())
             slot_cost += float(update_cost[u0:u1].sum())
             self._cost_sum += slot_cost
             self._cost_sq_sum += slot_cost * slot_cost
@@ -630,8 +632,12 @@ class FleetShardEngine(_BlockStep):
         """Freeze the shard's aggregates (no per-terminal data leaves)."""
         slots = self._metered_slots
         K = self.terminals
-        update_cost = float(self._updates.astype(np.float64) @ self._update_cost)
-        paging_cost = float(self._polled.astype(np.float64) @ self._poll_cost)
+        # Only terminals that updated (were paged) enter a cost sum; the
+        # rest would add 0.0, since the costs are finite and >= 0.
+        updated = np.flatnonzero(self._updates)
+        update_terms = self._updates[updated] * self._update_cost[updated]
+        paged = np.flatnonzero(self._polled)
+        paging_terms = self._polled[paged] * self._poll_cost[paged]
         # Per-slot shard cost, normalized per terminal: mean and a CLT
         # half-width over slots (the batch dimension).
         mean_slot = self._cost_sum / slots / K if slots else 0.0
@@ -643,21 +649,14 @@ class FleetShardEngine(_BlockStep):
             half = math.inf
         delay_counts = self._delay_counts.reshape(self._tables.polled.shape).sum(axis=0)
         cycles = np.arange(1, delay_counts.size + 1, dtype=np.float64)
-        weighted = float(cycles @ delay_counts)
+        weighted = float((cycles * delay_counts).sum())
         delay = weighted / self._calls if self._calls else 0.0
         profile_terminals = np.bincount(self._profile, minlength=self.n_profiles)
-        # The terminals that never updated would add 0.0 (the costs are
-        # finite and >= 0), so the few that did give the same sums.
-        updated = np.flatnonzero(self._updates)
         profile_update = np.bincount(
-            self._profile[updated],
-            weights=self._updates[updated] * self._update_cost[updated],
-            minlength=self.n_profiles,
+            self._profile[updated], weights=update_terms, minlength=self.n_profiles
         )
         profile_paging = np.bincount(
-            self._profile,
-            weights=self._polled * self._poll_cost,
-            minlength=self.n_profiles,
+            self._profile[paged], weights=paging_terms, minlength=self.n_profiles
         )
         return ShardSnapshot(
             index=index,
@@ -668,8 +667,8 @@ class FleetShardEngine(_BlockStep):
             updates=int(self._updates.sum()),
             calls=self._calls,
             polled_cells=int(self._polled.sum()),
-            update_cost=update_cost,
-            paging_cost=paging_cost,
+            update_cost=float(update_terms.sum()),
+            paging_cost=float(paging_terms.sum()),
             mean_total_cost=mean_slot,
             total_cost_half_width_95=half,
             mean_paging_delay=delay,

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -12,7 +13,7 @@ from repro import (
     movement_staged_costs,
     optimal_staged_movement_threshold,
 )
-from repro.core.movement_chain import _joint_steady_state
+from repro.core.movement_chain import _joint_steady_state, _ring_probs
 from repro.geometry import HexTopology, LineTopology, SquareTopology
 
 MOBILITY = MobilityParams(0.2, 0.02)
@@ -21,7 +22,43 @@ LINE = LineTopology()
 HEX = HexTopology()
 
 
+def dense_steady_state(topology, mobility, M):
+    """The joint chain's full transition matrix, solved by dense LU: the
+    independent check of the level-by-level recursion (small M only)."""
+    states = [(k, i) for k in range(M) for i in range(k + 1)]
+    index = {state: n for n, state in enumerate(states)}
+    q, c = mobility.q, mobility.c
+    P = np.zeros((len(states), len(states)))
+    for (k, i), row in index.items():
+        P[row, index[(0, 0)]] += c
+        if k == M - 1:
+            P[row, index[(0, 0)]] += q  # the M-th move updates
+        else:
+            plus, same, minus = _ring_probs(topology, i)
+            P[row, index[(k + 1, i + 1)]] += q * plus
+            P[row, index[(k + 1, i)]] += q * same
+            if i > 0:
+                P[row, index[(k + 1, i - 1)]] += q * minus
+        P[row, row] += 1.0 - c - q
+    A = P.T - np.eye(len(states))
+    A[-1, :] = 1.0
+    rhs = np.zeros(len(states))
+    rhs[-1] = 1.0
+    pi = np.linalg.solve(A, rhs)
+    return {state: float(pi[n]) for state, n in index.items()}
+
+
 class TestJointSteadyState:
+    @pytest.mark.parametrize("topology", [LINE, HEX, SquareTopology()])
+    @pytest.mark.parametrize("q,c", [(0.2, 0.02), (0.05, 0.01), (0.5, 0.3)])
+    @pytest.mark.parametrize("M", [1, 2, 5, 12])
+    def test_matches_a_dense_solve(self, topology, q, c, M):
+        mobility = MobilityParams(q, c)
+        joint = _joint_steady_state(topology, mobility, M)
+        dense = dense_steady_state(topology, mobility, M)
+        assert joint.keys() == dense.keys()
+        assert list(joint.values()) == pytest.approx(list(dense.values()), abs=1e-14)
+
     @pytest.mark.parametrize("topology", [LINE, HEX, SquareTopology()])
     @pytest.mark.parametrize("M", [1, 3, 6])
     def test_is_distribution(self, topology, M):

@@ -118,6 +118,14 @@ class TestCollectAndMerge:
         target.merge(source.collect())
         assert target.collect() == source.collect()
 
+    def test_absorb_equals_merging_the_collected_records(self):
+        source = self.build()
+        merged, absorbed = self.build(), self.build()
+        merged.merge(source.collect())
+        absorbed.absorb(source)
+        assert absorbed.collect() == merged.collect()
+        NullRegistry(enabled=True).absorb(source)  # a no-op sink
+
     def test_merge_rejects_unknown_kind(self):
         with pytest.raises(ParameterError, match="unknown metric record type"):
             MetricsRegistry().merge([{"name": "x", "type": "mystery", "value": 1}])

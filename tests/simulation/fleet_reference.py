@@ -163,7 +163,7 @@ class FleetReference:
         self._calls[called] += 1
         self._polled[called] += polled
         np.add.at(self._delay_counts, cycles, 1)
-        cost = float(self._poll_cost[called] @ polled)
+        cost = float((self._poll_cost[called] * polled).sum())
         # Pinpointed terminals re-center: relative position resets.
         self._pos[called] = 0
         return cost
@@ -191,10 +191,12 @@ class FleetReference:
         """Freeze the shard's aggregates (no per-terminal data leaves)."""
         slots = self._metered_slots
         K = self.terminals
-        update_cost = float(
-            self._updates.astype(np.float64) @ self._update_cost
-        )
-        paging_cost = float(self._polled.astype(np.float64) @ self._poll_cost)
+        # Cost sums run over the terminals that updated (were paged), as
+        # NumPy reductions: a BLAS product's bits depend on its threads.
+        updated = np.flatnonzero(self._updates)
+        update_terms = self._updates[updated] * self._update_cost[updated]
+        paged = np.flatnonzero(self._polled)
+        paging_terms = self._polled[paged] * self._poll_cost[paged]
         if slots:
             # Per-slot shard cost, normalized per terminal: mean and a
             # CLT half-width over slots (the batch dimension).
@@ -209,22 +211,16 @@ class FleetReference:
             half = math.inf
         calls = int(self._calls.sum())
         if calls:
-            delay = float(
-                np.arange(1, self.max_cycles + 1, dtype=np.float64)
-                @ self._delay_counts
-            ) / calls
+            cycles = np.arange(1, self.max_cycles + 1, dtype=np.float64)
+            delay = float((cycles * self._delay_counts).sum()) / calls
         else:
             delay = 0.0
         profile_terminals = np.bincount(self._profile, minlength=self.n_profiles)
         profile_update = np.bincount(
-            self._profile,
-            weights=self._updates * self._update_cost,
-            minlength=self.n_profiles,
+            self._profile[updated], weights=update_terms, minlength=self.n_profiles
         )
         profile_paging = np.bincount(
-            self._profile,
-            weights=self._polled * self._poll_cost,
-            minlength=self.n_profiles,
+            self._profile[paged], weights=paging_terms, minlength=self.n_profiles
         )
         return ShardSnapshot(
             index=index,
@@ -235,8 +231,8 @@ class FleetReference:
             updates=int(self._updates.sum()),
             calls=calls,
             polled_cells=int(self._polled.sum()),
-            update_cost=update_cost,
-            paging_cost=paging_cost,
+            update_cost=float(update_terms.sum()),
+            paging_cost=float(paging_terms.sum()),
             mean_total_cost=mean_slot,
             total_cost_half_width_95=half,
             mean_paging_delay=delay,

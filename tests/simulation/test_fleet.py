@@ -3,10 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import CostParams, MobilityParams
 from repro.exceptions import ParameterError
 from repro.geometry import HexTopology, LineTopology, SquareTopology
@@ -220,6 +225,38 @@ class TestShardLayoutInvariance:
         spec = FleetSpec.homogeneous(topology, 2, MOBILITY, COSTS, 2, 40)
         result = run_fleet(spec, slots=80, shards=3, seed=1)
         assert result.moves > 0 and result.calls > 0
+
+    def test_cost_sums_do_not_depend_on_blas_threads(self):
+        # Non-integer costs and more than 10,000 terms per sum, where a
+        # threaded BLAS dot product splits the sum across its threads.
+        script = (
+            "import json\n"
+            "from repro import CostParams, MobilityParams\n"
+            "from repro.geometry import HexTopology\n"
+            "from repro.simulation.fleet import FleetSpec, run_fleet\n"
+            "spec = FleetSpec.homogeneous(HexTopology(), 2, MobilityParams(0.3, 0.6),"
+            " CostParams(13.7, 0.31), 2, 24_000)\n"
+            "result = run_fleet(spec, slots=4, seed=3)\n"
+            "print(json.dumps([shard.to_dict() for shard in result.shards]))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        outputs = {}
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join(
+                    filter(None, (src, os.environ.get("PYTHONPATH")))
+                ),
+            }
+            run = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert run.returncode == 0, run.stderr[-2000:]
+            outputs[threads] = json.loads(run.stdout)
+        assert outputs["1"][0]["calls"] > 4 * 10_000
+        assert outputs["1"] == outputs["2"]
 
     def test_fleet_totals_equal_sum_of_shards_exactly(self, spec):
         result = run_fleet(spec, slots=60, shards=6, seed=2)

@@ -7,6 +7,8 @@ import pytest
 
 from repro import CostParams, MobilityParams, ParameterError
 from repro.geometry import LineTopology
+from repro.observability import context as obs_context
+from repro.parallel import _call, run_jobs
 from repro.simulation import run_replicated
 from repro.strategies import DistanceStrategy
 
@@ -27,6 +29,38 @@ def campaign(workers=None, checkpoint=None, replications=4, slots=3_000, seed=0)
         workers=workers,
         checkpoint=checkpoint,
     )
+
+
+def observed_job(i):
+    """Record one of each instrument and a nested span."""
+    obs = obs_context.current()
+    obs.registry.counter("work_total", kind="x").inc(i * 0.1)
+    obs.registry.histogram("sizes").observe(i % 3)
+    obs.registry.gauge("last").set(i)
+    with obs.tracer.span("inner", i=i):
+        return i
+
+
+class TestObservedJobs:
+    def test_in_process_jobs_merge_as_their_payloads_would(self):
+        jobs = [(i, (i,), {"point": i}) for i in range(5)]
+        with obs_context.session() as direct:
+            run_jobs(observed_job, jobs, None, lambda i, r: None, span="job")
+        with obs_context.session() as shipped:
+            payloads = [_call(observed_job, args, True, "job", meta)[1]
+                        for _, args, meta in jobs]
+            for index, payload in enumerate(payloads):
+                shipped.merge_payload(payload, index=index)
+        assert direct.registry.collect() == shipped.registry.collect()
+
+        def shape(obs):
+            return [(r.name, r.span_id, r.parent_id, r.metadata)
+                    for r in obs.tracer.records]
+
+        assert shape(direct) == shape(shipped)
+        assert [r.metadata for r in direct.tracer.records[::2]] == [
+            {"point": i, "index": i} for i in range(5)
+        ]
 
 
 class TestWorkerValidation:
