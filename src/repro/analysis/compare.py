@@ -12,9 +12,11 @@ grid_sweep` (which also defines the canonical row-major point order);
 the blanket-paging baselines are the closed forms in
 :mod:`repro.core.baselines`; the joint policy runs
 :func:`~repro.strategies.jointly_optimal.optimize_joint_policy` at
-every point.  The baselines blanket-page a single polling cycle, so
-they satisfy any delay bound ``m >= 1`` and their costs do not vary
-along the ``m`` axis.
+every point, started from that point's sweep optimum ``(d*, C_T)``, so
+the joint leg runs no threshold search of its own -- on a warm sweep
+cache it prices no SDF cost surface at all.  The baselines blanket-page
+a single polling cycle, so they satisfy any delay bound ``m >= 1`` and
+their costs do not vary along the ``m`` axis.
 
 Search bounds scale with ``d_max`` so small tournaments stay cheap:
 distance and joint thresholds scan ``0..d_max``, movement thresholds
@@ -268,8 +270,8 @@ def run_tournament(
         mobility = MobilityParams(sweep_point.q, sweep_point.c)
         costs = CostParams(sweep_point.update_cost, sweep_point.poll_cost)
         # Points of one (q, c) are consecutive in the row-major order:
-        # one model serves them all, so its steady-state solve is shared
-        # by every delay bound's joint policy.
+        # one model serves them all, so its steady-state solve and joint
+        # evaluator are shared by every (U, V, m) joint policy.
         if model is None or (model.q, model.c) != (sweep_point.q, sweep_point.c):
             model = model_cls(mobility)
         topology = model.topology
@@ -321,6 +323,9 @@ def run_tournament(
 
         if "jointly-optimal" in selected:
             # Sweep points store m as float; the solver wants int | inf.
+            # The sweep found this point's distance optimum with the
+            # search and arguments the solver would use (its cache
+            # returns it exactly), so the solver starts from it.
             m = sweep_point.max_delay
             policy = optimize_joint_policy(
                 model,
@@ -328,6 +333,7 @@ def run_tournament(
                 math.inf if m == math.inf else int(m),
                 d_max=d_max,
                 convention=convention,
+                distance_optimum=(sweep_point.optimal_d, sweep_point.total_cost),
             )
             outcomes.append(
                 SchemeOutcome(

@@ -576,11 +576,16 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
+_DELAY_AXIS = "axis 'm' takes positive integers or inf"
+
+
 def _parse_axis_spec(param: str, spec: str):
     """Parse one ``--vary`` value grid.
 
     Comma lists take each token verbatim (``inf`` allowed for ``m``);
-    ``start:stop:count[:log]`` expands to an evenly spaced grid.
+    ``start:stop:count[:log]`` expands to an evenly spaced grid, rounded
+    to integers for ``m``, where a range that rounds two points to one
+    delay bound is refused.
     """
     if ":" in spec:
         parts = spec.split(":")
@@ -609,7 +614,7 @@ def _parse_axis_spec(param: str, spec: str):
             step = (stop - start) / (count - 1)
             values = [start + step * i for i in range(count)]
         if param == "m":
-            values = [int(round(v)) for v in values]
+            return _delay_range(spec, values)
         return values
     tokens = [t.strip() for t in spec.split(",") if t.strip()]
     if not tokens:
@@ -619,9 +624,28 @@ def _parse_axis_spec(param: str, spec: str):
             return [_delay(t) for t in tokens]
         return [float(t) for t in tokens]
     except ValueError:
+        if param == "m":
+            raise ParameterError(f"{_DELAY_AXIS}, got {spec!r}") from None
         raise ParameterError(
             f"non-numeric value in {spec!r} for axis {param!r}"
         ) from None
+
+
+def _delay_range(spec: str, values: List[float]) -> List[int]:
+    """Round a ``--vary m=`` range to delay bounds."""
+    if not all(math.isfinite(v) for v in values):
+        raise ParameterError(
+            f"{_DELAY_AXIS}; range spec {spec!r} needs finite endpoints "
+            "(list inf in a comma list, e.g. m=1,2,inf)"
+        )
+    bounds = [int(round(v)) for v in values]
+    repeated = sorted({m for m in bounds if bounds.count(m) > 1})
+    if repeated:
+        raise ParameterError(
+            f"{_DELAY_AXIS}; range spec {spec!r} rounds to the repeated "
+            f"delay bounds {repeated}"
+        )
+    return bounds
 
 
 def _cmd_sweep(args) -> int:

@@ -116,6 +116,9 @@ class MobilityModel(abc.ABC):
         #: The last batched steady-state solve; see
         #: :func:`repro.core.batch.steady_prefix`.
         self._steady_prefix = None
+        #: The last jointly-optimal evaluator; see
+        #: :func:`repro.strategies.jointly_optimal.optimize_joint_policy`.
+        self._joint_evaluator = None
 
     # -- construction conveniences ------------------------------------
 

@@ -24,7 +24,6 @@ on the hot path.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, List, Union
 
@@ -93,30 +92,39 @@ def current() -> Observability:
     return _current
 
 
-@contextmanager
-def session(metrics: bool = True, trace: bool = True, profile_hooks: Iterable = ()):
+class session:
     """Install a fresh collecting context for the duration of the block.
 
     ``metrics``/``trace`` select which sinks collect; profile hooks
     attach to the tracer (forcing it on -- hooks see span boundaries).
-    The previous context is restored on exit, so sessions nest safely.
+    The previous context is restored on exit, also when the block
+    raises, so sessions nest safely.
     """
-    global _current
-    hooks = list(profile_hooks)
-    obs = Observability(
-        registry=MetricsRegistry() if metrics else NULL_REGISTRY,
-        tracer=Tracer(hooks=hooks) if (trace or hooks) else NULL_TRACER,
-    )
-    previous = _current
-    _current = obs
-    try:
-        yield obs
-    finally:
-        _current = previous
+
+    __slots__ = ("obs", "previous")
+
+    def __init__(
+        self, metrics: bool = True, trace: bool = True, profile_hooks: Iterable = ()
+    ) -> None:
+        hooks = list(profile_hooks)
+        self.obs = Observability(
+            registry=MetricsRegistry() if metrics else NULL_REGISTRY,
+            tracer=Tracer(hooks=hooks) if (trace or hooks) else NULL_TRACER,
+        )
+
+    def __enter__(self) -> Observability:
+        global _current
+        self.previous = _current
+        _current = self.obs
+        return self.obs
+
+    def __exit__(self, *exc) -> bool:
+        global _current
+        _current = self.previous
+        return False
 
 
-@contextmanager
-def noop_session():
+class noop_session(session):
     """Install an *armed* null context: instrumentation sites run their
     full handle-resolution and increment calls against no-op sinks.
 
@@ -124,11 +132,10 @@ def noop_session():
     of the instrumentation itself (every call made, nothing recorded),
     which is the bound the <2%-overhead guard asserts.
     """
-    global _current
-    obs = Observability(registry=NullRegistry(enabled=True), tracer=NULL_TRACER)
-    previous = _current
-    _current = obs
-    try:
-        yield obs
-    finally:
-        _current = previous
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        self.obs = Observability(
+            registry=NullRegistry(enabled=True), tracer=NULL_TRACER
+        )

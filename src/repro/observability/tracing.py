@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -87,28 +86,9 @@ class Tracer:
         self._next_id = 1
         self.hooks = list(hooks)
 
-    @contextmanager
-    def span(self, name: str, **metadata):
+    def span(self, name: str, **metadata) -> "_Span":
         """Open a nested span; yields its mutable :class:`SpanRecord`."""
-        record = SpanRecord(
-            name=name,
-            span_id=self._next_id,
-            parent_id=self._stack[-1] if self._stack else None,
-            start=time.perf_counter(),
-            metadata=metadata,
-        )
-        self._next_id += 1
-        self.records.append(record)
-        self._stack.append(record.span_id)
-        for hook in self.hooks:
-            hook.on_span_start(record)
-        try:
-            yield record
-        finally:
-            self._stack.pop()
-            record.duration = time.perf_counter() - record.start
-            for hook in self.hooks:
-                hook.on_span_finish(record)
+        return _Span(self, name, metadata)
 
     def adopt(self, records: Iterable[SpanRecord], **extra_metadata) -> None:
         """Graft foreign spans (e.g. a pooled worker's) into this trace.
@@ -166,6 +146,46 @@ class Tracer:
 
     def __repr__(self) -> str:
         return f"Tracer({len(self.records)} spans)"
+
+
+class _Span:
+    """The context manager of one :meth:`Tracer.span`.
+
+    Entering records the span and pushes it; leaving -- on an exception
+    too -- pops it, stamps its duration and runs the finish hooks.
+    """
+
+    __slots__ = ("tracer", "name", "metadata", "record")
+
+    def __init__(self, tracer: Tracer, name: str, metadata: dict) -> None:
+        self.tracer = tracer
+        self.name = name
+        self.metadata = metadata
+
+    def __enter__(self) -> SpanRecord:
+        tracer = self.tracer
+        record = SpanRecord(
+            name=self.name,
+            span_id=tracer._next_id,
+            parent_id=tracer._stack[-1] if tracer._stack else None,
+            start=time.perf_counter(),
+            metadata=self.metadata,
+        )
+        tracer._next_id += 1
+        tracer.records.append(record)
+        tracer._stack.append(record.span_id)
+        for hook in tracer.hooks:
+            hook.on_span_start(record)
+        self.record = record
+        return record
+
+    def __exit__(self, *exc) -> bool:
+        tracer, record = self.tracer, self.record
+        tracer._stack.pop()
+        record.duration = time.perf_counter() - record.start
+        for hook in tracer.hooks:
+            hook.on_span_finish(record)
+        return False
 
 
 class _NullSpan:

@@ -52,7 +52,10 @@ Steady states come from the batched solver of :mod:`repro.core.batch`:
 the matrix of every candidate threshold is built in one pass from the
 prefix sums the distance search at the same ``d_max`` already solved.
 Models without threshold-invariant rates stack per-threshold scalar
-solves into the same matrix.
+solves into the same matrix.  Nothing the evaluator holds depends on
+the costs ``(U, V)`` or the delay bound, so it is built once per model
+and kept there.  A caller that already knows the distance optimum -- a
+grid sweep does -- passes it in, and no threshold search runs.
 """
 
 from __future__ import annotations
@@ -197,14 +200,14 @@ class _JointEvaluator:
     model's rates are threshold-invariant, else the scalar per-threshold
     solves stacked row by row.  Update costs follow eqn
     (61) with the requested boundary convention, paging costs eqns
-    (62)-(65) with the plan's own grouping.
+    (62)-(65) with the plan's own grouping.  Nothing it holds depends on
+    the costs ``(U, V)``: every method applies them, so one evaluator
+    serves every delay bound and cost point of a chain
+    (:func:`_evaluator` keeps it on the model).
     """
 
-    def __init__(
-        self, model: MobilityModel, costs: CostParams, d_max: int, convention: str
-    ) -> None:
+    def __init__(self, model: MobilityModel, d_max: int, convention: str) -> None:
         self.model = model
-        self.costs = costs
         self.d_max = d_max
         self.convention = convention
         size = d_max + 1
@@ -225,7 +228,7 @@ class _JointEvaluator:
             )
         self._coverage = model.topology.coverage_curve(d_max)
         self._ring_sizes = np.diff(self._coverage, prepend=0.0)
-        self._update = np.diagonal(self._steady) * rates * costs.update_cost
+        self._update_rates = np.diagonal(self._steady) * rates
 
     def steady_row(self, d: int) -> np.ndarray:
         return self._steady[d, : d + 1]
@@ -233,20 +236,22 @@ class _JointEvaluator:
     def ring_sizes(self, d: int) -> np.ndarray:
         return self._ring_sizes[: d + 1]
 
-    def breakdown(self, d: int, plan: PagingPlan):
+    def breakdown(self, d: int, plan: PagingPlan, costs: CostParams):
         """``(C_u, C_v, E[cells], E[delay])`` at ``(d, plan)``."""
         p = self.steady_row(d)
         rate = self.model.update_rate(d, convention=self.convention)
-        update = float(p[d]) * rate * self.costs.update_cost
+        update = float(p[d]) * rate * costs.update_cost
         cells = plan.expected_polled_cells(self.model.topology, p)
-        paging = self.model.c * self.costs.poll_cost * cells
+        paging = self.model.c * costs.poll_cost * cells
         return update, paging, cells, plan.expected_delay(p)
 
-    def total_cost(self, d: int, plan: PagingPlan) -> float:
-        update, paging, _, _ = self.breakdown(d, plan)
+    def total_cost(self, d: int, plan: PagingPlan, costs: CostParams) -> float:
+        update, paging, _, _ = self.breakdown(d, plan, costs)
         return update + paging
 
-    def registration_costs(self, plan: PagingPlan, m) -> np.ndarray:
+    def registration_costs(
+        self, plan: PagingPlan, m, costs: CostParams
+    ) -> np.ndarray:
         """``C_T(d', adapt_plan(plan, d', m))`` for every ``d' <= d_max``.
 
         One ``(d_max + 1)``-square pass instead of ``d_max + 1`` plan
@@ -280,7 +285,36 @@ class _JointEvaluator:
             thresholds >= tail[:, np.newaxis], thresholds[:, np.newaxis], group_end
         )
         cells = np.einsum("ij,ij->i", self._steady, self._coverage[polled])
-        return self._update + self.model.c * self.costs.poll_cost * cells
+        return (
+            self._update_rates * costs.update_cost
+            + self.model.c * costs.poll_cost * cells
+        )
+
+
+def _evaluator(model: MobilityModel, d_max: int, convention: str) -> _JointEvaluator:
+    """The model's :class:`_JointEvaluator` over thresholds ``0 .. d_max``.
+
+    Kept on the model like :func:`~repro.core.batch.steady_prefix` keeps
+    its solve: the last one, under its exact ``d_max`` and convention.
+    """
+    evaluator = getattr(model, "_joint_evaluator", None)
+    key = (d_max, convention)
+    if evaluator is None or (evaluator.d_max, evaluator.convention) != key:
+        evaluator = _JointEvaluator(model, d_max, convention)
+        model._joint_evaluator = evaluator
+    return evaluator
+
+
+def _validate_optimum(optimum: Tuple[int, float], d_max: int) -> Tuple[int, float]:
+    threshold, cost = optimum
+    threshold = validate_threshold(threshold)
+    if threshold > d_max:
+        raise ParameterError(
+            f"distance optimum d*={threshold} lies outside 0..d_max={d_max}"
+        )
+    if not math.isfinite(cost):
+        raise ParameterError(f"distance optimum cost must be finite, got {cost!r}")
+    return threshold, cost
 
 
 def optimize_joint_policy(
@@ -291,6 +325,7 @@ def optimize_joint_policy(
     convention: str = "paper",
     tol: float = 1e-12,
     max_iterations: int = 25,
+    distance_optimum: Optional[Tuple[int, float]] = None,
 ) -> JointPolicy:
     """Alternating minimization for the jointly optimal policy pair.
 
@@ -311,6 +346,14 @@ def optimize_joint_policy(
         Stop when one full sweep improves ``C_T`` by at most this much.
     max_iterations:
         Hard bound on the number of alternation sweeps.
+    distance_optimum:
+        The distance-based optimum ``(d*, C_T(d*, m))`` to start from,
+        as :func:`~repro.core.threshold.find_optimal_threshold` returns
+        it for the same model, costs, ``m``, ``d_max`` and
+        ``convention`` (a grid sweep's ``(optimal_d, total_cost)``);
+        the policy is then exactly the one a search would give.  None
+        (default) searches for it.  ``d*`` outside ``0..d_max`` or a
+        non-finite cost raises :class:`~repro.exceptions.ParameterError`.
 
     Returns a :class:`JointPolicy` whose cost history is monotone
     non-increasing from the distance-based optimum ``C_T(d*, m)``.
@@ -322,17 +365,20 @@ def optimize_joint_policy(
     if not (tol >= 0.0):
         raise ParameterError(f"tol must be >= 0, got {tol}")
 
-    baseline = find_optimal_threshold(
-        model, costs, m, d_max=d_max, convention=convention
-    )
-    evaluator = _JointEvaluator(model, costs, d_max, convention)
+    if distance_optimum is None:
+        baseline = find_optimal_threshold(
+            model, costs, m, d_max=d_max, convention=convention
+        )
+        distance_optimum = (baseline.threshold, baseline.total_cost)
+    baseline_threshold, baseline_cost = _validate_optimum(distance_optimum, d_max)
+    evaluator = _evaluator(model, d_max, convention)
     confirmations = _observability().registry.counter(
         "joint_registration_confirmed_total", model=model.name
     )
 
-    d = baseline.threshold
+    d = baseline_threshold
     plan = sdf_partition(d, m)
-    cost = evaluator.total_cost(d, plan)
+    cost = evaluator.total_cost(d, plan, costs)
     history = [JointIteration(0, d, plan, cost)]
 
     converged = False
@@ -341,7 +387,7 @@ def optimize_joint_policy(
         candidate = optimal_contiguous_partition(
             d, m, evaluator.steady_row(d), evaluator.ring_sizes(d)
         )
-        candidate_cost = evaluator.total_cost(d, candidate)
+        candidate_cost = evaluator.total_cost(d, candidate, costs)
         if candidate_cost < cost:  # monotonicity guard
             plan, cost = candidate, candidate_cost
 
@@ -350,8 +396,10 @@ def optimize_joint_policy(
         # a strict-improvement tie tolerance reproduces the distance
         # searcher's tie-breaking on degenerate instances.
         best_d, best_cost, confirmed = screened_scan(
-            evaluator.registration_costs(plan, m),
-            lambda d_new: evaluator.total_cost(d_new, adapt_plan(plan, d_new, m)),
+            evaluator.registration_costs(plan, m, costs),
+            lambda d_new: evaluator.total_cost(
+                d_new, adapt_plan(plan, d_new, m), costs
+            ),
             best=d,
             best_cost=cost,
             skip=d,
@@ -366,7 +414,7 @@ def optimize_joint_policy(
             converged = True
             break
 
-    update, paging, cells, delay = evaluator.breakdown(d, plan)
+    update, paging, cells, delay = evaluator.breakdown(d, plan, costs)
     return JointPolicy(
         threshold=d,
         plan=plan,
@@ -377,8 +425,8 @@ def optimize_joint_policy(
         expected_delay=delay,
         history=tuple(history),
         converged=converged,
-        baseline_threshold=baseline.threshold,
-        baseline_cost=baseline.total_cost,
+        baseline_threshold=baseline_threshold,
+        baseline_cost=baseline_cost,
     )
 
 

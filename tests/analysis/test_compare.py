@@ -5,10 +5,12 @@ import math
 
 import pytest
 
-from repro.analysis.compare import SCHEMES, run_tournament
+from repro.analysis.compare import SCHEMES, SchemeOutcome, run_tournament
 from repro.analysis.sweep import MODEL_CLASSES
+from repro.core.parameters import CostParams, MobilityParams
 from repro.exceptions import ParameterError
 from repro.observability import session
+from repro.strategies import optimize_joint_policy
 
 AXES = {"U": [20.0, 100.0], "m": [1, 2]}
 POINT_KW = dict(q=0.2, c=0.02, poll_cost=10.0, d_max=25)
@@ -121,20 +123,51 @@ class TestSolverWork:
                 d_max=100,
                 **kwargs,
             )
-        spans = [record.name for record in obs.tracer.records]
-        return spans.count("analytic.batched_steady_states"), obs.registry
+        return [record.name for record in obs.tracer.records]
 
     def test_two_solves_cold_and_one_warm(self, tmp_path):
-        cold, registry = self.traced(cache_dir=tmp_path)
-        warm, _ = self.traced(cache_dir=tmp_path)
+        cold = self.traced(cache_dir=tmp_path)
+        warm = self.traced(cache_dir=tmp_path)
         # One solve for the distance sweep's model, one for the joint
         # leg's; a warm sweep cache leaves only the joint leg's.
-        assert cold <= 2
-        assert warm <= 1
-        hits = registry.counter(
-            "analytic_steady_memo_total", model="2d-exact", outcome="hit"
-        ).value
-        assert hits >= 6
+        assert cold.count("analytic.batched_steady_states") <= 2
+        assert warm.count("analytic.batched_steady_states") <= 1
+        # One SDF surface per delay bound, all of them the sweep's: the
+        # joint leg starts from the sweep's optimum and searches nothing.
+        assert cold.count("analytic.compute_cost_surface") == 4
+        assert warm.count("analytic.compute_cost_surface") == 0
+
+
+class TestJointLegReuse:
+    """The joint leg starts from the sweep's optimum, cold or cached, and
+    returns what a standalone search returns at every point."""
+
+    AXES = {"q": [0.05, 0.3], "U": [20.0, 100.0], "m": [1, 3, math.inf]}
+
+    @pytest.mark.parametrize("model_name", ["1d", "2d-exact"])
+    def test_joint_outcomes_equal_standalone_solves(self, model_name, tmp_path):
+        for from_cache in (False, True):
+            result = run_tournament(
+                model_name, self.AXES, c=0.02, poll_cost=10.0, d_max=30,
+                cache_dir=tmp_path,
+            )
+            assert result.from_cache is from_cache
+            for point in result.points:
+                model = MODEL_CLASSES[model_name](MobilityParams(point.q, point.c))
+                m = point.max_delay
+                policy = optimize_joint_policy(
+                    model,
+                    CostParams(point.update_cost, point.poll_cost),
+                    m if m == math.inf else int(m),
+                    d_max=30,
+                )
+                assert point.outcome("jointly-optimal") == SchemeOutcome(
+                    scheme="jointly-optimal",
+                    parameter=policy.threshold,
+                    update_cost=policy.update_cost,
+                    paging_cost=policy.paging_cost,
+                    detail=policy.plan.describe(),
+                )
 
 
 @pytest.mark.slow

@@ -37,6 +37,47 @@ class TestSpans:
             pass
         assert tracer.records[0].duration is not None
 
+    def test_exception_pops_the_span_and_fires_hooks_in_order(self):
+        events = []
+
+        class Recorder:
+            def on_span_start(self, record):
+                events.append(("start", record.name, record.duration))
+
+            def on_span_finish(self, record):
+                events.append(("finish", record.name, record.duration is not None))
+
+        tracer = Tracer(hooks=[Recorder()])
+        with tracer.span("outer") as outer:
+            try:
+                with tracer.span("failing"):
+                    raise RuntimeError("boom")
+            except RuntimeError:
+                pass
+            with tracer.span("after") as after:
+                pass
+        assert after.parent_id == outer.span_id
+        assert events == [
+            ("start", "outer", None),
+            ("start", "failing", None),
+            ("finish", "failing", True),
+            ("start", "after", None),
+            ("finish", "after", True),
+            ("finish", "outer", True),
+        ]
+
+    def test_session_restores_the_previous_context_on_an_exception(self):
+        before = current()
+        with session() as outer:
+            try:
+                with session() as inner:
+                    assert current() is inner
+                    raise RuntimeError("boom")
+            except RuntimeError:
+                pass
+            assert current() is outer
+        assert current() is before
+
     def test_span_ids_are_unique(self):
         tracer = Tracer()
         for _ in range(5):

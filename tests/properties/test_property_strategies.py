@@ -204,12 +204,12 @@ class TestVectorFormulas:
         plan = data.draw(contiguous_plans(d_max), label="plan")
         model_cls = data.draw(st.sampled_from(sorted(EXACT_MODELS.values(), key=str)))
         convention = data.draw(st.sampled_from(["paper", "physical"]))
-        evaluator = _JointEvaluator(model_cls(mob), costs, d_max, convention)
-        screened = evaluator.registration_costs(plan, m)
+        evaluator = _JointEvaluator(model_cls(mob), d_max, convention)
+        screened = evaluator.registration_costs(plan, m, costs)
         assert screened.shape == (d_max + 1,)
         # Every d' covers the shrink, grow-by-singletons and merge branches.
         for d_new in range(d_max + 1):
-            exact = evaluator.total_cost(d_new, adapt_plan(plan, d_new, m))
+            exact = evaluator.total_cost(d_new, adapt_plan(plan, d_new, m), costs)
             assert abs(screened[d_new] - exact) <= screen_margin(
                 screened[d_new], d_max + 1
             )

@@ -52,11 +52,11 @@ def reference_joint_policy(
     baseline = find_optimal_threshold(
         model, costs, m, d_max=d_max, convention=convention
     )
-    evaluator = _JointEvaluator(model, costs, d_max, convention)
+    evaluator = _JointEvaluator(model, d_max, convention)
 
     d = baseline.threshold
     plan = sdf_partition(d, m)
-    cost = evaluator.total_cost(d, plan)
+    cost = evaluator.total_cost(d, plan, costs)
     history = [JointIteration(0, d, plan, cost)]
 
     converged = False
@@ -65,7 +65,7 @@ def reference_joint_policy(
         candidate = optimal_contiguous_partition(
             d, m, evaluator.steady_row(d), evaluator.ring_sizes(d)
         )
-        candidate_cost = evaluator.total_cost(d, candidate)
+        candidate_cost = evaluator.total_cost(d, candidate, costs)
         if candidate_cost < cost:  # monotonicity guard
             plan, cost = candidate, candidate_cost
 
@@ -78,7 +78,7 @@ def reference_joint_policy(
             if d_new == d:
                 continue
             trial_plan = adapt_plan(plan, d_new, m)
-            trial_cost = evaluator.total_cost(d_new, trial_plan)
+            trial_cost = evaluator.total_cost(d_new, trial_plan, costs)
             if trial_cost < best_cost - _TIE_TOLERANCE:
                 best_d, best_plan, best_cost = d_new, trial_plan, trial_cost
         d, plan = best_d, best_plan
@@ -89,7 +89,7 @@ def reference_joint_policy(
             converged = True
             break
 
-    update, paging, cells, delay = evaluator.breakdown(d, plan)
+    update, paging, cells, delay = evaluator.breakdown(d, plan, costs)
     return JointPolicy(
         threshold=d,
         plan=plan,

@@ -13,6 +13,7 @@ from repro import (
     find_optimal_threshold,
 )
 from repro.geometry import HexTopology, LineTopology, SquareTopology
+from repro.observability import session
 from repro.paging import partition_from_sizes, sdf_partition
 from repro.simulation import SimulationEngine
 from repro.strategies import (
@@ -113,6 +114,70 @@ class TestOptimizeJointPolicy:
             optimize_joint_policy(model, COSTS, 2, tol=-1.0)
         with pytest.raises(ParameterError):
             optimize_joint_policy(model, COSTS, 0)
+
+
+class TestDistanceOptimum:
+    """A caller that knows ``(d*, C_T(d*, m))`` skips the search and gets
+    the searched policy back exactly."""
+
+    @pytest.mark.parametrize("model_cls", [OneDimensionalModel, TwoDimensionalModel])
+    def test_given_optimum_returns_the_searched_policy(self, model_cls):
+        for q in (0.05, 0.3):
+            mobility = MobilityParams(move_probability=q, call_probability=0.02)
+            for update_cost in (20.0, 100.0):
+                costs = CostParams(update_cost=update_cost, poll_cost=10.0)
+                for m in (1, 3, math.inf):
+                    searched = optimize_joint_policy(
+                        model_cls(mobility), costs, m, d_max=30
+                    )
+                    optimum = find_optimal_threshold(
+                        model_cls(mobility), costs, m, d_max=30
+                    )
+                    given = optimize_joint_policy(
+                        model_cls(mobility),
+                        costs,
+                        m,
+                        d_max=30,
+                        distance_optimum=(optimum.threshold, optimum.total_cost),
+                    )
+                    # Field for field, history and baseline included.
+                    assert given == searched
+
+    @pytest.mark.parametrize(
+        "optimum",
+        [
+            (-1, 1.0), (31, 1.0), (2.0, 1.0),
+            (2, math.inf), (2, -math.inf), (2, math.nan),
+        ],
+    )
+    def test_refuses_an_optimum_outside_the_search(self, optimum):
+        with pytest.raises(ParameterError):
+            optimize_joint_policy(
+                OneDimensionalModel(MOBILITY),
+                COSTS,
+                2,
+                d_max=30,
+                distance_optimum=optimum,
+            )
+
+    def test_one_evaluator_serves_every_cost_and_delay(self):
+        model = TwoDimensionalModel(MOBILITY)
+        with session() as obs:
+            for update_cost in (20.0, 100.0):
+                costs = CostParams(update_cost=update_cost, poll_cost=10.0)
+                for m in (1, 3, math.inf):
+                    optimum = find_optimal_threshold(model, costs, m, d_max=30)
+                    optimize_joint_policy(
+                        model,
+                        costs,
+                        m,
+                        d_max=30,
+                        distance_optimum=(optimum.threshold, optimum.total_cost),
+                    )
+            lookups = obs.registry.total("analytic_steady_memo_total")
+        # Six searches read the chain; the joint solver reads it once, to
+        # build the one evaluator every (U, m) shares.
+        assert lookups == 7
 
 
 class TestExactModelForTopology:

@@ -501,6 +501,27 @@ class TestSweepErrorPaths:
         assert code == 2
         assert "positive endpoints" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    @pytest.mark.parametrize(
+        "spec, detail",
+        [
+            ("m=1:inf:3", "finite endpoints"),
+            ("m=1:2:5", "repeated delay bounds [1, 2]"),
+            ("m=1.5", "got '1.5'"),
+        ],
+    )
+    def test_delay_axis_takes_positive_integers_or_inf(
+        self, capsys, command, spec, detail
+    ):
+        code = main(
+            [command, "--model", "1d", "--vary", spec, "--d-max", "10",
+             "--no-cache"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "axis 'm' takes positive integers or inf" in err
+        assert detail in err
+
     def test_empty_value_list(self, capsys):
         code = main(
             ["sweep", "--model", "1d", "--vary", "q=, ,", "--no-cache"]
