@@ -14,7 +14,9 @@ the blanket-paging baselines are the closed forms in
 :func:`~repro.strategies.jointly_optimal.optimize_joint_policy` at
 every point, started from that point's sweep optimum ``(d*, C_T)``, so
 the joint leg runs no threshold search of its own -- on a warm sweep
-cache it prices no SDF cost surface at all.  The baselines blanket-page
+cache it prices no SDF cost surface at all.  When the sweep solves
+serially in-process, the joint leg takes over each ``(q, c)`` chain's
+model from it, so every chain is solved once.  The baselines blanket-page
 a single polling cycle, so they satisfy any delay bound ``m >= 1`` and
 their costs do not vary along the ``m`` axis.
 
@@ -40,10 +42,11 @@ from ..core.baselines import (
     optimal_movement_threshold,
     optimal_timer_period,
 )
+from ..core.models import MobilityModel
 from ..core.parameters import CostParams, MobilityParams
 from ..exceptions import ParameterError
 from ..strategies.jointly_optimal import optimize_joint_policy
-from .sweep import MODEL_CLASSES, GridSweepResult, grid_sweep
+from .sweep import MODEL_CLASSES, GridSweepResult, _grid_sweep
 
 __all__ = [
     "SCHEMES",
@@ -247,7 +250,10 @@ def run_tournament(
             raise ParameterError(f"unknown schemes {unknown}; known: {list(SCHEMES)}")
         selected = tuple(s for s in SCHEMES if s in set(schemes) or s == "distance")
 
-    sweep_result: GridSweepResult = grid_sweep(
+    # A serial sweep that solves leaves each chain's model here, with
+    # its steady-state solve, for the joint leg to reuse.
+    models: Dict[Tuple[float, float], MobilityModel] = {}
+    sweep_result: GridSweepResult = _grid_sweep(
         model_name,
         axes,
         q=q,
@@ -257,8 +263,10 @@ def run_tournament(
         max_delay=max_delay,
         d_max=d_max,
         convention=convention,
+        plan_factory=None,
         workers=workers,
         cache_dir=cache_dir,
+        models=models,
     )
 
     model_cls = MODEL_CLASSES[model_name]
@@ -271,9 +279,13 @@ def run_tournament(
         costs = CostParams(sweep_point.update_cost, sweep_point.poll_cost)
         # Points of one (q, c) are consecutive in the row-major order:
         # one model serves them all, so its steady-state solve and joint
-        # evaluator are shared by every (U, V, m) joint policy.
-        if model is None or (model.q, model.c) != (sweep_point.q, sweep_point.c):
-            model = model_cls(mobility)
+        # evaluator are shared by every (U, V, m) joint policy.  Taking
+        # the sweep's model out of ``models`` drops it with this chain.
+        chain = (sweep_point.q, sweep_point.c)
+        if model is None or (model.q, model.c) != chain:
+            model = models.pop(chain, None)
+            if model is None:
+                model = model_cls(mobility)
         topology = model.topology
 
         outcomes: List[SchemeOutcome] = [

@@ -202,11 +202,10 @@ def _solve_grid_point(
     executors run this exact function (see :mod:`repro.parallel`), which
     is what makes ``workers=N`` output identical to a serial sweep.
 
-    A serial sweep passes one ``models`` dict for all its points; it
-    keeps the model of the last ``(q, c)`` solved, so the points of one
-    chain -- consecutive in the row-major order -- share its memoized
-    steady-state solve.  Sharing is bit-identical: the memo returns the
-    matrix a fresh solve would compute.
+    A serial sweep passes one ``models`` dict for all its points and
+    keeps each ``(q, c)``'s model there, so the points of one chain
+    share its memoized steady-state solve.  Sharing is bit-identical:
+    the memo returns the matrix a fresh solve would compute.
 
     Any failure is re-raised as a :class:`SweepPointError` carrying the
     point's parameters: under a process pool, ``future.result()`` would
@@ -225,7 +224,6 @@ def _solve_grid_point(
                 MobilityParams(move_probability=q, call_probability=c)
             )
             if models is not None:
-                models.clear()
                 models[(q, c)] = model
         costs = CostParams(update_cost=update_cost, poll_cost=poll_cost)
         solution = find_optimal_threshold(
@@ -415,6 +413,46 @@ def grid_sweep(
         ``plan_factory`` is given -- callables have no stable
         fingerprint, so such sweeps are always recomputed.
     """
+    return _grid_sweep(
+        model_name,
+        axes,
+        q=q,
+        c=c,
+        update_cost=update_cost,
+        poll_cost=poll_cost,
+        max_delay=max_delay,
+        d_max=d_max,
+        convention=convention,
+        plan_factory=plan_factory,
+        workers=workers,
+        cache_dir=cache_dir,
+        models={},
+    )
+
+
+def _grid_sweep(
+    model_name: str,
+    axes: Dict[str, Sequence[float]],
+    q: float,
+    c: float,
+    update_cost: float,
+    poll_cost: float,
+    max_delay,
+    d_max: int,
+    convention: str,
+    plan_factory: Optional[PlanFactory],
+    workers: Optional[Union[int, str]],
+    cache_dir: Optional[Union[str, Path]],
+    models: Dict[Tuple[float, float], MobilityModel],
+) -> GridSweepResult:
+    """:func:`grid_sweep`, keeping the models a serial solve builds.
+
+    A serial sweep that solves (no cache hit, no process pool) leaves
+    each chain's model in ``models``, keyed by ``(q, c)``, with its
+    steady-state solve memoized;
+    :func:`~repro.analysis.compare.run_tournament` hands them to its
+    joint leg.
+    """
     if model_name not in MODEL_CLASSES:
         raise ParameterError(
             f"unknown model {model_name!r}; known: {sorted(MODEL_CLASSES)}"
@@ -486,7 +524,7 @@ def grid_sweep(
     ):
         if pool_size is None:
             # One memo for the whole serial sweep: see _solve_grid_point.
-            solve = functools.partial(_solve_grid_point, models={})
+            solve = functools.partial(_solve_grid_point, models=models)
         else:
             solve = _solve_grid_point
             try:

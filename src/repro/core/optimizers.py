@@ -203,11 +203,14 @@ def screened_scan(
     low = high = best_cost
     exact = True
     evaluations = 0
-    for k in np.flatnonzero(~(lower >= ceiling)).tolist():
-        if k == skip or lower[k] >= high - tol:
+    candidates = np.flatnonzero(~(lower >= ceiling))
+    for k, lower_k, upper_k in zip(
+        candidates.tolist(), lower[candidates].tolist(), upper[candidates].tolist()
+    ):
+        if k == skip or lower_k >= high - tol:
             continue
-        if upper[k] < low - tol:
-            best, low, high, exact = k, lower[k], upper[k], False
+        if upper_k < low - tol:
+            best, low, high, exact = k, lower_k, upper_k, False
             continue
         if not exact:
             low = high = cost(best)

@@ -39,7 +39,12 @@ over partitions of rings ``s .. d`` into at most ``k`` groups, where
 
 and compute ``best(s, k) = min_e  tail_prob(s..e) * cells(s..e)
 + shifted future`` -- implemented below with suffix sums so each
-transition is O(1); total complexity ``O(d^2 m)``.
+transition is O(1); total complexity ``O(d^2 l)`` for ``l = min(d + 1,
+m)`` groups: ``O(d^2 m)`` under a delay bound, ``O(d^3)`` when
+``m >= d + 1``.  The loop runs on Python floats (the same IEEE
+operations as on NumPy scalars, without their per-operation dispatch),
+and a single allowed group (``m = 1`` or ``d = 0``) is returned without
+it.
 """
 
 from __future__ import annotations
@@ -91,11 +96,14 @@ def optimal_contiguous_partition(
     m = validate_delay(m)
     max_groups = subarea_count(d, m)
     p, n = _prepare(d, ring_probabilities, ring_sizes)
+    if max_groups == 1:
+        return partition_from_sizes(d, [d + 1])
 
-    # Suffix sums: tail_p[s] = sum_{i >= s} p_i.
-    tail_p = np.concatenate([np.cumsum(p[::-1])[::-1], [0.0]])
+    # Suffix sums: tail_p[s] = sum_{i >= s} p_i.  Both helpers are
+    # Python floats, which the loop below adds without NumPy dispatch.
+    tail_p = np.concatenate([np.cumsum(p[::-1])[::-1], [0.0]]).tolist()
     # cells[s:e] helper via prefix sums of n.
-    pref_n = np.concatenate([[0.0], np.cumsum(n)])
+    pref_n = np.concatenate([[0.0], np.cumsum(n)]).tolist()
 
     size = d + 1
     inf = math.inf
@@ -118,15 +126,17 @@ def optimal_contiguous_partition(
     for k in range(max_groups + 1):
         best[k][size] = 0.0
     for k in range(1, max_groups + 1):
+        previous = best[k - 1]
         for s in range(size - 1, -1, -1):
             tp = tail_p[s]
+            cells_before = pref_n[s]
             acc = inf
             pick = -1
             for e in range(s, size):
-                future = best[k - 1][e + 1]
+                future = previous[e + 1]
                 if future == inf:
                     continue
-                cost = tp * (pref_n[e + 1] - pref_n[s]) + future
+                cost = tp * (pref_n[e + 1] - cells_before) + future
                 if cost < acc - 1e-15:
                     acc = cost
                     pick = e

@@ -18,6 +18,14 @@ it computes
 * the expected number of polled cells ``sum_j alpha_j w_j`` (the
   bracket of eqn (65)) and the expected paging delay in cycles.
 
+Pricing takes a few NumPy calls per plan, not a few per ring: one
+gather reads every single-ring group's ``alpha_j``, and each other
+group sums its rings as a slice when they are consecutive (by list
+index otherwise) -- the same ``np.sum`` over the same values, so every
+``alpha_j`` is the same double either way.  A contiguous plan (rings
+``0..d`` listed in order) reads ``w_j`` off the topology's coverage
+curve at each group's last ring.
+
 Constructors provided:
 
 :func:`sdf_partition`
@@ -37,6 +45,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -80,15 +91,17 @@ class PagingPlan:
         d = self.threshold
         if d < 0:
             raise PartitionError(f"threshold must be >= 0, got {d}")
-        seen: List[int] = []
-        for group in self.subareas:
-            if len(group) == 0:
-                raise PartitionError("every subarea must contain at least one ring")
-            seen.extend(group)
-        if sorted(seen) != list(range(d + 1)):
+        if not all(map(len, self.subareas)):
+            raise PartitionError("every subarea must contain at least one ring")
+        rings = list(chain.from_iterable(self.subareas))
+        expected = list(range(d + 1))
+        # Groups listing rings 0..d in order need no sort.
+        contiguous = rings == expected
+        if not contiguous and sorted(rings) != expected:
             raise PartitionError(
-                f"subareas must cover rings 0..{d} exactly once, got {sorted(seen)}"
+                f"subareas must cover rings 0..{d} exactly once, got {sorted(rings)}"
             )
+        object.__setattr__(self, "_contiguous", contiguous)
 
     # ------------------------------------------------------------------
 
@@ -96,6 +109,36 @@ class PagingPlan:
     def delay_bound(self) -> int:
         """Worst-case paging delay in polling cycles (= subarea count)."""
         return len(self.subareas)
+
+    @property
+    def contiguous(self) -> bool:
+        """True when the groups list rings ``0 .. d`` in order: each one a
+        distance range, nearest first (what :func:`partition_from_sizes`
+        builds)."""
+        return self._contiguous
+
+    @cached_property
+    def _layout(self) -> Tuple[np.ndarray, List[Tuple[int, object]]]:
+        """Eqn (63)'s sums, laid out once per plan: ``(firsts, multi)``.
+
+        ``firsts`` holds every group's first ring, so one gather prices
+        all single-ring groups; ``multi`` holds ``(j, index)`` for every
+        other group, ``index`` a slice when its rings are consecutive,
+        else its ring list.
+        """
+        groups = self.subareas
+        count = len(groups)
+        firsts = np.fromiter(map(itemgetter(0), groups), np.intp, count)
+        lengths = np.fromiter(map(len, groups), np.intp, count)
+        multi: List[Tuple[int, object]] = []
+        for j in np.flatnonzero(lengths > 1).tolist():
+            group = groups[j]
+            rings = range(group[0], group[0] + len(group))
+            if self._contiguous or tuple(group) == tuple(rings):
+                multi.append((j, slice(rings.start, rings.stop)))
+            else:
+                multi.append((j, list(group)))
+        return firsts, multi
 
     def subarea_of_ring(self, ring: int) -> int:
         """Return the 0-based index of the subarea containing ``ring``."""
@@ -106,19 +149,27 @@ class PagingPlan:
 
     def subarea_sizes(self, topology: CellTopology) -> np.ndarray:
         """``N(A_j)``: number of cells in each subarea."""
-        return np.array(
-            [sum(topology.ring_size(r) for r in group) for group in self.subareas]
-        )
+        return np.diff(self.cumulative_polled(topology), prepend=0.0)
 
     def cumulative_polled(self, topology: CellTopology) -> np.ndarray:
         """``w_j`` (eqn (64)): cells polled when found in subarea ``j``."""
-        return np.cumsum(self.subarea_sizes(topology))
+        coverage = topology.coverage_curve(self.threshold)
+        if self._contiguous:
+            # Polling through group j covers the disk out to its last
+            # ring, one before the next group's first.
+            firsts, _ = self._layout
+            return coverage[np.append(firsts[1:] - 1, self.threshold)]
+        ring_sizes = np.diff(coverage, prepend=0.0)
+        return np.cumsum([ring_sizes[list(group)].sum() for group in self.subareas])
 
     def subarea_probabilities(self, ring_distribution: Sequence[float]) -> np.ndarray:
         """``alpha_j`` (eqn (63)): probability of each subarea.
 
         ``ring_distribution`` is the steady-state vector
-        ``p_{0,d} .. p_{d,d}``.
+        ``p_{0,d} .. p_{d,d}``.  A one-ring group's sum is its ring's
+        probability, and a slice sums the same values in the same order
+        as a list index, so every ``alpha_j`` is the ``np.sum`` of its
+        rings' probabilities.
         """
         p = np.asarray(ring_distribution, dtype=float)
         if p.shape != (self.threshold + 1,):
@@ -126,7 +177,11 @@ class PagingPlan:
                 f"ring distribution must have length {self.threshold + 1}, "
                 f"got shape {p.shape}"
             )
-        return np.array([p[list(group)].sum() for group in self.subareas])
+        firsts, multi = self._layout
+        alpha = p.take(firsts)
+        for j, rings in multi:
+            alpha[j] = p[rings].sum()
+        return alpha
 
     def expected_polled_cells(
         self, topology: CellTopology, ring_distribution: Sequence[float]

@@ -56,6 +56,11 @@ solves into the same matrix.  Nothing the evaluator holds depends on
 the costs ``(U, V)`` or the delay bound, so it is built once per model
 and kept there.  A caller that already knows the distance optimum -- a
 grid sweep does -- passes it in, and no threshold search runs.
+
+Each solve prices a ``(d, plan)`` once: the initial SDF plan, the
+paging step's candidate (often the incumbent again), the registration
+scan's confirmations and the returned policy share one memo of
+breakdowns keyed by the threshold and the plan's group sizes.
 """
 
 from __future__ import annotations
@@ -144,17 +149,12 @@ class JointPolicy:
 
 def _plan_sizes(plan: PagingPlan) -> List[int]:
     """Group sizes of a contiguous plan, validating contiguity."""
-    expected = 0
-    sizes: List[int] = []
-    for group in plan.subareas:
-        if list(group) != list(range(expected, expected + len(group))):
-            raise ParameterError(
-                "joint optimization requires contiguous distance-ordered "
-                f"paging plans, got {plan.describe()!r}"
-            )
-        sizes.append(len(group))
-        expected += len(group)
-    return sizes
+    if not plan.contiguous:
+        raise ParameterError(
+            "joint optimization requires contiguous distance-ordered "
+            f"paging plans, got {plan.describe()!r}"
+        )
+    return list(map(len, plan.subareas))
 
 
 def adapt_plan(plan: PagingPlan, d_new: int, m) -> PagingPlan:
@@ -244,10 +244,6 @@ class _JointEvaluator:
         cells = plan.expected_polled_cells(self.model.topology, p)
         paging = self.model.c * costs.poll_cost * cells
         return update, paging, cells, plan.expected_delay(p)
-
-    def total_cost(self, d: int, plan: PagingPlan, costs: CostParams) -> float:
-        update, paging, _, _ = self.breakdown(d, plan, costs)
-        return update + paging
 
     def registration_costs(
         self, plan: PagingPlan, m, costs: CostParams
@@ -376,9 +372,24 @@ def optimize_joint_policy(
         "joint_registration_confirmed_total", model=model.name
     )
 
+    # One pricing per (d, plan) for the whole solve; plans here are
+    # contiguous, so their group sizes identify them.
+    priced = {}
+
+    def price(d: int, plan: PagingPlan):
+        key = (d, tuple(map(len, plan.subareas)))
+        breakdown = priced.get(key)
+        if breakdown is None:
+            breakdown = priced[key] = evaluator.breakdown(d, plan, costs)
+        return breakdown
+
+    def total_cost(d: int, plan: PagingPlan) -> float:
+        update, paging, _, _ = price(d, plan)
+        return update + paging
+
     d = baseline_threshold
     plan = sdf_partition(d, m)
-    cost = evaluator.total_cost(d, plan, costs)
+    cost = total_cost(d, plan)
     history = [JointIteration(0, d, plan, cost)]
 
     converged = False
@@ -387,7 +398,7 @@ def optimize_joint_policy(
         candidate = optimal_contiguous_partition(
             d, m, evaluator.steady_row(d), evaluator.ring_sizes(d)
         )
-        candidate_cost = evaluator.total_cost(d, candidate, costs)
+        candidate_cost = total_cost(d, candidate)
         if candidate_cost < cost:  # monotonicity guard
             plan, cost = candidate, candidate_cost
 
@@ -397,9 +408,7 @@ def optimize_joint_policy(
         # searcher's tie-breaking on degenerate instances.
         best_d, best_cost, confirmed = screened_scan(
             evaluator.registration_costs(plan, m, costs),
-            lambda d_new: evaluator.total_cost(
-                d_new, adapt_plan(plan, d_new, m), costs
-            ),
+            lambda d_new: total_cost(d_new, adapt_plan(plan, d_new, m)),
             best=d,
             best_cost=cost,
             skip=d,
@@ -414,7 +423,7 @@ def optimize_joint_policy(
             converged = True
             break
 
-    update, paging, cells, delay = evaluator.breakdown(d, plan, costs)
+    update, paging, cells, delay = price(d, plan)
     return JointPolicy(
         threshold=d,
         plan=plan,

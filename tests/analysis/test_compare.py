@@ -108,7 +108,7 @@ class TestCaching:
 
 
 class TestSolverWork:
-    """A tournament solves each chain once per leg, whatever the m axis."""
+    """A tournament solves each chain once, whatever the m axis."""
 
     @staticmethod
     def traced(**kwargs):
@@ -125,13 +125,13 @@ class TestSolverWork:
             )
         return [record.name for record in obs.tracer.records]
 
-    def test_two_solves_cold_and_one_warm(self, tmp_path):
+    def test_one_solve_cold_and_one_warm(self, tmp_path):
         cold = self.traced(cache_dir=tmp_path)
         warm = self.traced(cache_dir=tmp_path)
-        # One solve for the distance sweep's model, one for the joint
-        # leg's; a warm sweep cache leaves only the joint leg's.
-        assert cold.count("analytic.batched_steady_states") <= 2
-        assert warm.count("analytic.batched_steady_states") <= 1
+        # Cold, the joint leg reuses the model the distance sweep solved;
+        # warm, the sweep solves nothing and the joint leg solves once.
+        assert cold.count("analytic.batched_steady_states") == 1
+        assert warm.count("analytic.batched_steady_states") == 1
         # One SDF surface per delay bound, all of them the sweep's: the
         # joint leg starts from the sweep's optimum and searches nothing.
         assert cold.count("analytic.compute_cost_surface") == 4
@@ -147,11 +147,16 @@ class TestJointLegReuse:
     @pytest.mark.parametrize("model_name", ["1d", "2d-exact"])
     def test_joint_outcomes_equal_standalone_solves(self, model_name, tmp_path):
         for from_cache in (False, True):
-            result = run_tournament(
-                model_name, self.AXES, c=0.02, poll_cost=10.0, d_max=30,
-                cache_dir=tmp_path,
-            )
+            with session() as obs:
+                result = run_tournament(
+                    model_name, self.AXES, c=0.02, poll_cost=10.0, d_max=30,
+                    cache_dir=tmp_path,
+                )
             assert result.from_cache is from_cache
+            # One solve per (q, c) chain: the sweep's, which the joint leg
+            # reuses, or, from the cache, the joint leg's own.
+            names = [record.name for record in obs.tracer.records]
+            assert names.count("analytic.batched_steady_states") == 2
             for point in result.points:
                 model = MODEL_CLASSES[model_name](MobilityParams(point.q, point.c))
                 m = point.max_delay

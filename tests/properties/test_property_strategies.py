@@ -209,7 +209,10 @@ class TestVectorFormulas:
         assert screened.shape == (d_max + 1,)
         # Every d' covers the shrink, grow-by-singletons and merge branches.
         for d_new in range(d_max + 1):
-            exact = evaluator.total_cost(d_new, adapt_plan(plan, d_new, m), costs)
+            update, paging, _, _ = evaluator.breakdown(
+                d_new, adapt_plan(plan, d_new, m), costs
+            )
+            exact = update + paging
             assert abs(screened[d_new] - exact) <= screen_margin(
                 screened[d_new], d_max + 1
             )

@@ -216,12 +216,16 @@ class FleetReference:
         else:
             delay = 0.0
         profile_terminals = np.bincount(self._profile, minlength=self.n_profiles)
-        profile_update = np.bincount(
-            self._profile[updated], weights=update_terms, minlength=self.n_profiles
-        )
-        profile_paging = np.bincount(
-            self._profile[paged], weights=paging_terms, minlength=self.n_profiles
-        )
+        # Each profile's terms, in terminal order, summed as the totals
+        # are: a one-profile shard's sums are its totals, bit for bit.
+        update_profile = self._profile[updated]
+        profile_update = [
+            update_terms[update_profile == k].sum() for k in range(self.n_profiles)
+        ]
+        paging_profile = self._profile[paged]
+        profile_paging = [
+            paging_terms[paging_profile == k].sum() for k in range(self.n_profiles)
+        ]
         return ShardSnapshot(
             index=index,
             start=self.global_offset,

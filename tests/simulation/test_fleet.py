@@ -340,6 +340,20 @@ class TestFleetEngineBehavior:
             v["update_cost"] + v["paging_cost"] for v in breakdown.values()
         ) == pytest.approx(result.total_cost)
 
+    def test_one_profile_sums_are_the_totals_exactly(self):
+        # Non-integer costs, so a different summation order would show.
+        spec = FleetSpec.homogeneous(
+            HexTopology(), 2, MobilityParams(0.3, 0.6), CostParams(13.7, 0.31),
+            2, 24_000,
+        )
+        result = run_fleet(spec, slots=4, shards=3, seed=3)
+        for shard in result.shards:
+            assert shard.profile_update_cost == (shard.update_cost,)
+            assert shard.profile_paging_cost == (shard.paging_cost,)
+        (profile,) = result.per_profile().values()
+        assert profile["update_cost"] == result.update_cost
+        assert profile["paging_cost"] == result.paging_cost
+
 
 class TestShardSnapshot:
     def test_dict_roundtrip(self, spec):

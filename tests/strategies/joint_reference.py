@@ -54,9 +54,13 @@ def reference_joint_policy(
     )
     evaluator = _JointEvaluator(model, d_max, convention)
 
+    def total_cost(d, plan):
+        update, paging, _, _ = evaluator.breakdown(d, plan, costs)
+        return update + paging
+
     d = baseline.threshold
     plan = sdf_partition(d, m)
-    cost = evaluator.total_cost(d, plan, costs)
+    cost = total_cost(d, plan)
     history = [JointIteration(0, d, plan, cost)]
 
     converged = False
@@ -65,7 +69,7 @@ def reference_joint_policy(
         candidate = optimal_contiguous_partition(
             d, m, evaluator.steady_row(d), evaluator.ring_sizes(d)
         )
-        candidate_cost = evaluator.total_cost(d, candidate, costs)
+        candidate_cost = total_cost(d, candidate)
         if candidate_cost < cost:  # monotonicity guard
             plan, cost = candidate, candidate_cost
 
@@ -78,7 +82,7 @@ def reference_joint_policy(
             if d_new == d:
                 continue
             trial_plan = adapt_plan(plan, d_new, m)
-            trial_cost = evaluator.total_cost(d_new, trial_plan, costs)
+            trial_cost = total_cost(d_new, trial_plan)
             if trial_cost < best_cost - _TIE_TOLERANCE:
                 best_d, best_plan, best_cost = d_new, trial_plan, trial_cost
         d, plan = best_d, best_plan

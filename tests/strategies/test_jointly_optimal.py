@@ -23,6 +23,7 @@ from repro.strategies import (
     exact_model_for_topology,
     optimize_joint_policy,
 )
+from repro.strategies.jointly_optimal import _JointEvaluator
 
 MOBILITY = MobilityParams(move_probability=0.2, call_probability=0.02)
 COSTS = CostParams(update_cost=50.0, poll_cost=10.0)
@@ -105,6 +106,25 @@ class TestOptimizeJointPolicy:
         assert policy.history[-1].total_cost == pytest.approx(
             policy.total_cost, abs=1e-12
         )
+
+    @pytest.mark.parametrize("m", [1, 2, 3, math.inf])
+    def test_prices_each_plan_once(self, m, monkeypatch):
+        priced = []
+        breakdown = _JointEvaluator.breakdown
+
+        def counted(self, d, plan, costs):
+            priced.append((d, plan))
+            return breakdown(self, d, plan, costs)
+
+        monkeypatch.setattr(_JointEvaluator, "breakdown", counted)
+        for model in (OneDimensionalModel(MOBILITY), TwoDimensionalModel(MOBILITY)):
+            for update_cost in (5.0, 50.0, 500.0):
+                priced.clear()
+                optimize_joint_policy(
+                    model, CostParams(update_cost, 10.0), m, d_max=30
+                )
+                assert priced
+                assert len(set(priced)) == len(priced)
 
     def test_parameter_validation(self):
         model = OneDimensionalModel(MOBILITY)
