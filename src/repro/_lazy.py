@@ -6,11 +6,20 @@ package, or one light submodule of it, loads nothing else; each name
 imports its submodule on first access and is then cached in the
 package namespace.  Every name in ``__all__`` still imports and shows
 in ``dir()``.
+
+A re-export may share its submodule's name (``repro.analysis.sweep``
+is a function of ``repro.analysis.sweep``).  Importing a submodule
+binds it on its package after the submodule has run, where no
+``__getattr__`` can intervene, so such a package keeps the export:
+binding the submodule under that name binds its export instead, in
+any import order.
 """
 
 from __future__ import annotations
 
+import sys
 from importlib import import_module
+from types import ModuleType
 from typing import Dict, Optional, Sequence
 
 
@@ -41,3 +50,14 @@ def lazy_exports(
 
     namespace["__getattr__"] = __getattr__
     namespace["__dir__"] = __dir__
+
+    same_name = {name for name, module in owner.items() if name == module}
+    if same_name:
+
+        class _Package(ModuleType):
+            def __setattr__(self, name: str, value) -> None:
+                if name in same_name and isinstance(value, ModuleType):
+                    value = getattr(value, name)
+                super().__setattr__(name, value)
+
+        sys.modules[package].__class__ = _Package

@@ -14,15 +14,10 @@ directory (``repro-lm reproduce``).
 from .. import _lazy
 from . import paper_data
 
-# ``sweep`` is the one re-export that shares its submodule's name.
-# Importing ``repro.analysis.sweep`` rebinds the package attribute to
-# the submodule, so the function is bound here, before any such import
-# can happen, as the eager package did.
-from .sweep import sweep
-
-# Every other re-export loads its submodule on first access, so
-# ``import repro.analysis.tables`` loads neither the simulators nor the
-# conformance checks.
+# Every re-export loads its submodule on first access, so ``import
+# repro.analysis.tables`` loads neither the sweep machinery, nor the
+# simulators, nor the conformance checks.  ``sweep`` is the function in
+# any import order, though it shares its submodule's name (see _lazy).
 _lazy.lazy_exports(globals(), {
     "compare": (
         "SCHEMES", "SchemeOutcome", "TournamentPoint", "TournamentResult",
@@ -40,6 +35,7 @@ _lazy.lazy_exports(globals(), {
     "report": ("format_delay", "render_ascii_plot", "render_table", "write_csv"),
     "sweep": (
         "MODEL_CLASSES", "GridSweepResult", "SweepPoint", "SweepResult", "grid_sweep",
+        "sweep",
     ),
     "tables": (
         "TABLE1_DELAYS", "TABLE2_DELAYS", "Table1Entry", "Table2Entry",

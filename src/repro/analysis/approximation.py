@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
 from ..core.costs import CostEvaluator
+from ..core.models import MODEL_CLASSES
 from ..core.parameters import CostParams, MobilityParams
 from ..exceptions import ParameterError
 from ..geometry import HexTopology
@@ -158,7 +159,6 @@ def approximation_report(
     :func:`~repro.mobility.ctrw.mobility_preset`); the conformance
     test-suite uses it to prove the convergence check can fail.
     """
-    from ..analysis.sweep import MODEL_CLASSES  # deferred: avoid cycle
     from ..simulation.vectorized import VectorizedDistanceEngine  # deferred
 
     if slots < 1:

@@ -36,6 +36,7 @@ from . import paper_data
 __all__ = [
     "FigureSeries",
     "DELAY_CURVES",
+    "FIGURE_POINTS",
     "log_sweep",
     "compute_figure4",
     "compute_figure5",
@@ -46,6 +47,9 @@ __all__ = [
 
 #: The four delay bounds plotted in every figure.
 DELAY_CURVES: Tuple[float, ...] = (1, 2, 3, math.inf)
+
+#: Sweep resolution of each figure's panels, as EXPERIMENTS.md documents.
+FIGURE_POINTS: Dict[str, int] = {"fig4": 13, "fig5": 17}
 
 #: Search bound for per-point optimization.  Figure sweeps hit very low
 #: c (0.001) with U/V = 100, where the unbounded-delay optimum can sit

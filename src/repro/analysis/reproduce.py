@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 from .figures import (
+    FIGURE_POINTS,
     FigureSeries,
     check_figure_shape,
     compute_figure4,
@@ -46,9 +47,6 @@ __all__ = [
     "write_figures",
     "write_tables",
 ]
-
-#: Sweep resolution of each figure's panels, as EXPERIMENTS.md documents.
-FIGURE_POINTS = {"fig4": 13, "fig5": 17}
 
 #: ``--quick``: coarse figure sweeps and a short validation campaign.
 _QUICK_POINTS = 5

@@ -42,14 +42,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.costs import PlanFactory
-from ..core.models import (
-    MobilityModel,
-    OneDimensionalModel,
-    SquareGridApproximateModel,
-    SquareGridModel,
-    TwoDimensionalApproximateModel,
-    TwoDimensionalModel,
-)
+from ..core.models import MODEL_CLASSES, MobilityModel
 from ..core.parameters import CostParams, MobilityParams, validate_delay
 from ..core.threshold import find_optimal_threshold
 from ..exceptions import ParameterError, SweepPointError
@@ -65,14 +58,6 @@ __all__ = [
     "grid_sweep",
     "MODEL_CLASSES",
 ]
-
-MODEL_CLASSES: Dict[str, type] = {
-    "1d": OneDimensionalModel,
-    "2d-exact": TwoDimensionalModel,
-    "2d-approx": TwoDimensionalApproximateModel,
-    "square-exact": SquareGridModel,
-    "square-approx": SquareGridApproximateModel,
-}
 
 #: Canonical axis order.  Axes may be supplied in any order; the grid
 #: is always enumerated row-major in *this* order so that point layout

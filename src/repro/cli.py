@@ -31,13 +31,14 @@ import math
 import sys
 from typing import List, Optional
 
-# Only what ``build_parser`` reads: the constants below come from
-# modules that load neither the simulators nor the conformance checks.
-# Each command imports its own modules inside its handler.
-from .analysis.reproduce import FIGURE_POINTS
-from .analysis.sweep import MODEL_CLASSES
+# Only what ``build_parser`` reads: each constant comes from the module
+# that defines it, and none of those loads the simulators, the check
+# modules, the sweep machinery or another command's modules.  Each
+# command imports its own modules inside its handler.
+from .analysis.figures import FIGURE_POINTS
 from .analysis.validate import CAMPAIGN_REPLICATIONS, CAMPAIGN_SLOTS
 from .conformance.sampling import ALL_MODELS, SUITES
+from .core.models import MODEL_CLASSES
 from .exceptions import ParameterError, ReproError
 from .mobility.ctrw import MOBILITY_PRESETS
 

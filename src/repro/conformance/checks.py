@@ -44,6 +44,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..core.models import MODEL_CLASSES
 from ..core.parameters import (
     CostParams,
     MobilityParams,
@@ -95,7 +96,7 @@ class Deviation:
 class ConformanceConfig:
     """One sampled operating point a check runs against.
 
-    ``model_name`` keys :data:`repro.analysis.sweep.MODEL_CLASSES`.
+    ``model_name`` keys :data:`repro.core.models.MODEL_CLASSES`.
     ``d_max`` bounds curve-shaped checks (monotonicity sweeps, batched
     surfaces); ``sim_slots``/``sim_replications`` size the
     simulation-backed checks, which skip themselves when
@@ -156,8 +157,6 @@ class ConformanceConfig:
         """The mobility model this config describes."""
         if self.model_factory is not None:
             return self.model_factory(self.mobility())
-        from ..analysis.sweep import MODEL_CLASSES  # deferred: avoid cycle
-
         if self.model_name not in MODEL_CLASSES:
             raise ParameterError(
                 f"unknown model {self.model_name!r}; "

@@ -38,6 +38,7 @@ from typing import Tuple
 
 import numpy as np
 
+from ..core.models import MODEL_CLASSES
 from .agreement import (
     REL_LIMIT_1D,
     REL_LIMIT_2D,
@@ -245,8 +246,6 @@ def _approx_tracks_exact(config: ConformanceConfig) -> Deviation:
     # for finite m the SDF partitions regroup differently -- verified
     # counterexamples at (q=0.22, c=0.09) reach 29% total-cost gap at
     # d=12.  The faithful metamorphic relation is the rate one.
-    from ..analysis.sweep import MODEL_CLASSES  # deferred: avoid cycle
-
     approx_model = config.build_model()
     exact_model = MODEL_CLASSES[APPROX_TO_EXACT[config.model_name]](config.mobility())
     d_far = max(config.d_max, 12)

@@ -25,7 +25,9 @@ from O(D) prefix sums of one memoized steady-state solve) whenever the
 evaluator uses the default SDF partition on a model with
 threshold-invariant rates; the per-point scalar path remains available
 (``method="scalar"``) as the cross-check reference and is used
-automatically for custom plan factories.
+automatically for custom plan factories.  The threshold searches scan
+the surface's read-only ``C_T`` row in place rather than the list
+``cost_curve`` returns.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
+
+import numpy as np
 
 from ..exceptions import ParameterError
 from ..observability.context import current as _observability
@@ -262,17 +266,24 @@ class CostEvaluator:
                 f"unknown cost_curve method {method!r}; "
                 "expected auto/batched/scalar"
             )
-        if method != "scalar":
-            surface = self._batched_surface(m, d_max)
-            if surface is not None:
-                return surface.curve(m)[: d_max + 1].tolist()
-            if method == "batched":
-                raise ParameterError(
-                    "this evaluator cannot use the batched surface (custom "
-                    "plan factory or threshold-dependent rates); use "
-                    "method='auto' or 'scalar'"
-                )
-        return [self.total_cost(d, m) for d in range(d_max + 1)]
+        if method == "batched" and not self._can_batch():
+            raise ParameterError(
+                "this evaluator cannot use the batched surface (custom "
+                "plan factory or threshold-dependent rates); use "
+                "method='auto' or 'scalar'"
+            )
+        return self._total_curve(m, d_max, batched=method != "scalar").tolist()
+
+    def _total_curve(self, m, d_max: int, batched: bool = True) -> np.ndarray:
+        """``C_T(0 .. d_max, m)`` for a validated ``(m, d_max)`` as one
+        vector -- what the threshold searches scan: the batched surface's
+        read-only row when ``batched`` and this evaluator can batch, else
+        an array of the per-threshold sums.
+        """
+        surface = self._batched_surface(m, d_max) if batched else None
+        if surface is not None:
+            return surface.curve(m)[: d_max + 1]
+        return np.array([self.total_cost(d, m) for d in range(d_max + 1)], dtype=float)
 
     def __repr__(self) -> str:
         return (

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .parameters import MobilityParams, validate_threshold
 
 __all__ = [
     "BANDED_CUTOVER",
+    "MODEL_CLASSES",
     "MobilityModel",
     "OneDimensionalModel",
     "SquareGridApproximateModel",
@@ -442,3 +443,17 @@ class SquareGridApproximateModel(MobilityModel):
         # Mirror the 2-D approximate convention: interior rate
         # uniformly, so the near-optimal machinery behaves the same way.
         return self.q / 2.0
+
+
+#: Every model class by its ``name``: the CLI's ``--model`` choices and
+#: the model keys of sweeps, tournaments and conformance configs.
+MODEL_CLASSES: Dict[str, type] = {
+    model.name: model
+    for model in (
+        OneDimensionalModel,
+        TwoDimensionalModel,
+        TwoDimensionalApproximateModel,
+        SquareGridModel,
+        SquareGridApproximateModel,
+    )
+}

@@ -6,9 +6,9 @@ operation a network operator actually performs: "given this user's
 threshold distance should the terminal use, and what will it cost?"
 
 The default exhaustive search reads the whole cost curve as one array
--- from the batched prefix-sum surface of :mod:`repro.core.batch`
-whenever the evaluator pages with the SDF partition -- and replays the
-scan's tie-breaking over it with
+-- the batched prefix-sum surface's read-only ``C_T`` row, scanned in
+place, whenever the evaluator pages with the SDF partition -- and
+replays the scan's tie-breaking over it with
 :func:`~repro.core.optimizers.scan_curve`.
 """
 
@@ -106,10 +106,10 @@ def find_optimal_threshold(
         return evaluator.total_cost(d, m)
 
     if method == "exhaustive":
-        # Materialize the whole curve first (one batched surface when
-        # possible), then replay the scan's tie-breaking and evaluation
-        # accounting over the array.
-        search = scan_curve(evaluator.cost_curve(m, d_max))
+        # Scan the whole curve at once -- the batched surface's C_T row
+        # in place when possible -- replaying the scan's tie-breaking and
+        # evaluation accounting over the array.
+        search = scan_curve(evaluator._total_curve(m, d_max))
     elif method == "exhaustive-scalar":
         search = exhaustive_search(objective, d_max)
     elif method == "annealing":

@@ -6,22 +6,27 @@ recording/replay, the fluid-flow crossing-rate baseline of reference
 hyperexponential, truncated-Pareto, deterministic residence; optional
 directional drift) that the simulation-as-oracle conformance tier is
 built on.
+
+The re-exports load their submodule on first access, so importing one
+submodule -- the CLI parser reads ``ctrw.MOBILITY_PRESETS`` -- loads
+no other.
 """
 
-from .arrivals import BatchedArrivals, BernoulliArrivals
-from .ctrw import CTRWSpec, CTRWWalk, MOBILITY_PRESETS, mobility_preset
-from .fluid import FluidFlowModel
-from .persistent import PersistentWalk
-from .residence import (
-    DeterministicResidence,
-    GeometricResidence,
-    HyperexponentialResidence,
-    ResidenceDistribution,
-    TruncatedParetoResidence,
-    residence_from_spec,
-)
-from .traces import Trace, TraceStep, generate_trace, replay_trace
-from .walk import RandomWalk
+from .. import _lazy
+
+_lazy.lazy_exports(globals(), {
+    "arrivals": ("BatchedArrivals", "BernoulliArrivals"),
+    "ctrw": ("CTRWSpec", "CTRWWalk", "MOBILITY_PRESETS", "mobility_preset"),
+    "fluid": ("FluidFlowModel",),
+    "persistent": ("PersistentWalk",),
+    "residence": (
+        "DeterministicResidence", "GeometricResidence",
+        "HyperexponentialResidence", "ResidenceDistribution",
+        "TruncatedParetoResidence", "residence_from_spec",
+    ),
+    "traces": ("Trace", "TraceStep", "generate_trace", "replay_trace"),
+    "walk": ("RandomWalk",),
+})
 
 __all__ = [
     "BatchedArrivals",

@@ -20,7 +20,6 @@ PAPER_ARTIFACTS = [
 ]
 
 
-@pytest.mark.slow
 def test_committed_results_are_what_the_renderers_write(tmp_path):
     write_tables(tmp_path)
     write_figures(tmp_path)
@@ -30,7 +29,6 @@ def test_committed_results_are_what_the_renderers_write(tmp_path):
         )
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize(
     "argv,artifact",
     [

@@ -11,6 +11,9 @@ from repro import (
     find_optimal_threshold,
     near_optimal_threshold,
 )
+from repro.analysis.tables import compute_table2
+from repro.core import near_optimal
+from repro.observability import session
 
 MOBILITY = MobilityParams(0.05, 0.01)
 
@@ -103,3 +106,38 @@ class TestQuality:
         assert result.threshold > 0
         assert result.approximate_cost <= result.exact_cost + 1e-12
         assert result.approximate_cost > 0.5 * result.exact_cost
+
+
+class TestModelMemo:
+    """Calls at one ``(q, c)`` share one pair of models, and so one solve
+    of each chain.  The memo outlives a test, so each test clears it."""
+
+    @staticmethod
+    def solves(run):
+        near_optimal._models.cache_clear()
+        with session() as obs:
+            run()
+        names = [record.name for record in obs.tracer.records]
+        return names.count("analytic.batched_steady_states")
+
+    def test_table2_solves_each_chain_once(self):
+        # One exact chain for d*, one approximate chain for all 84 d'.
+        assert self.solves(compute_table2) == 2
+
+    def test_one_solve_across_delay_bounds(self):
+        mobility, costs = MobilityParams(0.0731, 0.0173), CostParams(250, 10)
+
+        def run():
+            for m in (1, 3, math.inf):
+                near_optimal_threshold(mobility, costs, m)
+
+        assert self.solves(run) == 1
+
+    def test_memo_is_bounded(self):
+        near_optimal._models.cache_clear()
+        for k in range(near_optimal._MODEL_PAIRS + 3):
+            near_optimal_threshold(
+                MobilityParams(0.01 * (k + 1), 0.01), CostParams(50, 10), 1, d_max=5
+            )
+        info = near_optimal._models.cache_info()
+        assert info.currsize == info.maxsize == near_optimal._MODEL_PAIRS

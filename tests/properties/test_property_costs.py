@@ -14,7 +14,9 @@ from repro import (
     TwoDimensionalModel,
     exhaustive_search,
     find_optimal_threshold,
+    near_optimal_threshold,
 )
+from repro.core import near_optimal
 
 pytestmark = pytest.mark.slow
 
@@ -111,3 +113,45 @@ class TestOptimizerProperties:
 
         annealed = simulated_annealing(objective, 20, seed=seed)
         assert annealed.optimal_cost >= exact.optimal_cost - 1e-12
+
+
+#: One near-optimal request: which of the drawn ``(q, c)`` points, then
+#: ``(U, V)``, ``m``, ``apply_correction`` and ``d_max``.
+near_requests = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2),
+        cost_params,
+        delays,
+        st.booleans(),
+        st.integers(min_value=0, max_value=40),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestNearOptimalMemo:
+    @given(
+        points=st.lists(mobility_params, min_size=1, max_size=3),
+        requests=near_requests,
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_memo_returns_what_fresh_models_return(self, points, requests, order):
+        def call(request):
+            k, costs, m, correct, d_max = request
+            return near_optimal_threshold(
+                points[k % len(points)], costs, m, d_max=d_max,
+                apply_correction=correct,
+            )
+
+        fresh = []
+        for request in requests:
+            near_optimal._models.cache_clear()
+            fresh.append(call(request))
+        near_optimal._models.cache_clear()
+        for _ in range(2):
+            shuffled = list(range(len(requests)))
+            order.shuffle(shuffled)
+            for i in shuffled:
+                assert call(requests[i]) == fresh[i]

@@ -4,6 +4,7 @@ Every import-set check runs in a fresh interpreter, since this one has
 long since imported everything.
 """
 
+import importlib
 import inspect
 import json
 import os
@@ -54,7 +55,10 @@ def among(modules: set, packages) -> list:
 )
 def test_analytic_modules_load_no_simulator_and_no_check(module):
     modules = loaded(f"import {module}")
-    assert among(modules, ("scipy", "repro.simulation", "repro.conformance")) == []
+    assert among(modules, (
+        "scipy", "repro.simulation", "repro.conformance", "repro.analysis.sweep",
+        "repro.parallel", "repro.persist",
+    )) == []
 
 
 def test_the_cli_loads_only_what_its_parser_reads():
@@ -62,6 +66,9 @@ def test_the_cli_loads_only_what_its_parser_reads():
     assert among(modules, (
         "scipy", "repro.simulation", "repro.conformance.oracles", "repro.faults",
         "repro.channel", "repro.analysis.experiments", "concurrent.futures.process",
+        "repro.analysis.reproduce", "repro.analysis.tables", "repro.analysis.report",
+        "repro.analysis.sweep", "repro.parallel", "repro.persist",
+        "repro.mobility.arrivals", "repro.mobility.fluid", "repro.mobility.traces",
     )) == []
 
 
@@ -74,13 +81,26 @@ def test_the_banded_solve_loads_scipy_when_called():
     assert "scipy.linalg" in modules
 
 
-def test_sweep_stays_the_function_after_its_submodule_is_imported():
-    assert fresh(
-        "import repro.analysis.sweep\n"
+def sweep_after(first: str) -> str:
+    """Where ``repro.analysis.sweep`` points once ``first`` has run."""
+    return fresh(
+        f"{first}\n"
         "from repro.analysis import sweep\n"
         "print(sweep.__module__, sweep.__name__)"
-    ) == "repro.analysis.sweep sweep"
+    )
+
+
+def test_sweep_stays_the_function_after_its_submodule_is_imported():
+    assert sweep_after("import repro.analysis.sweep") == "repro.analysis.sweep sweep"
     assert inspect.isfunction(repro.analysis.sweep)
+
+
+@pytest.mark.parametrize("first", [
+    "from repro.analysis.sweep import grid_sweep",
+    "import repro.analysis.compare",
+])
+def test_sweep_stays_the_function_whichever_route_imports_its_submodule(first):
+    assert sweep_after(first) == "repro.analysis.sweep sweep"
 
 
 def test_deferred_check_modules_still_fill_the_registry():
@@ -91,9 +111,17 @@ def test_deferred_check_modules_still_fill_the_registry():
     assert len(direct) > 30
 
 
-def test_every_lazy_re_export_resolves():
-    for name in repro.analysis.__all__:
-        assert getattr(repro.analysis, name) is not None, name
-    assert set(repro.analysis.__all__) <= set(dir(repro.analysis))
+def check_lazy_re_exports(package) -> None:
+    for name in package.__all__:
+        assert getattr(package, name) is not None, name
+    assert set(package.__all__) <= set(dir(package))
     with pytest.raises(AttributeError):
-        repro.analysis.no_such_name
+        package.no_such_name
+
+
+def test_every_lazy_re_export_resolves():
+    check_lazy_re_exports(repro.analysis)
+
+
+def test_every_lazy_mobility_re_export_resolves():
+    check_lazy_re_exports(importlib.import_module("repro.mobility"))
