@@ -36,20 +36,28 @@ thousands of orders on call-dominated or deep chains.  One solve per
 model is memoized under its exact ``d_max``; the distance search, every
 delay bound and the jointly-optimal solver querying one chain share it.
 
-:func:`compute_cost_surface` packages ``C_u(d)``, ``C_v(d, m)`` and
-``C_T(d, m)`` over a ``d x m`` grid into a :class:`CostSurfaceGrid`.
-:func:`batched_steady_states` builds the ``(D+1) x (D+1)`` matrix from
-the same prefix arrays for the one consumer that needs whole rows, the
-jointly-optimal registration step.  The scalar solvers -- closed form,
-recursion, matrix solve and the single-``d`` :func:`banded_steady_state`
--- stay as independent oracles.
+A cost row -- ``C_u(d)``, the SDF cells and delay, ``C_v(d, m)`` and
+``C_T(d, m)`` over ``d = 0 .. D`` for one delay bound -- costs one SDF
+weight pass over that solve plus a few vector products.  What a row
+reads that does not depend on ``m`` -- the coverage ``g(0 .. D)`` and,
+per boundary convention, the update rate ``p_{d,d} a_{d,d+1}`` -- is
+built once per chain and kept on the solve.  A threshold search prices
+the one row it scans
+(:meth:`~repro.core.costs.CostEvaluator.cost_curve`);
+:func:`compute_cost_surface` stacks the rows of several delay bounds
+into a :class:`CostSurfaceGrid`.  :func:`batched_steady_states` builds
+the ``(D+1) x (D+1)`` matrix from the same prefix arrays for the one
+consumer that needs whole rows, the jointly-optimal registration step.
+The scalar solvers -- closed form, recursion, matrix solve and the
+single-``d`` :func:`banded_steady_state` -- stay as independent
+oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -175,6 +183,10 @@ class SteadyPrefix:
         for array in (log_m, log_dw, outward, self.log_sm, self.log_w, self.log_z):
             array.flags.writeable = False
         self._matrix = None
+        #: The cost-row vectors of the model this chain was solved for,
+        #: built on first use; see :func:`_row_vectors`.
+        self._coverage = None
+        self._crossings: dict = {}
 
     @property
     def d_max(self) -> int:
@@ -346,9 +358,70 @@ def batched_update_costs(
     convention: str = "paper",
 ) -> np.ndarray:
     """``C_u(d)`` (eqn (61)) for every ``d = 0 .. d_max`` as one vector."""
-    diagonal = steady_prefix(model, d_max).diagonal()
-    rates = batched_update_rates(model, d_max, convention=convention)
-    return diagonal * rates * costs.update_cost
+    _, _, crossing = _row_vectors(model, d_max, convention)
+    return crossing * costs.update_cost
+
+
+def _row_vectors(
+    model: MobilityModel, d_max: int, convention: str
+) -> Tuple[SteadyPrefix, np.ndarray, np.ndarray]:
+    """What every cost row of ``model``'s chain over ``0 .. d_max`` reads,
+    whatever the delay bound and the costs: the :func:`steady_prefix`
+    solve, the coverage ``g(0 .. D)`` and the update rate per slot
+    ``p_{d,d} a_{d,d+1}`` with the ``d = 0`` rate of ``convention``.
+
+    The two vectors are read-only and kept on the solve they derive
+    from, as its matrix is, so every delay bound and every ``(U, V)``
+    priced on one chain -- and the jointly-optimal evaluator -- share
+    them.  Each call looks the solve up once, which the
+    ``analytic_steady_memo_total`` counter records.
+    """
+    chain = steady_prefix(model, d_max)
+    if chain._coverage is None:
+        coverage = model.topology.coverage_curve(chain.d_max)
+        coverage.flags.writeable = False
+        chain._coverage = coverage
+    crossing = chain._crossings.get(convention)
+    if crossing is None:
+        rates = chain.outward.copy()
+        rates[0] = model.update_rate(0, convention=convention)
+        crossing = chain.diagonal() * rates
+        crossing.flags.writeable = False
+        chain._crossings[convention] = crossing
+    return chain, chain._coverage, crossing
+
+
+class _CostRow(NamedTuple):
+    """One delay bound's costs over ``d = 0 .. D``; see :func:`_cost_row`."""
+
+    update: np.ndarray
+    paging: np.ndarray
+    total: np.ndarray
+    cells: np.ndarray
+    delay: np.ndarray
+
+
+def _cost_row(
+    model: MobilityModel,
+    costs: CostParams,
+    m,
+    chain: SteadyPrefix,
+    coverage: np.ndarray,
+    update: np.ndarray,
+) -> _CostRow:
+    """One delay bound's row of the cost surface over ``d = 0 .. D``.
+
+    ``chain`` and ``coverage`` are :func:`_row_vectors`' and ``update``
+    is ``C_u(0 .. D)`` (eqn (61)), which does not depend on ``m``.  The
+    row adds the SDF expected polled cells and paging delay of
+    :func:`~repro.paging.plan.sdf_weights_batch` -- the one weight pass
+    that depends on ``m`` -- the paging cost ``c V cells`` (eqn (65))
+    and the total ``C_u + C_v`` (eqn (66)).  ``m`` must be a validated
+    delay bound.
+    """
+    cells, delay = sdf_weights_batch(chain, coverage, m)
+    paging = model.c * costs.poll_cost * cells
+    return _CostRow(update, paging, update + paging, cells, delay)
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,25 +498,23 @@ def compute_cost_surface(
 ) -> CostSurfaceGrid:
     """Evaluate ``C_u``, ``C_v``, and ``C_T`` on the full ``(d, m)`` grid.
 
-    One memoized :func:`steady_prefix` solve is shared by every delay
-    bound; each delay adds O(D min(m, D)) work over its prefix sums.
-    Only the paper's SDF partition is supported -- custom plan factories
-    need the scalar :class:`CostEvaluator` path.
+    Row ``k`` is :func:`_cost_row` at ``delays[k]``; the rows share one
+    memoized :func:`steady_prefix` solve, its :func:`_row_vectors` and
+    one ``C_u`` vector, and each adds O(D min(m, D)) work over the
+    prefix sums.  Only the paper's SDF partition is supported -- custom
+    plan factories need the scalar :class:`CostEvaluator` path.
     """
     d_max = validate_threshold(d_max)
     delays = tuple(validate_delay(m) for m in delays)
     if len(set(delays)) != len(delays):
         raise ParameterError(f"duplicate delay bounds in {list(delays)}")
-    chain = steady_prefix(model, d_max)
-    rates = chain.outward.copy()
-    rates[0] = model.update_rate(0, convention=convention)
-    update = chain.diagonal() * rates * costs.update_cost
-    coverage = model.topology.coverage_curve(d_max)
-    expected_cells = np.empty((len(delays), d_max + 1))
-    expected_delay = np.empty_like(expected_cells)
+    chain, coverage, crossing = _row_vectors(model, d_max, convention)
+    update = crossing * costs.update_cost
+    paging, total, cells, delay = np.empty((4, len(delays), d_max + 1))
     for k, m in enumerate(delays):
-        expected_cells[k], expected_delay[k] = sdf_weights_batch(chain, coverage, m)
-    paging = model.c * costs.poll_cost * expected_cells
+        row = _cost_row(model, costs, m, chain, coverage, update)
+        paging[k], total[k] = row.paging, row.total
+        cells[k], delay[k] = row.cells, row.delay
     return CostSurfaceGrid(
         model_name=model.name,
         q=model.q,
@@ -454,7 +525,7 @@ def compute_cost_surface(
         delays=delays,
         update=update,
         paging=paging,
-        total=update[np.newaxis, :] + paging,
-        expected_cells=expected_cells,
-        expected_delay=expected_delay,
+        total=total,
+        expected_cells=cells,
+        expected_delay=delay,
     )

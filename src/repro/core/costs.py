@@ -20,14 +20,18 @@ Evaluation strategy
 Breakdowns are memoized per ``(d, m)``: repeated queries -- an
 exhaustive search followed by a breakdown at the optimum, say -- solve
 each operating point once.  :meth:`CostEvaluator.cost_curve` prefers
-the batched surface solver of :mod:`repro.core.batch` (all thresholds
-from O(D) prefix sums of one memoized steady-state solve) whenever the
-evaluator uses the default SDF partition on a model with
-threshold-invariant rates; the per-point scalar path remains available
-(``method="scalar"``) as the cross-check reference and is used
-automatically for custom plan factories.  The threshold searches scan
-the surface's read-only ``C_T`` row in place rather than the list
-``cost_curve`` returns.
+the batched solver of :mod:`repro.core.batch` whenever the evaluator
+uses the default SDF partition on a model with threshold-invariant
+rates: it prices one cost row per delay bound -- ``C_u``, ``C_v``,
+``C_T``, expected cells and delay over every threshold, from O(D)
+prefix sums of one memoized steady-state solve and the vectors kept
+on that solve -- and serves a cached row only at the
+exact ``d_max`` it was priced at.  The threshold searches scan the
+row's read-only ``C_T`` vector in place rather than the list
+``cost_curve`` returns, and read the optimum's breakdown from the same
+row.  The per-point scalar path remains available (``method="scalar"``)
+as the cross-check reference and is used automatically for custom plan
+factories and threshold-dependent rates.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import numpy as np
 from ..exceptions import ParameterError
 from ..observability.context import current as _observability
 from ..paging import PagingPlan, sdf_partition
+from .batch import _cost_row, _CostRow, _row_vectors
 from .models import MobilityModel
 from .parameters import CostParams, validate_delay, validate_threshold
 
@@ -105,9 +110,9 @@ class CostEvaluator:
         #: evaluation path so an optimizer's winning point is never
         #: re-solved for its report.
         self._breakdowns: Dict[Tuple[int, float], CostBreakdown] = {}
-        #: Cached batched surfaces keyed by delay bound (see
-        #: :meth:`_batched_surface`).
-        self._surfaces: Dict[float, "object"] = {}
+        #: The last batched cost row priced per delay bound (see
+        #: :meth:`_row`).
+        self._rows: Dict[float, _CostRow] = {}
 
     # ------------------------------------------------------------------
 
@@ -169,76 +174,79 @@ class CostEvaluator:
                 "analytic_memo_hits_total", model=self.model.name
             ).inc()
             return cached
-        surface = self._surfaces.get(m)
-        if surface is not None and surface.d_max >= d:
+        row = self._rows.get(m)
+        if row is not None and d < row.update.size:
             registry.counter(
                 "analytic_solves_total", model=self.model.name, path="surface"
             ).inc()
-            breakdown = self._breakdown_from_surface(surface, d, m)
-        else:
-            registry.counter(
-                "analytic_solves_total", model=self.model.name, path="scalar"
-            ).inc()
-            p = self.model.steady_state(d)
-            plan = self.plan(d, m)
-            cells = plan.expected_polled_cells(self.model.topology, p)
-            delay = plan.expected_delay(p)
             breakdown = CostBreakdown(
                 threshold=d,
                 delay_bound=m if m == math.inf else int(m),
-                update_cost=self.update_cost(d),
-                paging_cost=self._paging_cost_from_cells(cells),
-                expected_polled_cells=cells,
-                expected_delay=delay,
+                update_cost=float(row.update[d]),
+                paging_cost=float(row.paging[d]),
+                expected_polled_cells=float(row.cells[d]),
+                expected_delay=float(row.delay[d]),
             )
-        self._breakdowns[key] = breakdown
-        return breakdown
+            self._breakdowns[key] = breakdown
+            return breakdown
+        return self._scalar_breakdown(d, m)
 
-    def _breakdown_from_surface(self, surface, d: int, m) -> CostBreakdown:
-        """Materialize one grid point of a batched surface."""
-        row = surface.delay_index(m)
-        return CostBreakdown(
+    def _scalar_breakdown(self, d: int, m) -> CostBreakdown:
+        """The breakdown at a validated ``(d, m)`` from this point's own
+        steady-state solve and paging plan, memoized; never read from a
+        batched row."""
+        _observability().registry.counter(
+            "analytic_solves_total", model=self.model.name, path="scalar"
+        ).inc()
+        p = self.model.steady_state(d)
+        plan = self.plan(d, m)
+        cells = plan.expected_polled_cells(self.model.topology, p)
+        breakdown = CostBreakdown(
             threshold=d,
             delay_bound=m if m == math.inf else int(m),
-            update_cost=float(surface.update[d]),
-            paging_cost=float(surface.paging[row, d]),
-            expected_polled_cells=float(surface.expected_cells[row, d]),
-            expected_delay=float(surface.expected_delay[row, d]),
+            update_cost=self.update_cost(d),
+            paging_cost=self._paging_cost_from_cells(cells),
+            expected_polled_cells=cells,
+            expected_delay=plan.expected_delay(p),
         )
+        self._breakdowns[(d, m)] = breakdown
+        return breakdown
 
     # ------------------------------------------------------------------
 
-    def _batched_surface(self, m, d_max: int):
-        """A :class:`~repro.core.batch.CostSurfaceGrid` covering
-        ``0..d_max`` for delay ``m``, cached and grown on demand.
+    def _row(self, m, d_max: int) -> Optional[_CostRow]:
+        """The batched cost row of delay ``m`` over ``0 .. d_max`` (see
+        :func:`repro.core.batch._cost_row`), priced once per exact
+        ``d_max``; ``total``, the one vector handed out, is read-only.
 
-        Returns None when this evaluator cannot use the batched path
-        (custom plan factory, or threshold-dependent rates).
+        A row priced at another ``d_max`` is priced again rather than
+        sliced or extended: its steady states come from another prefix
+        solve, whose backward ratios start elsewhere, so reusing it
+        would make a curve depend on what this evaluator was asked
+        before.  Returns None when this evaluator cannot batch (custom
+        plan factory, or threshold-dependent rates).
         """
+        row = self._rows.get(m)
+        if row is not None and row.update.size == d_max + 1:
+            return row
         if not self._can_batch():
             return None
-        surface = self._surfaces.get(m)
-        if surface is None or surface.d_max < d_max:
-            from .batch import compute_cost_surface  # deferred: heavy numpy path
-
-            # The model keeps its last steady-state solve, so every
-            # delay bound queried at this d_max shares one solve; only
-            # the SDF weight pass is new work per delay bound.
-            with _observability().tracer.span(
-                "analytic.batched_surface",
-                model=self.model.name,
-                d_max=d_max,
-                delay=str(m),
-            ):
-                surface = compute_cost_surface(
-                    self.model,
-                    self.costs,
-                    d_max,
-                    delays=(m,),
-                    convention=self.convention,
-                )
-            self._surfaces[m] = surface
-        return surface
+        with _observability().tracer.span(
+            "analytic.compute_cost_surface",
+            model=self.model.name,
+            d_max=d_max,
+            delay=str(m),
+        ):
+            chain, coverage, crossing = _row_vectors(
+                self.model, d_max, self.convention
+            )
+            row = _cost_row(
+                self.model, self.costs, m, chain, coverage,
+                crossing * self.costs.update_cost,
+            )
+        row.total.flags.writeable = False
+        self._rows[m] = row
+        return row
 
     def cost_curve(self, m, d_max: int, method: str = "auto"):
         """Return ``[C_T(0, m), ..., C_T(d_max, m)]`` as a list of floats.
@@ -276,14 +284,19 @@ class CostEvaluator:
 
     def _total_curve(self, m, d_max: int, batched: bool = True) -> np.ndarray:
         """``C_T(0 .. d_max, m)`` for a validated ``(m, d_max)`` as one
-        vector -- what the threshold searches scan: the batched surface's
-        read-only row when ``batched`` and this evaluator can batch, else
-        an array of the per-threshold sums.
+        vector -- what the threshold searches scan: the batched cost
+        row's read-only ``total`` when ``batched`` and this evaluator
+        can batch, else an array of per-threshold scalar solves (which
+        read neither a row nor the memo, so the reference curve is the
+        scalar one whatever this evaluator priced before).
         """
-        surface = self._batched_surface(m, d_max) if batched else None
-        if surface is not None:
-            return surface.curve(m)[: d_max + 1]
-        return np.array([self.total_cost(d, m) for d in range(d_max + 1)], dtype=float)
+        row = self._row(m, d_max) if batched else None
+        if row is not None:
+            return row.total
+        return np.array(
+            [self._scalar_breakdown(d, m).total_cost for d in range(d_max + 1)],
+            dtype=float,
+        )
 
     def __repr__(self) -> str:
         return (

@@ -86,8 +86,8 @@ def near_optimal_threshold(
     approx_eval = CostEvaluator(approx, costs, plan_factory=plan_factory)
     exact_eval = CostEvaluator(exact, costs, plan_factory=plan_factory)
 
-    # One batched curve evaluation (all thresholds at once) feeds the
-    # exhaustive scan, replayed over the surface row in place.
+    # One batched cost row (all thresholds at once) feeds the
+    # exhaustive scan, replayed over its C_T vector in place.
     search = scan_curve(approx_eval._total_curve(m, d_max))
     d_prime = search.optimal_threshold
     uncorrected = d_prime

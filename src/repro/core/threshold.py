@@ -6,9 +6,9 @@ operation a network operator actually performs: "given this user's
 threshold distance should the terminal use, and what will it cost?"
 
 The default exhaustive search reads the whole cost curve as one array
--- the batched prefix-sum surface's read-only ``C_T`` row, scanned in
-place, whenever the evaluator pages with the SDF partition -- and
-replays the scan's tie-breaking over it with
+-- the read-only ``C_T`` vector of the evaluator's batched cost row,
+scanned in place, whenever the evaluator pages with the SDF partition
+-- and replays the scan's tie-breaking over it with
 :func:`~repro.core.optimizers.scan_curve`.
 """
 
@@ -85,9 +85,9 @@ def find_optimal_threshold(
         Delay bound ``m`` in polling cycles (``math.inf`` = unbounded).
     method:
         ``"exhaustive"`` (default; guaranteed optimum, the paper's
-        ``D + 1``-iteration method, served by the batched surface
-        solver of :mod:`repro.core.batch` whenever the evaluator pages
-        with the default SDF partition), ``"exhaustive-scalar"`` (the
+        ``D + 1``-iteration method, served by the batched cost row of
+        :mod:`repro.core.batch` whenever the evaluator pages with the
+        default SDF partition), ``"exhaustive-scalar"`` (the
         same scan forced through the per-threshold scalar path -- the
         cross-check reference), ``"annealing"`` (the paper's simulated
         annealing), or ``"hill"`` (greedy baseline).
@@ -106,8 +106,8 @@ def find_optimal_threshold(
         return evaluator.total_cost(d, m)
 
     if method == "exhaustive":
-        # Scan the whole curve at once -- the batched surface's C_T row
-        # in place when possible -- replaying the scan's tie-breaking and
+        # Scan the whole curve at once -- the batched cost row's C_T in
+        # place when possible -- replaying the scan's tie-breaking and
         # evaluation accounting over the array.
         search = scan_curve(evaluator._total_curve(m, d_max))
     elif method == "exhaustive-scalar":
@@ -121,7 +121,7 @@ def find_optimal_threshold(
             f"unknown method {method!r}; expected "
             "exhaustive/exhaustive-scalar/annealing/hill"
         )
-    # The winning point's breakdown is a memo (or surface-row) hit:
+    # The winning point's breakdown is a memo (or cost-row) hit:
     # every evaluation path above populates the evaluator's caches, so
     # nothing is re-solved here.
     breakdown = evaluator.breakdown(search.optimal_threshold, m)

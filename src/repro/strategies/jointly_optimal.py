@@ -196,8 +196,9 @@ class _JointEvaluator:
     """Analytic ``C_T(d, plan)`` for arbitrary contiguous plans.
 
     Holds one ``(d_max + 1)``-square steady-state matrix: the batched
-    solve (:func:`repro.core.batch.batched_steady_states`) when the
-    model's rates are threshold-invariant, else the scalar per-threshold
+    solve's (:func:`repro.core.batch.batched_steady_states`), with the
+    coverage and update rates kept on that solve, when the model's
+    rates are threshold-invariant, else the scalar per-threshold
     solves stacked row by row.  Update costs follow eqn
     (61) with the requested boundary convention, paging costs eqns
     (62)-(65) with the plan's own grouping.  Nothing it holds depends on
@@ -212,13 +213,14 @@ class _JointEvaluator:
         self.convention = convention
         size = d_max + 1
         if getattr(model, "threshold_invariant_rates", False):
-            from ..core.batch import (  # deferred: heavy
-                batched_steady_states,
-                batched_update_rates,
-            )
+            from ..core.batch import _row_vectors  # deferred: heavy
 
-            self._steady = batched_steady_states(model, d_max)
-            rates = batched_update_rates(model, d_max, convention=convention)
+            # The cost rows of the distance search read the same chain's
+            # coverage and update rates; one copy of each serves both.
+            chain, self._coverage, self._update_rates = _row_vectors(
+                model, d_max, convention
+            )
+            self._steady = chain.matrix()
         else:
             self._steady = np.zeros((size, size))
             for d in range(size):
@@ -226,9 +228,9 @@ class _JointEvaluator:
             rates = np.array(
                 [model.update_rate(d, convention=convention) for d in range(size)]
             )
-        self._coverage = model.topology.coverage_curve(d_max)
+            self._coverage = model.topology.coverage_curve(d_max)
+            self._update_rates = np.diagonal(self._steady) * rates
         self._ring_sizes = np.diff(self._coverage, prepend=0.0)
-        self._update_rates = np.diagonal(self._steady) * rates
 
     def steady_row(self, d: int) -> np.ndarray:
         return self._steady[d, : d + 1]

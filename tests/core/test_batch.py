@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.batch import (
     CostSurfaceGrid,
+    SteadyPrefix,
     banded_steady_state,
     batched_steady_states,
     batched_update_costs,
@@ -22,6 +23,7 @@ from repro.core.batch import (
 )
 from repro.core.costs import CostEvaluator
 from repro.core.models import TwoDimensionalModel
+from repro.core.near_optimal import near_optimal_threshold
 from repro.core.optimizers import exhaustive_search
 from repro.core.parameters import CostParams, MobilityParams
 from repro.core.threshold import find_optimal_threshold
@@ -29,6 +31,7 @@ from repro.exceptions import ParameterError
 from repro.paging import sdf_partition
 from repro.observability import session
 from repro.analysis.sweep import MODEL_CLASSES
+from repro.strategies.jointly_optimal import _JointEvaluator
 
 MOBILITY = MobilityParams(move_probability=0.05, call_probability=0.01)
 COSTS = CostParams(update_cost=100.0, poll_cost=10.0)
@@ -334,3 +337,82 @@ class TestEvaluatorIntegration:
                 # paper's exhaustive method.
                 assert fast.search.method == "exhaustive"
                 assert fast.search.evaluations == 41
+
+    @pytest.mark.parametrize(
+        "name, q, c",
+        [("2d-exact", 0.05, 0.01), ("2d-exact", 0.4, 0.002), ("1d", 0.05, 0.01)],
+    )
+    def test_curve_does_not_depend_on_earlier_requests(self, name, q, c):
+        # A row priced at d_max = 100 is not sliced for d_max = 50: its
+        # steady states come from a deeper solve, which differs from a
+        # fresh one in the last bits.
+        evaluator = CostEvaluator(model_of(name, q=q, c=c), COSTS)
+        deep = evaluator.cost_curve(3, 100)
+        shallow = evaluator.cost_curve(3, 50)
+        fresh = CostEvaluator(model_of(name, q=q, c=c), COSTS).cost_curve(3, 50)
+        np.testing.assert_array_equal(shallow, fresh)
+        np.testing.assert_array_equal(evaluator.cost_curve(3, 100), deep)
+
+    def test_scalar_curve_reads_no_batched_row(self):
+        # The scalar curve is the cross-check reference: a batched row
+        # priced first, and a breakdown served from it, must not stand
+        # in for it.
+        evaluator = CostEvaluator(model_of("2d-exact"), COSTS)
+        batched = evaluator.cost_curve(3, 50)
+        evaluator.breakdown(7, 3)
+        scalar = evaluator.cost_curve(3, 50, method="scalar")
+        fresh = CostEvaluator(model_of("2d-exact"), COSTS).cost_curve(
+            3, 50, method="scalar"
+        )
+        np.testing.assert_array_equal(scalar, fresh)
+        # The two paths round differently here, so the check has teeth.
+        assert scalar != batched
+
+
+class TestSearchWork:
+    """What one threshold search computes, as exact counts."""
+
+    @staticmethod
+    def span_counts(obs):
+        names = [record.name for record in obs.tracer.records]
+        return (
+            names.count("analytic.compute_cost_surface"),
+            names.count("analytic.batched_surface"),
+        )
+
+    def test_a_search_prices_one_row_under_one_span(self):
+        model = model_of("2d-exact")
+        with session() as obs:
+            find_optimal_threshold(model, COSTS, 3, d_max=50)
+        assert self.span_counts(obs) == (1, 0)
+
+    def test_a_near_optimal_search_prices_one_row_under_one_span(self):
+        with session() as obs:
+            near_optimal_threshold(MOBILITY, COSTS, 3, d_max=50)
+        assert self.span_counts(obs) == (1, 0)
+
+    def test_the_chain_vectors_are_built_once_for_every_delay(self, monkeypatch):
+        model = model_of("2d-exact")
+        steady_prefix(model, 50)  # its balance check reads the diagonal too
+        calls = {"coverage": 0, "diagonal": 0}
+
+        def counted(key, method):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        topology = type(model.topology)
+        monkeypatch.setattr(
+            topology, "coverage_curve", counted("coverage", topology.coverage_curve)
+        )
+        monkeypatch.setattr(
+            SteadyPrefix, "diagonal", counted("diagonal", SteadyPrefix.diagonal)
+        )
+        for m in (1, 2, 3, math.inf):
+            find_optimal_threshold(model, COSTS, m, d_max=50)
+        assert calls == {"coverage": 1, "diagonal": 1}
+        # The jointly-optimal leg on the same chain reads the same
+        # coverage (its steady-state matrix reads the diagonal again).
+        _JointEvaluator(model, 50, "paper")
+        assert calls["coverage"] == 1

@@ -7,7 +7,8 @@ bar of ``benchmarks/bench_analytic.py``, here enforced over the whole
 random parameter space rather than one operating point -- and, on
 chains up to ``D = 300`` and down to ``c = 0``, with costs built from
 per-threshold recursive (or, where the recursion overflows, banded)
-solves to 1e-11 relative.
+solves to 1e-11 relative.  The row a threshold search scans, and the
+breakdown it reports, are bit for bit the surface's.
 """
 
 import pytest
@@ -28,6 +29,7 @@ from repro.core.chains import (
 )
 from repro.core.costs import CostEvaluator
 from repro.core.parameters import CostParams, MobilityParams
+from repro.core.threshold import find_optimal_threshold
 
 pytestmark = pytest.mark.slow
 
@@ -126,3 +128,46 @@ class TestPrefixSurfaceMatchesPerThresholdSolves:
             assert abs(surface.update[d] - update) <= scale
             assert abs(surface.paging[0, d] - paging) <= scale
             assert abs(surface.total[0, d] - (update + paging)) <= scale
+
+
+class TestSearchedRowIsTheSurfaceRow:
+    @given(
+        name=model_names,
+        qc=probabilities,
+        update_cost=st.floats(min_value=0.0, max_value=1e3),
+        poll_cost=st.floats(min_value=0.1, max_value=50.0),
+        convention=st.sampled_from(["paper", "physical"]),
+        m=st.sampled_from([1, 2, 3, 7, math.inf]),
+        d_max=st.integers(min_value=0, max_value=120),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_search_scans_and_reports_the_surface_row(
+        self, name, qc, update_cost, poll_cost, convention, m, d_max
+    ):
+        costs = CostParams(update_cost=update_cost, poll_cost=poll_cost)
+        surface = compute_cost_surface(
+            build_model(name, qc), costs, d_max, convention=convention,
+            delays=(1, 2, 3, 7, math.inf),
+        )
+        k = surface.delay_index(m)
+        evaluator = CostEvaluator(build_model(name, qc), costs, convention=convention)
+        assert np.array_equal(evaluator.cost_curve(m, d_max), surface.total[k])
+        solution = find_optimal_threshold(
+            build_model(name, qc), costs, m, d_max=d_max, convention=convention
+        )
+        scanned = [solution.search.curve[d] for d in range(d_max + 1)]
+        assert np.array_equal(scanned, surface.total[k])
+        d = solution.threshold
+        assert d == surface.argmin(m)
+        breakdown = solution.breakdown
+        assert (
+            breakdown.update_cost,
+            breakdown.paging_cost,
+            breakdown.expected_polled_cells,
+            breakdown.expected_delay,
+        ) == (
+            surface.update[d],
+            surface.paging[k, d],
+            surface.expected_cells[k, d],
+            surface.expected_delay[k, d],
+        )

@@ -65,6 +65,27 @@ cost_params = st.builds(
 delays = st.one_of(st.integers(min_value=1, max_value=5), st.just(math.inf))
 
 
+def log_uniform(lo, hi):
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
+
+
+#: The range the tournament workload and ``repro-lm compare`` run the
+#: joint leg over, drawn log-uniformly as the tournament draws it: the
+#: deep, call-dominated chains whose prefix sums span the most orders of
+#: magnitude.  Tests draw it alongside the default draws above, which
+#: keep rare calls (c below 0.001, down to 0) in play.
+joint_mobility_params = st.builds(
+    MobilityParams,
+    move_probability=log_uniform(0.001, 0.7),
+    call_probability=log_uniform(0.001, 0.1),
+)
+joint_cost_params = st.builds(
+    CostParams,
+    update_cost=log_uniform(0.1, 1000.0),
+    poll_cost=st.floats(min_value=0.1, max_value=50.0),
+)
+
+
 def screen_margin(value, terms):
     """The float margin ``screened_scan`` allows a screened cost."""
     return 4.0 * (terms + 8) * 2.0**-52 * abs(value) + 2e-15
@@ -197,10 +218,15 @@ class TestSchemeIdentifications:
 
 
 class TestVectorFormulas:
-    @given(data=st.data(), mob=mobility_params, costs=cost_params, m=delays)
+    @given(
+        data=st.data(),
+        mob=st.one_of(mobility_params, joint_mobility_params),
+        costs=st.one_of(cost_params, joint_cost_params),
+        m=delays,
+    )
     @settings(max_examples=60, deadline=None)
     def test_registration_costs_match_adapted_plans(self, data, mob, costs, m):
-        d_max = data.draw(st.integers(min_value=0, max_value=40), label="d_max")
+        d_max = data.draw(st.integers(min_value=0, max_value=100), label="d_max")
         plan = data.draw(contiguous_plans(d_max), label="plan")
         model_cls = data.draw(st.sampled_from(sorted(EXACT_MODELS.values(), key=str)))
         convention = data.draw(st.sampled_from(["paper", "physical"]))
